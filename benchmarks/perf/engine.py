@@ -96,22 +96,26 @@ EXACT_TOL = 1e-10
 #: report row as ``floor``; ``check_regression.py`` enforces it hard.
 SHARD_FLOORS = {1: 0.7, 2: 1.1, 4: 1.5}
 
+#: Trajectories and trajectories per chunk of the ``sharded_trajectory``
+#: wide leg: the real-QC evaluation defaults for the 10-qubit models.
+WIDE_TRAJECTORIES, WIDE_SHARD_SIZE = 32, 16
+
 SCALES = {
     # tier-2 smoke: seconds, runs inside pytest
     "smoke": dict(batch=8, traj_batch=4, n_trajectories=8, repeats=2,
                   epochs=1, n_train=16, stat_trajectories=64,
                   train_batch=8, ref_repeats=1, n_realizations=4,
-                  shard_size=2, shard_workers=2,
+                  shard_size=2, shard_workers=2, wide_rows=5,
                   stab_qubits=10, stab_wide_qubits=32, stab_trajectories=16),
     "quick": dict(batch=64, traj_batch=16, n_trajectories=64, repeats=5,
                   epochs=2, n_train=64, stat_trajectories=256,
                   train_batch=32, ref_repeats=2, n_realizations=8,
-                  shard_size=16, shard_workers=4,
+                  shard_size=16, shard_workers=4, wide_rows=8,
                   stab_qubits=12, stab_wide_qubits=56, stab_trajectories=64),
     "full": dict(batch=128, traj_batch=32, n_trajectories=128, repeats=10,
                  epochs=4, n_train=128, stat_trajectories=1024,
                  train_batch=64, ref_repeats=3, n_realizations=16,
-                 shard_size=32, shard_workers=4,
+                 shard_size=32, shard_workers=4, wide_rows=16,
                  stab_qubits=14, stab_wide_qubits=64, stab_trajectories=128),
 }
 
@@ -428,6 +432,42 @@ def run_benchmarks(
     shard_backend = min(shard_times, key=shard_times.get)
     t_sharded = shard_times[shard_backend]
     t_thread = shard_times["thread"]
+
+    # Wide leg: a 10-qubit melbourne block (the MNIST-10 width) on the
+    # thread backend.  Its 1024-amplitude rows make each chunk sweep
+    # several L2-sized trajectory tiles and route dense gates through
+    # per-row GEMMs -- the regime of the paper's real-QC evaluation of
+    # its 10-qubit models, which the 4-qubit legs above never reach.
+    melbourne = get_device("melbourne")
+    wide_qnn = paper_model(10, 1, 1, 36, 10)
+    wide_compiled = transpile(wide_qnn.blocks[0], melbourne, 2)
+    wide_rng = np.random.default_rng(seed + 1)
+    wide_weights = wide_qnn.init_weights(wide_rng)
+    wide_inputs = wide_rng.normal(0, 1, (cfg["wide_rows"], 36))
+    wide_chunks = -(-WIDE_TRAJECTORIES // WIDE_SHARD_SIZE)
+
+    def wide_run(n_workers=0):
+        return trajectory_probabilities(
+            wide_compiled, melbourne.hardware_model, wide_weights,
+            wide_inputs, cfg["wide_rows"], WIDE_TRAJECTORIES, rng=2,
+            n_workers=n_workers, shard_size=WIDE_SHARD_SIZE,
+        )
+
+    t_wide_serial = _best_of(wide_run, cfg["repeats"])
+    p_wide_serial = wide_run()
+    p_wide_thread = wide_run(cfg["shard_workers"])
+    if not np.array_equal(p_wide_serial, p_wide_thread):
+        raise AssertionError(
+            "wide thread-sharded trajectory output is not bit-identical "
+            "to serial"
+        )
+    shard_err = max(
+        shard_err, float(np.abs(p_wide_serial - p_wide_thread).max())
+    )
+    t_wide_thread = _best_of(
+        lambda: wide_run(cfg["shard_workers"]), cfg["repeats"]
+    )
+
     cpu_count = os.cpu_count() or 1
     bench["sharded_trajectory"] = {
         "serial_s": t_serial, "fast_s": t_sharded,
@@ -436,13 +476,22 @@ def run_benchmarks(
         "process_s": shard_times["process"],
         "backend": shard_backend, "cpu_count": cpu_count,
         "workers": cfg["shard_workers"], "chunks": n_chunks,
+        "wide_serial_s": t_wide_serial, "wide_thread_s": t_wide_thread,
+        "wide_shard_speedup": t_wide_serial / t_wide_thread,
+        "wide_qubits": wide_compiled.circuit.n_qubits,
+        "wide_rows": cfg["wide_rows"], "wide_chunks": wide_chunks,
     }
     if scale != "smoke":
-        # Floor keyed by the effective parallel width of this host.
-        effective = max(
-            w for w in SHARD_FLOORS if w <= min(cfg["shard_workers"], cpu_count)
+        # Floors keyed by the effective parallel width of this host (the
+        # wide leg can use no more workers than it has chunks).
+        def floor(width):
+            return SHARD_FLOORS[max(w for w in SHARD_FLOORS if w <= width)]
+
+        row = bench["sharded_trajectory"]
+        row["floor"] = floor(min(cfg["shard_workers"], cpu_count))
+        row["wide_floor"] = floor(
+            min(cfg["shard_workers"], cpu_count, wide_chunks)
         )
-        bench["sharded_trajectory"]["floor"] = SHARD_FLOORS[effective]
     equiv["sharded_trajectory_max_err"] = shard_err
 
     # -- supervised sharded trajectory execution ---------------------------
@@ -825,7 +874,8 @@ def main() -> None:
             print(
                 f"{name:22s} serial    {row['serial_s']*1e3:8.2f} ms   "
                 f"fast {row['fast_s']*1e3:8.2f} ms   "
-                f"{row['shard_speedup']:5.2f}x ({row['workers']} workers)"
+                f"{row['shard_speedup']:5.2f}x ({row['workers']} workers); "
+                f"{row['wide_qubits']}-qubit leg {row['wide_shard_speedup']:5.2f}x"
             )
         else:
             print(f"{name:22s} {row['seconds']:.2f} s")

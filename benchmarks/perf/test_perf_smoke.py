@@ -62,8 +62,11 @@ def test_engine_smoke(tmp_path):
     assert equiv["training_step_loss_err"] < 1e-10
     assert equiv["training_step_grad_max_err"] < 1e-10
     assert equiv["fused_inference_max_err"] < 1e-10
-    # Sharded trajectories are bit-identical to serial, not just close.
+    # Sharded trajectories are bit-identical to serial, not just close
+    # (the 10-qubit wide leg included).
     assert equiv["sharded_trajectory_max_err"] == 0.0
+    assert bench["sharded_trajectory"]["wide_qubits"] == 10
+    assert bench["sharded_trajectory"]["wide_shard_speedup"] > 0.0
     # Chunk supervision changes nothing about the output either.
     assert equiv["supervised_trajectory_max_err"] == 0.0
 

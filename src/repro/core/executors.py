@@ -54,6 +54,7 @@ from repro.noise.density_backend import run_noisy_density
 from repro.noise.readout import apply_readout_to_expectations
 from repro.noise.sampler import ErrorGateSampler
 from repro.noise.trajectory import (
+    _check_counts,
     mcwf_adjoint_backward,
     mcwf_forward_with_tape,
     run_noisy_trajectories,
@@ -844,6 +845,7 @@ class TrajectoryEvalExecutor(_WorkerPoolMixin):
             raise ValueError(
                 f"unravel must be 'pauli' or 'jump', got {unravel!r}"
             )
+        _check_counts(n_trajectories, shots)
         self.noise_model = noise_model
         self.n_trajectories = n_trajectories
         self.shots = shots

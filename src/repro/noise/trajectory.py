@@ -30,14 +30,20 @@ The naive implementation binds and sweeps one circuit per trajectory --
 * draws every error site's Pauli choice for all trajectories in a
   *single* uniform draw per chunk (vectorized inverse-CDF over the
   plan's precomputed cumulative-probability table, replacing one
-  ``rng.choice`` call per site) and expresses sampled errors as batched
-  ``(trajectories * batch, 2, 2)`` matrices -- sites where every
-  trajectory drew identity (the common case at hardware error rates)
-  are skipped outright;
-* chunks trajectories so the stacked state stays within a fixed memory
-  budget, gives each chunk its own ``SeedSequence.spawn``-derived RNG
-  stream, and ping-pongs between two work buffers (no per-gate
-  allocation);
+  ``rng.choice`` call per site) and applies each sampled error as one
+  2x2 per trajectory broadcast over its batch rows -- a site is skipped
+  wherever every trajectory of a tile drew identity (the common case at
+  hardware error rates);
+* splits trajectories into **chunks, which fix the RNG layout**: each
+  chunk draws all its random numbers up front from its own
+  ``SeedSequence.spawn``-derived stream, and the chunk is also the unit
+  of sharding and supervision;
+* sweeps each chunk in **tiles, which bound the cache footprint**: a
+  tile is a run of whole trajectories small enough that its two
+  ping-pong work buffers (no per-gate allocation) stay in L2
+  (:data:`_TILE_ENTRIES`), so a wide chunk -- 16 trajectories x 40 rows
+  x 1024 amplitudes is 10.5 MB -- no longer streams through memory at
+  every gate.  A chunk within the budget is one tile;
 * optionally **shards chunks across a worker pool**
   (``n_workers``/``shard_backend``): because the chunk decomposition and
   per-chunk streams never depend on the worker count, sharded output is
@@ -91,6 +97,13 @@ _PAULI_STACK = np.stack(
 #: Cap on stacked-state size (complex entries): chunks trajectories so the
 #: fused sweep never holds more than ~64 MiB of statevector per buffer.
 _MAX_STACKED_ENTRIES = 1 << 22
+
+#: Cap on one tile's stacked state (complex entries).  A chunk sweeps its
+#: fused stream one tile of whole trajectories at a time (at least one),
+#: so both ping-pong buffers -- 1 MiB each at this cap -- stay in a
+#: core's L2 instead of streaming every gate through memory; a chunk
+#: within the cap is a single tile.
+_TILE_ENTRIES = 1 << 16
 
 #: Default trajectories per chunk.  Applied to serial and sharded runs
 #: alike, so the chunk layout -- and with it the per-chunk RNG streams --
@@ -305,7 +318,7 @@ def _sample_jump_matrices(
     kraus: np.ndarray,
     effects: np.ndarray,
     local_q: int,
-    rng: np.random.Generator,
+    u: np.ndarray,
 ) -> np.ndarray:
     """Per-row renormalized jump operators sampled from one Kraus site.
 
@@ -313,9 +326,10 @@ def _sample_jump_matrices(
     expectation values ``p_i = <psi| K_i^dag K_i |psi>`` (computed from
     the row's single-qubit reduced density matrix -- one einsum over the
     qubit view, never a full density), one operator index is drawn per
-    row by inverse CDF, and the returned ``(rows, 2, 2)`` batch carries
-    ``K_i / sqrt(p_i)`` so the evolved rows stay unit-norm.  Averaging
-    ``|psi><psi|`` over trajectories then reproduces the exact channel.
+    row by inverse CDF of its uniform in ``u`` (shape ``(rows,)``), and
+    the returned ``(rows, 2, 2)`` batch carries ``K_i / sqrt(p_i)`` so
+    the evolved rows stay unit-norm.  Averaging ``|psi><psi|`` over
+    trajectories then reproduces the exact channel.
     """
     rows = state.shape[0]
     view = state.reshape(rows, -1, 2, 1 << local_q)
@@ -324,7 +338,7 @@ def _sample_jump_matrices(
     np.clip(p, 0.0, None, out=p)
     totals = p.sum(axis=1, keepdims=True)
     p /= np.where(totals > 0.0, totals, 1.0)
-    u = rng.random((rows, 1))
+    u = u.reshape(rows, 1)
     choice = np.minimum(
         (u >= np.cumsum(p, axis=1)).sum(axis=1), kraus.shape[0] - 1
     )
@@ -371,61 +385,87 @@ def _segment_chunk(
     segment matrices (or per-call encoder gates); at each
     ``("site", gate)`` step the chunk's pre-drawn Pauli choices become
     per-trajectory error coefficients, applied operand-by-operand in
-    :meth:`ErrorGateSampler.sample`'s insertion order.  Sites where
-    every trajectory drew identity are skipped outright.
+    :meth:`ErrorGateSampler.sample`'s insertion order.
+
+    The chunk draws all its random numbers first -- the Pauli choices,
+    then in jump mode one uniform per row for every ``("jump", ...)``
+    step as a single ``(jump steps, rows)`` block, the same numbers
+    per-step draws would yield -- and then sweeps the stream one *tile*
+    of whole trajectories at a time, sized by :data:`_TILE_ENTRIES` so
+    both ping-pong buffers stay in L2.  A site is skipped in a tile
+    where all of the tile's trajectories drew identity, and each tile
+    adds its ``|psi|^2`` to the chunk total in trajectory order.  A
+    chunk within the budget is a single tile.
 
     The hot inner work never materializes per-row ``(rows, 2, 2)``
     matrix stacks: sampled Pauli errors broadcast one 2x2 per trajectory
     over its ``batch`` stacked rows, and 1-qubit batched encoder gates
     broadcast one 2x2 per sample across the stacked trajectories
     (:func:`repro.sim.statevector.apply_grouped_1q`) -- each step is a
-    handful of whole-stack ufunc passes (GIL-released C loops), so the
-    thread backend's workers overlap instead of serializing on Python
-    row bookkeeping.  Dense fused segments already contract as single
-    flat GEMMs over the whole trajectory x batch stack.
+    handful of ufunc passes over the tile (GIL-released C loops), so
+    the thread backend's workers overlap instead of serializing on
+    Python row bookkeeping.
     """
-    rows = n_traj * batch
-    stacked = zero_state(n_qubits, rows)
-    scratch = np.empty_like(stacked)
+    dim = 1 << n_qubits
+    tile = max(1, min(n_traj, _TILE_ENTRIES // (batch * dim)))
     choices = plan.sample(rng, n_traj)
-    for kind, payload in stream:
-        if kind == "op":
-            matrix = payload.matrix
-            if payload.batched and n_traj > 1:
-                if len(payload.qubits) == 1:
-                    # Per-sample encoder matrices repeat across stacked
-                    # trajectories: broadcast, never tile.
-                    apply_grouped_1q(
-                        stacked, matrix, payload.qubits[0], n_qubits,
-                        out=scratch, layout="cycle",
-                    )
-                    stacked, scratch = scratch, stacked
-                    continue
-                matrix = np.tile(matrix, (n_traj, 1, 1))
-            apply_matrix(stacked, matrix, payload.qubits, n_qubits, out=scratch)
-            stacked, scratch = scratch, stacked
-            continue
-        if kind == "jump":
-            # MCWF: state-dependent jump sampling from the exact Kraus
-            # set, renormalized per row.  Drawn in stream order off the
-            # chunk's own rng, so chunk results stay independent of how
-            # chunks are distributed (sharded == serial bit-for-bit).
-            _gi, local_q, kraus, effects = plan.jump_sites[payload]
-            mats = _sample_jump_matrices(stacked, kraus, effects, local_q, rng)
-            apply_matrix(stacked, mats, (local_q,), n_qubits, out=scratch)
-            stacked, scratch = scratch, stacked
-            continue
-        for row, local_q in plan.site_rows[payload]:
-            drawn = choices[row]
-            if drawn.any():
-                # One 2x2 per trajectory, broadcast over its batch rows.
-                apply_grouped_1q(
-                    stacked, _PAULI_STACK[drawn], local_q, n_qubits,
-                    out=scratch, layout="block",
+    # Every jump site is one ("jump", row) step of the stream.
+    n_jumps = len(plan.jump_sites)
+    uniforms = rng.random((n_jumps, n_traj * batch)) if n_jumps else None
+    buffers = np.empty((2, tile * batch, dim), dtype=complex)
+    total = np.zeros((batch, dim))
+    for lo in range(0, n_traj, tile):
+        hi = min(lo + tile, n_traj)
+        rows = (hi - lo) * batch
+        stacked, scratch = buffers[0, :rows], buffers[1, :rows]
+        stacked.fill(0.0)
+        stacked[:, 0] = 1.0
+        jump = 0
+        for kind, payload in stream:
+            if kind == "op":
+                matrix = payload.matrix
+                if payload.batched and hi - lo > 1:
+                    if len(payload.qubits) == 1:
+                        # Per-sample encoder matrices repeat across
+                        # stacked trajectories: broadcast, never tile.
+                        apply_grouped_1q(
+                            stacked, matrix, payload.qubits[0], n_qubits,
+                            out=scratch, layout="cycle",
+                        )
+                        stacked, scratch = scratch, stacked
+                        continue
+                    matrix = np.tile(matrix, (hi - lo, 1, 1))
+                apply_matrix(
+                    stacked, matrix, payload.qubits, n_qubits, out=scratch
                 )
                 stacked, scratch = scratch, stacked
-    probs = np.abs(stacked) ** 2
-    return probs.reshape(n_traj, batch, -1).sum(axis=0)
+                continue
+            if kind == "jump":
+                # MCWF: state-dependent jump sampling from the exact
+                # Kraus set, renormalized per row, off the chunk's own
+                # pre-drawn uniforms, so chunk results stay independent
+                # of how chunks are distributed (sharded == serial).
+                _gi, local_q, kraus, effects = plan.jump_sites[payload]
+                mats = _sample_jump_matrices(
+                    stacked, kraus, effects, local_q,
+                    uniforms[jump, lo * batch:hi * batch],
+                )
+                jump += 1
+                apply_matrix(stacked, mats, (local_q,), n_qubits, out=scratch)
+                stacked, scratch = scratch, stacked
+                continue
+            for row, local_q in plan.site_rows[payload]:
+                drawn = choices[row, lo:hi]
+                if drawn.any():
+                    # One 2x2 per trajectory, broadcast over its rows.
+                    apply_grouped_1q(
+                        stacked, _PAULI_STACK[drawn], local_q, n_qubits,
+                        out=scratch, layout="block",
+                    )
+                    stacked, scratch = scratch, stacked
+        probs = np.abs(stacked) ** 2
+        total += probs.reshape(hi - lo, batch, dim).sum(axis=0)
+    return total
 
 
 #: Worker-side (process-global) cache of rebuilt segment plans, keyed by
@@ -940,7 +980,9 @@ def mcwf_forward_with_tape(
                 checkpoints[len(ops)] = state.copy()
             jump_ops.add(len(ops))
             n_jumps += 1
-            mats = _sample_jump_matrices(state, kraus, effects, local_q, rng)
+            mats = _sample_jump_matrices(
+                state, kraus, effects, local_q, rng.random(rows)
+            )
             apply_op(_error_op(local_q, mats))
         coherent = [e for e in post if e[0] == "coherent"]
         for local_q, matrix in _expand_events(coherent, batch):
@@ -1060,6 +1102,16 @@ def mcwf_adjoint_backward(
     return weight_grad, input_grad
 
 
+def _check_counts(
+    n_trajectories: int, shots: "int | None" = None
+) -> None:
+    """Reject trajectory and shot counts no estimate can be drawn from."""
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
+    if shots is not None and shots < 1:
+        raise ValueError(f"shots must be >= 1 or None, got {shots}")
+
+
 def trajectory_probabilities(
     compiled: CompiledCircuit,
     noise_model: NoiseModel,
@@ -1127,6 +1179,7 @@ def trajectory_probabilities(
         raise ValueError(
             f"unravel must be 'pauli' or 'jump', got {unravel!r}"
         )
+    _check_counts(n_trajectories)
     jump = unravel == "jump"
     rng = as_rng(rng)
     sampler = ErrorGateSampler(noise_model, noise_factor, allow_exact=jump)
@@ -1539,6 +1592,7 @@ def run_noisy_trajectories(
     execution through the fault-tolerant chunk supervisor (results
     unchanged -- see :func:`trajectory_probabilities`).
     """
+    _check_counts(n_trajectories, shots)
     rng = as_rng(rng)
     probs = trajectory_probabilities(
         compiled, noise_model, weights, inputs, batch,

@@ -22,7 +22,7 @@ The per-gate hot path is organized around three caches:
   the state at all -- they reshape (a view) so the target axes sit
   between untouched blocks and apply slice kernels in place.  Dense 2q
   matrices and 3+-qubit gates use the cached transpose route (move target
-  axes last, one small matmul, move back).
+  axes last, one small matmul -- per row on wide states -- move back).
 * **Work buffers**: :func:`apply_matrix` accepts ``out=``; callers such as
   :func:`run_ops` and the adjoint backward sweep ping-pong between two
   preallocated ``(batch, 2**n)`` buffers instead of allocating two fresh
@@ -131,6 +131,11 @@ def _contract(sub: str, gate: np.ndarray, tensor: np.ndarray, out):
 #: slice arithmetic (memory-bound regime); below it, minimizing the number
 #: of numpy calls dominates.
 _SLICE_CUTOFF = 1 << 17
+
+#: From this many amplitudes per row, shared dense matrices on the
+#: transpose route contract as one small GEMM per row instead of one
+#: flat GEMM over the whole stack (see :func:`apply_matrix`).
+_ROW_GEMM_MIN_DIM = 1 << 9
 
 
 def _apply_1q(tensor, matrix, target):
@@ -273,16 +278,19 @@ def apply_matrix(
         # loses to transpose + one small matmul once batch exceeds ~16.
 
     # Generic transpose route (dense 2q and all 3+-qubit gates): cached
-    # permutation, transpose copies.  Shared matrices contract as one
-    # flat 2-D GEMM over all (batch * row) vectors -- several times
-    # faster than both broadcast matmul and einsum (whose per-call path
-    # search this route, now the fused-inference hot path, must avoid).
+    # permutation, transpose copies.  On narrow states shared matrices
+    # contract as one flat 2-D GEMM over all (batch * row) vectors --
+    # several times faster there than both broadcast matmul and einsum
+    # (whose per-call path search this route must avoid).  On wide
+    # states that flat GEMM is big enough for OpenBLAS to thread, which
+    # oversubscribes the cores under sharded worker threads; one small
+    # GEMM per row never threads and costs the same serially.
     tensor = state.reshape((batch,) + (2,) * n_qubits)
     tensor = tensor.transpose(plan.perm).reshape(batch, -1, dim_gate)
-    if matrix.ndim == 2:
+    if matrix.ndim == 2 and (1 << n_qubits) < _ROW_GEMM_MIN_DIM:
         res = (tensor.reshape(-1, dim_gate) @ matrix.T).reshape(tensor.shape)
-    else:
-        res = np.matmul(tensor, matrix.transpose(0, 2, 1))
+    else:  # one GEMM per row, shared or per-row matrix
+        res = np.matmul(tensor, matrix.swapaxes(-1, -2))
     res = res.reshape((batch,) + (2,) * n_qubits).transpose(plan.inverse)
     if out is not None:
         np.copyto(out.reshape((batch,) + (2,) * n_qubits), res)
@@ -309,11 +317,14 @@ def apply_grouped_1q(
     * ``"cycle"`` -- row ``r`` uses ``matrix[r % g]``: per-sample matrices
       repeating across stacked trajectories (batched encoder gates).
 
-    Numerically identical to expanding with ``np.repeat`` / ``np.tile`` and
-    calling :func:`apply_matrix` -- same per-element multiply/add sequence
-    as the :func:`_apply_1q` slice kernel -- but the ``(rows, 2, 2)``
-    matrix stack is never built and the coefficients broadcast as scalars
-    per group.  Always writes into ``out`` (same shape, distinct memory).
+    Computes what expanding with ``np.repeat`` / ``np.tile`` and calling
+    :func:`apply_matrix` computes, with the per-element multiply/add
+    sequence of the :func:`_apply_1q` slice kernel, but the ``(rows, 2,
+    2)`` matrix stack is never built and the coefficients broadcast as
+    scalars per group.  Up to :data:`_SLICE_CUTOFF` state entries the
+    results are identical; above it :func:`apply_matrix` contracts
+    general matrices in one einsum pass instead, so they agree to
+    rounding.  Always writes into ``out`` (same shape, distinct memory).
     """
     rows = state.shape[0]
     g = matrix.shape[0]

@@ -30,9 +30,11 @@ from repro.noise import (
     trajectory_probabilities_reference,
 )
 from repro.qnn import paper_model
+from repro.sim import statevector as sv
 from repro.sim.gates import gate_matrix
 from repro.sim.statevector import (
     BindPlan,
+    apply_grouped_1q,
     apply_matrix,
     apply_matrix_reference,
     batched_multinomial,
@@ -46,6 +48,9 @@ from repro.sim.statevector import (
 )
 
 EXACT = 1e-10
+
+#: A wide kernel input: 10 qubits (the MNIST-10 width) x 192 rows.
+WIDE_N, WIDE_BATCH = 10, 192
 
 
 def _random_state(rng, batch, n):
@@ -78,12 +83,19 @@ def _random_state(rng, batch, n):
 )
 def test_apply_matrix_matches_reference(name, params, qubits):
     rng = np.random.default_rng(0)
-    n = 4
-    state = _random_state(rng, 5, n)
     matrix = gate_matrix(name, params)
-    fast = apply_matrix(state, matrix, qubits, n)
-    ref = apply_matrix_reference(state, matrix, qubits, n)
-    assert np.abs(fast - ref).max() < EXACT
+    # The wide input takes the kernels' wide-state routes (the einsum
+    # 1q pass above the slice cutoff, one GEMM per row for dense gates),
+    # on the low qubits and shifted onto the top ones.
+    assert WIDE_BATCH * 2**WIDE_N > sv._SLICE_CUTOFF
+    assert 2**WIDE_N >= sv._ROW_GEMM_MIN_DIM
+    for n, batch, shift in ((4, 5, 0), (WIDE_N, WIDE_BATCH, 0),
+                            (WIDE_N, WIDE_BATCH, WIDE_N - 4)):
+        state = _random_state(rng, batch, n)
+        on = tuple(q + shift for q in qubits)
+        fast = apply_matrix(state, matrix, on, n)
+        ref = apply_matrix_reference(state, matrix, on, n)
+        assert np.abs(fast - ref).max() < EXACT, (n, on)
 
 
 def test_apply_matrix_out_buffer_semantics():
@@ -118,14 +130,57 @@ def test_apply_matrix_accepts_real_dtype_states():
 
 def test_apply_matrix_batched_matches_reference():
     rng = np.random.default_rng(2)
-    n, batch = 3, 6
-    state = _random_state(rng, batch, n)
-    thetas = rng.uniform(-2, 2, batch)
-    for name, qubits in [("rz", (1,)), ("ry", (0,)), ("crx", (2, 0))]:
-        mats = gate_matrix(name, (thetas,))
-        fast = apply_matrix(state, mats, qubits, n)
-        ref = apply_matrix_reference(state, mats, qubits, n)
-        assert np.abs(fast - ref).max() < EXACT
+    for n, batch in ((3, 6), (WIDE_N, WIDE_BATCH)):
+        state = _random_state(rng, batch, n)
+        thetas = rng.uniform(-2, 2, batch)
+        for name, qubits in [("rz", (1,)), ("ry", (0,)), ("crx", (2, 0)),
+                             ("ry", (n - 1,)), ("crx", (n - 1, 1))]:
+            mats = gate_matrix(name, (thetas,))
+            fast = apply_matrix(state, mats, qubits, n)
+            ref = apply_matrix_reference(state, mats, qubits, n)
+            assert np.abs(fast - ref).max() < EXACT, (n, name, qubits)
+
+
+def _group_matrices(kind):
+    """Three 1q matrices, all diagonal, all anti-diagonal, or mixed."""
+    names = {
+        "diagonal": [("rz", (0.3,)), ("z", ()), ("id", ())],
+        "anti_diagonal": [("x", ()), ("y", ()), ("x", ())],
+        "mixed": [("x", ()), ("rz", (-0.7,)), ("u3", (0.3, -0.8, 1.1))],
+    }[kind]
+    return np.stack([gate_matrix(name, params) for name, params in names])
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "anti_diagonal", "mixed"])
+@pytest.mark.parametrize("layout", ["block", "cycle"])
+def test_apply_grouped_1q_matches_expanded_reference(layout, kind):
+    rng = np.random.default_rng(4)
+    n, per_group = 4, 2
+    matrix = _group_matrices(kind)
+    g = matrix.shape[0]
+    state = _random_state(rng, g * per_group, n)
+    before = state.copy()
+    if layout == "block":  # row r uses matrix[r // per_group]
+        expanded = np.repeat(matrix, per_group, axis=0)
+    else:  # row r uses matrix[r % g]
+        expanded = np.tile(matrix, (per_group, 1, 1))
+    for qubit in range(n):
+        out = np.empty_like(state)
+        res = apply_grouped_1q(state, matrix, qubit, n, out=out, layout=layout)
+        assert res is out
+        ref = apply_matrix_reference(state, expanded, (qubit,), n)
+        assert np.abs(out - ref).max() < EXACT, qubit
+        assert np.array_equal(state, before), "input state was modified"
+
+
+def test_apply_grouped_1q_rejects_bad_groups():
+    state = _random_state(np.random.default_rng(5), 5, 2)
+    out = np.empty_like(state)
+    with pytest.raises(ValueError, match="not a multiple"):
+        apply_grouped_1q(state, _group_matrices("mixed")[:2], 0, 2, out=out)
+    with pytest.raises(ValueError, match="layout"):
+        apply_grouped_1q(state, _group_matrices("mixed")[:1], 0, 2, out=out,
+                         layout="strided")
 
 
 def test_apply_matrix_generic_three_qubit_path():

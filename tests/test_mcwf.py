@@ -443,6 +443,7 @@ def test_dropped_executor_reaps_pool_at_collection(device):
     reaps its workers when collected (weakref finalizer)."""
     import gc
     import multiprocessing
+    import time
 
     compiled = transpile(_case_circuit(), device, optimization_level=1)
     executor = TrajectoryEvalExecutor(
@@ -459,8 +460,14 @@ def test_dropped_executor_reaps_pool_at_collection(device):
     from repro.runtime import shutdown_shared_pools
 
     shutdown_shared_pools()
-    for child in multiprocessing.active_children():
-        child.join(timeout=10)
+    # The finalizer shuts the pool down without waiting, so the pool's
+    # management thread reaps the workers concurrently with the joins
+    # below; a join that loses that race returns before the reaper has
+    # marked the child dead.  Poll within the same 10 s budget.
+    deadline = time.monotonic() + 10
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        for child in multiprocessing.active_children():
+            child.join(timeout=0.1)
     assert multiprocessing.active_children() == []
 
 

@@ -32,7 +32,10 @@ from repro.core.executors import TrajectoryEvalExecutor
 from repro.core.pipeline import QuantumNATConfig, QuantumNATModel
 from repro.core.training import TrainConfig, train
 from repro.noise import NoiseModel, PauliError, get_device, readout_matrix
-from repro.noise.trajectory import trajectory_probabilities
+from repro.noise.trajectory import (
+    run_noisy_trajectories,
+    trajectory_probabilities,
+)
 from repro.qnn import paper_model
 from repro.runtime import (
     ChunkCorruption,
@@ -358,15 +361,56 @@ def test_executor_rejects_unknown_shard_backend(device):
         )
 
 
-def test_trajectory_probabilities_rejects_negative_n_workers(device):
+def _h_block(device):
     circuit = Circuit(2)
     circuit.add("h", 0)
-    compiled = transpile(circuit, device, optimization_level=1)
+    return transpile(circuit, device, optimization_level=1)
+
+
+def test_trajectory_probabilities_rejects_negative_n_workers(device):
     with pytest.raises(ValueError, match="n_workers"):
         trajectory_probabilities(
-            compiled, _pauli_model(device.n_qubits), None, None, 1,
+            _h_block(device), _pauli_model(device.n_qubits), None, None, 1,
             n_workers=-2,
         )
+
+
+def test_trajectory_probabilities_rejects_negative_n_trajectories(device):
+    # Used to return an all-zero probability table.
+    with pytest.raises(ValueError, match="n_trajectories must be >= 1"):
+        trajectory_probabilities(
+            _h_block(device), _pauli_model(device.n_qubits), None, None, 1,
+            n_trajectories=-2,
+        )
+
+
+def test_trajectory_probabilities_rejects_zero_n_trajectories(device):
+    # Used to return NaNs.
+    with pytest.raises(ValueError, match="n_trajectories must be >= 1"):
+        trajectory_probabilities(
+            _h_block(device), _pauli_model(device.n_qubits), None, None, 1,
+            n_trajectories=0,
+        )
+
+
+def test_run_noisy_trajectories_rejects_zero_shots(device):
+    # Used to return NaN expectations.
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        run_noisy_trajectories(
+            _h_block(device), _pauli_model(device.n_qubits),
+            n_trajectories=4, shots=0,
+        )
+
+
+def test_executor_rejects_zero_n_trajectories(device):
+    # Used to fail in forward() with numpy's untyped "pvals ... NaNs".
+    with pytest.raises(ValueError, match="n_trajectories must be >= 1"):
+        TrajectoryEvalExecutor(_pauli_model(device.n_qubits), n_trajectories=0)
+
+
+def test_executor_rejects_zero_shots(device):
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        TrajectoryEvalExecutor(_pauli_model(device.n_qubits), shots=0)
 
 
 # ---------------------------------------------------------------------------

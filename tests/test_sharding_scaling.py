@@ -7,6 +7,8 @@ changing a single bit of output:
 * fail-fast future collection (a failing chunk surfaces immediately);
 * the worker-side plan cache (rebuilt plans memoized per process, warm
   across calls on a persistent pool, cold caches still bit-identical);
+* cache-blocked tiles (a chunk swept as several trajectory tiles
+  agrees with one tile, and every execution path tiles alike);
 * the process-global shared pool registry;
 * row-banded stacked training sweeps (GateInsertion / MCWF executors)
   over executor-held persistent pools;
@@ -157,6 +159,72 @@ def test_worker_plan_cache_cold_is_still_bit_identical(block):
             out = _probs(block, n_workers=1, pool=pool,
                          shard_backend="process")
         assert np.array_equal(serial, out)
+
+
+# -- cache-blocked tiles --------------------------------------------------
+
+
+def _tile_model(device, unravel):
+    if unravel == "pauli":
+        return device.noise_model
+    # Jump sites on one qubit keep the 1024-row jump sweeps cheap.
+    return device.noise_model.with_relaxation({0: (40.0, 50.0)}, (0.05, 0.4))
+
+
+def _tiled_probs(block, unravel, rows, **kwargs):
+    device, compiled, weights, _inputs = block
+    inputs = np.random.default_rng(8).normal(0, 1, (rows, 16))
+    return trajectory_probabilities(
+        compiled, _tile_model(device, unravel), weights, inputs, rows,
+        n_trajectories=10, shard_size=5, rng=5, unravel=unravel, **kwargs
+    )
+
+
+@pytest.mark.parametrize("unravel", ["pauli", "jump"])
+def test_tiled_chunks_match_single_tile(block, unravel, monkeypatch):
+    """A tile budget of two trajectories (each 5-trajectory chunk swept
+    as tiles of 2, 2 and 1) changes the result only by rounding."""
+    rows, per_row = 3, 2**block[1].circuit.n_qubits
+    assert 5 * rows * per_row <= traj_mod._TILE_ENTRIES  # one tile today
+    single = _tiled_probs(block, unravel, rows)
+    monkeypatch.setattr(traj_mod, "_TILE_ENTRIES", 2 * rows * per_row)
+    tiled = _tiled_probs(block, unravel, rows)
+    assert np.abs(tiled - single).max() < 1e-12
+
+
+@pytest.mark.parametrize("unravel", ["pauli", "jump"])
+def test_tiled_chunks_sharded_and_supervised_bit_identical(block, unravel):
+    """Every execution path sweeps the same tiles as the serial run.
+
+    The rows alone split each 5-trajectory chunk into tiles of 4 and 1
+    under the default budget, so freshly spawned process workers (which
+    would not see a patched budget) tile exactly like the parent.
+    """
+    import multiprocessing
+
+    from repro.runtime import ChunkSupervisor
+
+    rows = 1024
+    per_trajectory = rows * 2**block[1].circuit.n_qubits
+    assert per_trajectory < traj_mod._TILE_ENTRIES < 5 * per_trajectory
+    serial = _tiled_probs(block, unravel, rows)
+    runs = {
+        "thread": _tiled_probs(block, unravel, rows, n_workers=2),
+        "supervised": _tiled_probs(
+            block, unravel, rows, supervisor=ChunkSupervisor()
+        ),
+        "supervised thread": _tiled_probs(
+            block, unravel, rows, n_workers=2, supervisor=ChunkSupervisor()
+        ),
+    }
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        runs["process"] = _tiled_probs(
+            block, unravel, rows, n_workers=2, pool=pool,
+            shard_backend="process",
+        )
+    for name, probs in runs.items():
+        assert np.array_equal(serial, probs), name
 
 
 # -- shared pool registry ------------------------------------------------
