@@ -21,9 +21,7 @@ committed ``BENCH_engine.json`` on two signals:
 
 The sharded scenarios gate on ``shard_speedup``/``speedup`` vs *serial*
 (not vs a reference implementation); both the collapse check and the
-floor apply to them.  ``sharded_trajectory`` also carries the
-``wide_shard_speedup`` column of its 10-qubit leg, held to its own
-recorded ``wide_floor`` (see :data:`FLOOR_COLUMNS`).
+floor apply to them.
 
 Scenarios listed in ``REQUIRED_SCENARIOS`` must be present in both the
 baseline and the fresh run -- a report that silently drops one fails the
@@ -90,17 +88,11 @@ SPEEDUP_SCENARIOS = frozenset({
 
 #: Scenarios whose gated ratio lives in the ``shard_speedup`` column
 #: (sharded-vs-serial, measured within one run): same collapse check as
-#: :data:`SPEEDUP_SCENARIOS`, different column name.
-SHARD_SPEEDUP_SCENARIOS = frozenset({"sharded_trajectory"})
-
-#: Further ratio columns a scenario must carry, each paired with the key
-#: of the floor the fresh harness records for it on this host: the
-#: 10-qubit thread-sharded leg of ``sharded_trajectory``.  A fresh value
-#: below its floor fails hard, and a report without the column counts
-#: as missing the scenario.
-FLOOR_COLUMNS = {
-    "sharded_trajectory": (("wide_shard_speedup", "wide_floor"),),
-}
+#: :data:`SPEEDUP_SCENARIOS`, different column name.  The ``_wide`` row
+#: is a 10-qubit block whose chunks sweep several trajectory tiles.
+SHARD_SPEEDUP_SCENARIOS = frozenset({
+    "sharded_trajectory", "sharded_trajectory_wide",
+})
 
 #: Scenarios gated on ``goodput`` instead of a timing ratio: the chaos
 #: harness pins its seed and runs every outcome-deciding clock on
@@ -127,9 +119,8 @@ def compare_reports(
     threshold -- advisory), ``regressed_speedup`` (the
     machine-independent speedup ratio collapsing -- hard; sharded
     scenarios compare their ``shard_speedup`` column), and
-    ``regressed_floor`` (the fresh gated metric, or a
-    :data:`FLOOR_COLUMNS` column, below the core-aware floor the fresh
-    harness recorded -- hard); ``regressed`` is their
+    ``regressed_floor`` (the fresh gated metric below the core-aware
+    floor the fresh harness recorded -- hard); ``regressed`` is their
     union for display.  Scenarios are matched by name; ones present on
     only one side are skipped here and policed separately via
     :data:`REQUIRED_SCENARIOS`.
@@ -169,15 +160,6 @@ def compare_reports(
             if "floor" in new and new_sp < float(new["floor"]):
                 row["regressed_floor"] = True
                 row["floor"] = float(new["floor"])
-        for column, floor_key in FLOOR_COLUMNS.get(name, ()):
-            if (
-                column in new and floor_key in new
-                and float(new[column]) < float(new[floor_key])
-            ):
-                row["regressed_floor"] = True
-                row.setdefault("column_floors", {})[column] = float(
-                    new[floor_key]
-                )
         row["regressed_goodput"] = False
         if "goodput" in record and "goodput" in new:
             base_gp, new_gp = float(record["goodput"]), float(new["goodput"])
@@ -203,9 +185,8 @@ def missing_required(baseline: dict, fresh: dict) -> "list[str]":
     A :data:`SPEEDUP_SCENARIOS` entry counts as missing when either
     report drops its ``speedup`` field, a
     :data:`SHARD_SPEEDUP_SCENARIOS` entry when either drops
-    ``shard_speedup`` or one of its :data:`FLOOR_COLUMNS`, and a
-    :data:`GOODPUT_SCENARIOS` entry when either drops ``goodput`` -- the
-    hard criteria compare those columns, so
+    ``shard_speedup``, and a :data:`GOODPUT_SCENARIOS` entry when either
+    drops ``goodput`` -- the hard criteria compare those columns, so
     losing a key must read as schema breakage, not as a scenario that
     quietly passes.
     """
@@ -225,11 +206,6 @@ def missing_required(baseline: dict, fresh: dict) -> "list[str]":
             continue
         if name in GOODPUT_SCENARIOS and not (
             "goodput" in base_row and "goodput" in fresh_row
-        ):
-            continue
-        if any(
-            column not in base_row or column not in fresh_row
-            for column, _floor in FLOOR_COLUMNS.get(name, ())
         ):
             continue
         missing.discard(name)
@@ -301,10 +277,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"   speedup {r['baseline_speedup']:6.2f}x"
                 f" -> {r['fresh_speedup']:6.2f}x"
             )
-        if "floor" in r:
+        if r["regressed_floor"]:
             speedups += f"   below floor {r['floor']:.2f}x"
-        for column, floor in r.get("column_floors", {}).items():
-            speedups += f"   {column} below floor {floor:.2f}x"
         if "baseline_goodput" in r:
             speedups += (
                 f"   goodput {r['baseline_goodput']:.3f}"

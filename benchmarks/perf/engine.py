@@ -96,8 +96,8 @@ EXACT_TOL = 1e-10
 #: report row as ``floor``; ``check_regression.py`` enforces it hard.
 SHARD_FLOORS = {1: 0.7, 2: 1.1, 4: 1.5}
 
-#: Trajectories and trajectories per chunk of the ``sharded_trajectory``
-#: wide leg: the real-QC evaluation defaults for the 10-qubit models.
+#: Trajectories and trajectories per chunk of ``sharded_trajectory_wide``:
+#: the real-QC evaluation defaults for the 10-qubit models.
 WIDE_TRAJECTORIES, WIDE_SHARD_SIZE = 32, 16
 
 SCALES = {
@@ -106,7 +106,7 @@ SCALES = {
                   epochs=1, n_train=16, stat_trajectories=64,
                   train_batch=8, ref_repeats=1, n_realizations=4,
                   shard_size=2, shard_workers=2, wide_rows=5,
-                  stab_qubits=10, stab_wide_qubits=32, stab_trajectories=16),
+                  stab_qubits=12, stab_wide_qubits=32, stab_trajectories=16),
     "quick": dict(batch=64, traj_batch=16, n_trajectories=64, repeats=5,
                   epochs=2, n_train=64, stat_trajectories=256,
                   train_batch=32, ref_repeats=2, n_realizations=8,
@@ -432,12 +432,21 @@ def run_benchmarks(
     shard_backend = min(shard_times, key=shard_times.get)
     t_sharded = shard_times[shard_backend]
     t_thread = shard_times["thread"]
+    cpu_count = os.cpu_count() or 1
+    bench["sharded_trajectory"] = {
+        "serial_s": t_serial, "fast_s": t_sharded,
+        "shard_speedup": t_serial / t_sharded,
+        "thread_s": shard_times["thread"],
+        "process_s": shard_times["process"],
+        "backend": shard_backend, "cpu_count": cpu_count,
+        "workers": cfg["shard_workers"], "chunks": n_chunks,
+    }
 
     # Wide leg: a 10-qubit melbourne block (the MNIST-10 width) on the
     # thread backend.  Its 1024-amplitude rows make each chunk sweep
-    # several L2-sized trajectory tiles and route dense gates through
-    # per-row GEMMs -- the regime of the paper's real-QC evaluation of
-    # its 10-qubit models, which the 4-qubit legs above never reach.
+    # several L2-sized trajectory tiles -- the regime of the paper's
+    # real-QC evaluation of its 10-qubit models, which the 4-qubit legs
+    # above never reach.
     melbourne = get_device("melbourne")
     wide_qnn = paper_model(10, 1, 1, 36, 10)
     wide_compiled = transpile(wide_qnn.blocks[0], melbourne, 2)
@@ -467,19 +476,12 @@ def run_benchmarks(
     t_wide_thread = _best_of(
         lambda: wide_run(cfg["shard_workers"]), cfg["repeats"]
     )
-
-    cpu_count = os.cpu_count() or 1
-    bench["sharded_trajectory"] = {
-        "serial_s": t_serial, "fast_s": t_sharded,
-        "shard_speedup": t_serial / t_sharded,
-        "thread_s": shard_times["thread"],
-        "process_s": shard_times["process"],
-        "backend": shard_backend, "cpu_count": cpu_count,
-        "workers": cfg["shard_workers"], "chunks": n_chunks,
-        "wide_serial_s": t_wide_serial, "wide_thread_s": t_wide_thread,
-        "wide_shard_speedup": t_wide_serial / t_wide_thread,
-        "wide_qubits": wide_compiled.circuit.n_qubits,
-        "wide_rows": cfg["wide_rows"], "wide_chunks": wide_chunks,
+    bench["sharded_trajectory_wide"] = {
+        "serial_s": t_wide_serial, "fast_s": t_wide_thread,
+        "shard_speedup": t_wide_serial / t_wide_thread,
+        "backend": "thread", "cpu_count": cpu_count,
+        "workers": cfg["shard_workers"], "chunks": wide_chunks,
+        "qubits": wide_compiled.circuit.n_qubits, "rows": cfg["wide_rows"],
     }
     if scale != "smoke":
         # Floors keyed by the effective parallel width of this host (the
@@ -487,9 +489,10 @@ def run_benchmarks(
         def floor(width):
             return SHARD_FLOORS[max(w for w in SHARD_FLOORS if w <= width)]
 
-        row = bench["sharded_trajectory"]
-        row["floor"] = floor(min(cfg["shard_workers"], cpu_count))
-        row["wide_floor"] = floor(
+        bench["sharded_trajectory"]["floor"] = floor(
+            min(cfg["shard_workers"], cpu_count)
+        )
+        bench["sharded_trajectory_wide"]["floor"] = floor(
             min(cfg["shard_workers"], cpu_count, wide_chunks)
         )
     equiv["sharded_trajectory_max_err"] = shard_err
@@ -874,8 +877,7 @@ def main() -> None:
             print(
                 f"{name:22s} serial    {row['serial_s']*1e3:8.2f} ms   "
                 f"fast {row['fast_s']*1e3:8.2f} ms   "
-                f"{row['shard_speedup']:5.2f}x ({row['workers']} workers); "
-                f"{row['wide_qubits']}-qubit leg {row['wide_shard_speedup']:5.2f}x"
+                f"{row['shard_speedup']:5.2f}x ({row['workers']} workers)"
             )
         else:
             print(f"{name:22s} {row['seconds']:.2f} s")

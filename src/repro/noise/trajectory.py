@@ -94,8 +94,10 @@ _PAULI_STACK = np.stack(
     [gate_matrix("id"), gate_matrix("x"), gate_matrix("y"), gate_matrix("z")]
 )
 
-#: Cap on stacked-state size (complex entries): chunks trajectories so the
-#: fused sweep never holds more than ~64 MiB of statevector per buffer.
+#: Cap on a chunk's stacked entries per trajectory row: its ``2**n``
+#: amplitudes or, in jump mode, its pre-drawn uniforms (one per jump
+#: step), whichever is more.  Chunks trajectories so neither the
+#: chunk's statevector nor its uniform block exceeds ~2**22 entries.
 _MAX_STACKED_ENTRIES = 1 << 22
 
 #: Cap on one tile's stacked state (complex entries).  A chunk sweeps its
@@ -212,8 +214,8 @@ class _SegmentPlan:
         # Quantum-jump (MCWF) mode: the exact relaxation Kraus sets
         # become per-site jump points whose sampling is state-dependent
         # (probabilities are the effects' expectation values), so they
-        # interrupt fusion like Pauli sites do but are sampled during
-        # the sweep rather than pre-drawn.
+        # interrupt fusion like Pauli sites do; their uniforms are
+        # pre-drawn, but each operator is chosen during the sweep.
         self.jump_sites = (
             sampler.jump_table(circuit, compiled.physical_qubits)
             if jump
@@ -1189,7 +1191,9 @@ def trajectory_probabilities(
     dim = 2**n_qubits
     plan = _segment_plan_for(compiled, sampler, jump=jump)
     stream = plan.fused_stream(weights, inputs, batch)
-    max_traj = max(1, _MAX_STACKED_ENTRIES // (batch * dim))
+    max_traj = max(
+        1, _MAX_STACKED_ENTRIES // (batch * max(dim, len(plan.jump_sites)))
+    )
     if shard_size is None:
         shard_size = _DEFAULT_SHARD_SIZE
     max_traj = min(max_traj, int(shard_size))

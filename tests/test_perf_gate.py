@@ -46,8 +46,6 @@ def _full_report(**overrides):
         rows[name] = {"seconds": 0.010, "goodput": 0.667}
     for name in gate.SHARD_SPEEDUP_SCENARIOS:
         rows[name] = {"fast_s": 0.010, "shard_speedup": 2.0}
-    for name, columns in gate.FLOOR_COLUMNS.items():
-        rows[name].update({column: 2.0 for column, _floor in columns})
     rows.update(overrides)
     return {"meta": {"scale": "quick"}, "benchmarks": rows}
 
@@ -276,7 +274,6 @@ def test_gate_cli_floor_miss_fails_hard_soft_warns(tmp_path, capsys):
     fresh.write_text(json.dumps(_full_report(
         sharded_trajectory={
             "fast_s": 0.010, "shard_speedup": 1.2, "floor": 1.5,
-            "wide_shard_speedup": 2.0,
         }
     )))
     args = ["--baseline", str(baseline), "--fresh", str(fresh)]
@@ -285,62 +282,6 @@ def test_gate_cli_floor_miss_fails_hard_soft_warns(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "below floor 1.50x" in out
     assert "REGRESSED" in out
-
-
-def test_compare_reports_enforces_wide_shard_floor():
-    """The 10-qubit leg's wide_shard_speedup is held to the wide_floor
-    the fresh harness recorded, independently of the main column."""
-    gate = _load_gate()
-    baseline = _report(sharded_trajectory={
-        "fast_s": 0.010, "shard_speedup": 1.6, "wide_shard_speedup": 1.8,
-    })
-
-    def fresh(wide):
-        return _report(sharded_trajectory={
-            "fast_s": 0.010, "shard_speedup": 1.6, "floor": 1.1,
-            "wide_shard_speedup": wide, "wide_floor": 1.1,
-        })
-
-    (row,) = gate.compare_reports(baseline, fresh(1.0), 2.0)
-    assert row["regressed_floor"] and row["regressed"]
-    assert row["column_floors"] == {"wide_shard_speedup": 1.1}
-    (row_ok,) = gate.compare_reports(baseline, fresh(1.1), 2.0)
-    assert not row_ok["regressed_floor"]
-
-
-def test_gate_cli_wide_floor_miss_fails_hard_soft_warns(tmp_path, capsys):
-    gate = _load_gate()
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps(_full_report()))
-    fresh.write_text(json.dumps(_full_report(
-        sharded_trajectory={
-            "fast_s": 0.010, "shard_speedup": 2.0, "floor": 1.1,
-            "wide_shard_speedup": 0.9, "wide_floor": 1.1,
-        }
-    )))
-    args = ["--baseline", str(baseline), "--fresh", str(fresh)]
-    assert gate.main(args) == 1
-    assert gate.main(args + ["--soft"]) == 0
-    out = capsys.readouterr().out
-    assert "wide_shard_speedup below floor 1.10x" in out
-    assert "REGRESSED" in out
-
-
-def test_gate_cli_dropped_wide_shard_speedup_key_fails(tmp_path, capsys):
-    """A sharded_trajectory row without its 10-qubit leg is schema
-    breakage: the wide floor would silently stop gating."""
-    gate = _load_gate()
-    baseline = tmp_path / "baseline.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps(_full_report()))
-    fresh.write_text(json.dumps(_full_report(
-        sharded_trajectory={"fast_s": 0.010, "shard_speedup": 2.0}
-    )))
-    args = ["--baseline", str(baseline), "--fresh", str(fresh)]
-    assert gate.main(args) == 1
-    assert gate.main(args + ["--soft"]) == 1
-    assert "sharded_trajectory" in capsys.readouterr().err
 
 
 def test_gate_cli_dropped_shard_speedup_key_fails(tmp_path, capsys):
@@ -357,6 +298,30 @@ def test_gate_cli_dropped_shard_speedup_key_fails(tmp_path, capsys):
     assert gate.main(args) == 1
     assert gate.main(args + ["--soft"]) == 1
     assert "sharded_trajectory" in capsys.readouterr().err
+
+
+def test_gate_requires_and_floors_the_wide_sharded_row(tmp_path, capsys):
+    """sharded_trajectory_wide (the 10-qubit leg, whose chunks sweep
+    several tiles) is a required shard_speedup row: dropping it is
+    schema breakage, and missing its recorded floor fails hard."""
+    gate = _load_gate()
+    assert "sharded_trajectory_wide" in gate.REQUIRED_SCENARIOS
+    baseline = tmp_path / "baseline.json"
+    fresh = tmp_path / "fresh.json"
+    baseline.write_text(json.dumps(_full_report()))
+    args = ["--baseline", str(baseline), "--fresh", str(fresh)]
+    dropped = _full_report()
+    del dropped["benchmarks"]["sharded_trajectory_wide"]
+    fresh.write_text(json.dumps(dropped))
+    assert gate.main(args + ["--soft"]) == 1
+    assert "sharded_trajectory_wide" in capsys.readouterr().err
+    fresh.write_text(json.dumps(_full_report(
+        sharded_trajectory_wide={
+            "fast_s": 0.010, "shard_speedup": 1.0, "floor": 1.1,
+        }
+    )))
+    assert gate.main(args) == 1
+    assert "below floor 1.10x" in capsys.readouterr().out
 
 
 def test_gate_cli_passes_within_threshold(tmp_path, capsys):

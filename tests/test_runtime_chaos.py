@@ -12,6 +12,7 @@ chaos job additionally runs it alone under an explicit seed.
 """
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -204,6 +205,20 @@ def test_ambient_plan_reaches_supervised_executor(device, compiled):
 # ---------------------------------------------------------------------------
 
 
+def _assert_no_orphans() -> None:
+    """Every worker process is gone within 10 s.
+
+    A broken pool's management thread joins its workers concurrently
+    with the joins here, and a join that loses that race returns before
+    the other thread has marked the child dead; so poll, not join once.
+    """
+    deadline = time.monotonic() + 10
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        for child in multiprocessing.active_children():
+            child.join(timeout=0.1)
+    assert multiprocessing.active_children() == []
+
+
 def test_killed_process_workers_recover_bit_identically(device, compiled):
     """``kill`` faults hard-exit real worker processes; the broken pool
     is rebuilt (run-scoped) and the recovered run matches serial."""
@@ -234,9 +249,7 @@ def test_killed_process_workers_recover_bit_identically(device, compiled):
     from repro.runtime import shutdown_shared_pools
 
     shutdown_shared_pools()
-    for child in multiprocessing.active_children():
-        child.join(timeout=10)
-    assert multiprocessing.active_children() == []
+    _assert_no_orphans()
 
 
 def _seeded_payload(seed: int, n: int) -> np.ndarray:
@@ -268,9 +281,7 @@ def test_broken_pool_without_rebuild_degrades_to_serial():
     from repro.runtime import shutdown_shared_pools
 
     shutdown_shared_pools()
-    for child in multiprocessing.active_children():
-        child.join(timeout=10)
-    assert multiprocessing.active_children() == []
+    _assert_no_orphans()
 
 
 # ---------------------------------------------------------------------------

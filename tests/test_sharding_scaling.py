@@ -192,6 +192,41 @@ def test_tiled_chunks_match_single_tile(block, unravel, monkeypatch):
     assert np.abs(tiled - single).max() < 1e-12
 
 
+def test_jump_uniform_block_counts_in_chunk_budget(block, monkeypatch):
+    """A jump-mode chunk pre-draws one uniform per row and jump step, so
+    where jump steps outnumber amplitudes they size the chunk."""
+    device, compiled, weights, _inputs = block
+    n_qubits = compiled.circuit.n_qubits
+    model = device.noise_model.with_relaxation(
+        {q: (40.0, 50.0) for q in range(n_qubits)}, (0.05, 0.4)
+    )
+    rows = 2
+    inputs = np.random.default_rng(9).normal(0, 1, (rows, 16))
+    sizes = []
+    segment_chunk = traj_mod._segment_chunk
+
+    def spy(plan, stream, n_q, batch, n_traj, rng):
+        sizes.append((len(plan.jump_sites), n_traj))
+        return segment_chunk(plan, stream, n_q, batch, n_traj, rng)
+
+    monkeypatch.setattr(traj_mod, "_segment_chunk", spy)
+    trajectory_probabilities(
+        compiled, model, weights, inputs, rows, n_trajectories=4,
+        rng=1, unravel="jump",
+    )
+    n_jumps = sizes[0][0]
+    assert n_jumps > 3 * 2**n_qubits
+    # Room for three trajectories' uniforms: by amplitudes alone one
+    # chunk would take all four.
+    monkeypatch.setattr(traj_mod, "_MAX_STACKED_ENTRIES", 3 * rows * n_jumps)
+    sizes.clear()
+    trajectory_probabilities(
+        compiled, model, weights, inputs, rows, n_trajectories=4,
+        rng=1, unravel="jump",
+    )
+    assert [n_traj for _n, n_traj in sizes] == [3, 1]
+
+
 @pytest.mark.parametrize("unravel", ["pauli", "jump"])
 def test_tiled_chunks_sharded_and_supervised_bit_identical(block, unravel):
     """Every execution path sweeps the same tiles as the serial run.
