@@ -31,7 +31,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +42,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 from repro import get_device, paper_model
 from repro.compiler import transpile
 from repro.noise.trajectory import trajectory_probabilities
+from repro.runtime import PoolLease
 
 BACKENDS = ("thread", "process")
 
@@ -113,9 +113,7 @@ def run_scaling(
     points = []
     for n_workers in sweep:
         for backend in BACKENDS:
-            cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-            pool = cls(max_workers=n_workers)
-            try:
+            with PoolLease(n_workers, backend) as pool:
                 # Warmup primes the pool (process spawn, worker-side
                 # plan caches) so the timed region measures steady state
                 # -- the regime persistent pools put a training loop in.
@@ -128,8 +126,6 @@ def run_scaling(
                 max_err = max(max_err, float(np.abs(p_serial - p).max()))
                 t = _best_of(lambda: run(n_workers, backend, pool),
                              cfg["repeats"])
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
             points.append({
                 "workers": n_workers, "backend": backend,
                 "seconds": t, "speedup": t_serial / t,

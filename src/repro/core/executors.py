@@ -43,7 +43,6 @@ logical qubit order.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -60,6 +59,14 @@ from repro.noise.trajectory import (
     run_noisy_trajectories,
     stacked_noisy_backward,
     stacked_noisy_forward_with_tape,
+)
+from repro.runtime.supervisor import (
+    ChunkSupervisor,
+    ChunkTask,
+    PoolLease,
+    check_shard_args,
+    chunk_seeds,
+    run_chunks,
 )
 from repro.utils.rng import as_rng
 
@@ -383,66 +390,28 @@ class _ReadoutEmulationMixin:
         )
 
 
-class _WorkerPoolMixin:
-    """Persistent executor-held worker pool: lazy, keyed, reaped.
+class _Sharded:
+    """An executor whose worker pool lives on its :attr:`lease`.
 
-    Shared by the executors that shard work across calls --
-    :class:`GateInsertionExecutor` / :class:`MCWFTrainExecutor` band
-    their stacked training sweeps over a thread pool, and
-    :class:`TrajectoryEvalExecutor` shards trajectory chunks over a
-    thread or process pool.  The pool stays open *across calls* (the
-    whole point: spawn cost is paid once per executor, not once per
-    training step), is recreated when ``(shard_backend, n_workers)``
-    change, and is released by :meth:`close`, the context-manager
-    protocol, or -- leak guard -- a finalizer at collection time.
+    ``n_workers`` and ``shard_backend`` are the lease's settings, so
+    changing them respawns the pool on the next sharded run (see
+    :class:`~repro.runtime.supervisor.PoolLease`, which also owns
+    spawning, reuse across calls, discarding after failures and the
+    collection-time leak guard).
     """
 
-    n_workers: int = 0
-    shard_backend: str = "thread"
-
-    def _init_pool_state(self) -> None:
-        self._pool = None
-        self._pool_key = None
-        self._pool_finalizer = None
-
-    def _ensure_pool(self):
-        """The persistent worker pool, (re)built to match the settings."""
-        if self.n_workers <= 0:
-            self.close()
-            return None
-        key = (self.shard_backend, self.n_workers)
-        if self._pool is not None and self._pool_key != key:
-            self.close()
-        if self._pool is None:
-            from concurrent.futures import (
-                ProcessPoolExecutor,
-                ThreadPoolExecutor,
-            )
-
-            cls = (
-                ThreadPoolExecutor
-                if self.shard_backend == "thread"
-                else ProcessPoolExecutor
-            )
-            self._pool = cls(max_workers=self.n_workers)
-            self._pool_key = key
-            # Belt-and-braces leak guard: an executor dropped without
-            # close() still reaps its workers when it is collected (the
-            # mid-sweep exception path additionally closes eagerly).
-            self._pool_finalizer = weakref.finalize(
-                self, _reap_pool, self._pool
-            )
-        return self._pool
+    n_workers = property(
+        lambda self: self.lease.n_workers,
+        lambda self, value: setattr(self.lease, "n_workers", value),
+    )
+    shard_backend = property(
+        lambda self: self.lease.backend,
+        lambda self, value: setattr(self.lease, "backend", value),
+    )
 
     def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent)."""
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-            self._pool_key = None
+        """Shut down the worker pool (idempotent)."""
+        self.lease.close()
 
     def __enter__(self):
         return self
@@ -451,7 +420,7 @@ class _WorkerPoolMixin:
         self.close()
 
 
-class GateInsertionExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
+class GateInsertionExecutor(_ReadoutEmulationMixin, _Sharded):
     """QuantumNAT's training backend: sampled error gates + readout noise.
 
     Every ``forward`` call samples a fresh set of Pauli error gates
@@ -488,18 +457,15 @@ class GateInsertionExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
     ):
         if n_realizations < 1:
             raise ValueError("need at least one noise realization")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
+        self.lease = PoolLease(n_workers)
         self.noise_model = noise_model
         self.noise_factor = noise_factor
         self.readout = readout
         self.rng = as_rng(rng)
         self.n_realizations = n_realizations
-        self.n_workers = n_workers
         self.sampler = ErrorGateSampler(noise_model, noise_factor)
         self.last_insertion_stats = None
         self._readout_cache: "list[tuple[CompiledCircuit, np.ndarray]]" = []
-        self._init_pool_state()
 
     def forward(
         self,
@@ -514,9 +480,7 @@ class GateInsertionExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
                 self.n_realizations, self.rng,
                 n_weights=n_weights,
                 n_inputs=n_inputs,
-                # Supplier, not instance: the pool only spawns on sweeps
-                # that actually band (n_workers = 0 stays pool-free).
-                pool=self._ensure_pool if self.n_workers > 0 else None,
+                pool=self.lease,
             )
             from repro.noise.sampler import InsertionStats
 
@@ -679,7 +643,7 @@ class DensityEvalExecutor:
         raise NotImplementedError("density evaluation is inference-only")
 
 
-class MCWFTrainExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
+class MCWFTrainExecutor(_ReadoutEmulationMixin, _Sharded):
     """Quantum-jump (MCWF) noise-injection training backend.
 
     The stochastic-wavefunction counterpart of
@@ -714,14 +678,12 @@ class MCWFTrainExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
     ):
         if n_realizations < 1:
             raise ValueError("need at least one noise realization")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
+        self.lease = PoolLease(n_workers)
         self.noise_model = noise_model
         self.noise_factor = noise_factor
         self.readout = readout
         self.rng = as_rng(rng)
         self.n_realizations = n_realizations
-        self.n_workers = n_workers
         self.sampler = ErrorGateSampler(
             noise_model, noise_factor, allow_exact=True
         )
@@ -731,7 +693,6 @@ class MCWFTrainExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
         # on the compiled circuit and the scaled model, so it is built
         # once per block rather than once per training step.
         self._jump_cache: "list[tuple[CompiledCircuit, list]]" = []
-        self._init_pool_state()
 
     def _jump_sites(self, compiled: "CompiledCircuit") -> list:
         for cached, sites in self._jump_cache:
@@ -757,7 +718,7 @@ class MCWFTrainExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
             self.n_realizations, self.rng,
             n_weights=n_weights, n_inputs=n_inputs,
             jump_sites=self._jump_sites(compiled),
-            pool=self._ensure_pool if self.n_workers > 0 else None,
+            pool=self.lease,
         )
         self.last_insertion_stats = InsertionStats(
             len(compiled.circuit.gates) * self.n_realizations, n_inserted
@@ -781,12 +742,7 @@ class MCWFTrainExecutor(_ReadoutEmulationMixin, _WorkerPoolMixin):
         return mcwf_adjoint_backward(cache.tape, grad, cache.n_realizations)
 
 
-def _reap_pool(pool) -> None:
-    """Finalizer target: shut a leaked worker pool down without waiting."""
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-class TrajectoryEvalExecutor(_WorkerPoolMixin):
+class TrajectoryEvalExecutor(_Sharded):
     """'Real QC' surrogate: drifted noise + trajectories + shot sampling.
 
     ``n_workers > 0`` shards trajectory chunks across a
@@ -797,12 +753,14 @@ class TrajectoryEvalExecutor(_WorkerPoolMixin):
     granularity (16) -- runs with ``n_trajectories`` above it have
     work to distribute out of the box.
 
-    The executor holds its worker pool *open across calls* (training
-    validates every epoch; respawning processes per call dominated the
-    sharding win).  The pool is created lazily on the first sharded
-    forward, recreated if ``n_workers``/``shard_backend`` change, and
-    released by :meth:`close` (or the context-manager protocol; an
-    unclosed pool is reaped at interpreter exit).
+    The executor's :class:`~repro.runtime.supervisor.PoolLease` holds
+    its worker pool *open across calls* (training validates every
+    epoch; respawning processes per call dominated the sharding win).
+    The pool is created lazily on the first sharded forward, recreated
+    if ``n_workers``/``shard_backend`` change, discarded after a failed
+    or degraded run, and released by :meth:`close` (or the
+    context-manager protocol; an unclosed pool is reaped when the
+    executor is collected or at interpreter exit).
 
     ``unravel="jump"`` runs the quantum-jump (MCWF) unraveling instead
     of Pauli insertion -- the only sampled evaluation mode that
@@ -812,10 +770,9 @@ class TrajectoryEvalExecutor(_WorkerPoolMixin):
     default :class:`repro.runtime.supervisor.ChunkSupervisor` or an
     instance to control the retry/deadline policy.  Supervised runs
     return exactly what unsupervised runs return (chunks are
-    re-runnable from their spawned seeds); a broken worker pool is
-    replaced or degraded to serial under a
-    :class:`~repro.runtime.errors.DegradedExecution` warning, and the
-    executor's persistent pool is lazily recreated afterwards.
+    re-runnable from their spawned seeds); a pool that cannot spawn,
+    or breaks and cannot respawn, degrades to serial under a
+    :class:`~repro.runtime.errors.DegradedExecution` warning.
     """
 
     differentiable = False
@@ -833,34 +790,23 @@ class TrajectoryEvalExecutor(_WorkerPoolMixin):
         unravel: str = "pauli",
         supervisor=None,
     ):
-        if shard_backend not in ("thread", "process"):
-            raise ValueError(
-                f"shard_backend must be 'thread' or 'process', got {shard_backend!r}"
-            )
-        if shard_size is not None and int(shard_size) < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
+        check_shard_args(n_workers, shard_size, shard_backend)
         if unravel not in ("pauli", "jump"):
             raise ValueError(
                 f"unravel must be 'pauli' or 'jump', got {unravel!r}"
             )
         _check_counts(n_trajectories, shots)
+        self.lease = PoolLease(n_workers, shard_backend)
         self.noise_model = noise_model
         self.n_trajectories = n_trajectories
         self.shots = shots
         self.noise_factor = noise_factor
         self.rng = as_rng(rng)
-        self.n_workers = n_workers
         self.shard_size = shard_size
-        self.shard_backend = shard_backend
         self.unravel = unravel
         if supervisor is True:
-            from repro.runtime.supervisor import ChunkSupervisor
-
             supervisor = ChunkSupervisor(label="trajectory")
         self.supervisor = supervisor
-        self._init_pool_state()
 
     def forward(
         self,
@@ -868,37 +814,22 @@ class TrajectoryEvalExecutor(_WorkerPoolMixin):
         weights: np.ndarray,
         inputs: np.ndarray,
     ) -> "tuple[np.ndarray, None]":
-        try:
-            expectations = run_noisy_trajectories(
-                compiled,
-                self.noise_model,
-                weights,
-                inputs,
-                n_trajectories=self.n_trajectories,
-                shots=self.shots,
-                noise_factor=self.noise_factor,
-                rng=self.rng,
-                n_workers=self.n_workers,
-                shard_size=self.shard_size,
-                shard_backend=self.shard_backend,
-                unravel=self.unravel,
-                # Supplier, not instance: workers only spawn on runs that
-                # actually shard (single-chunk forwards stay pool-free).
-                pool=self._ensure_pool,
-                supervisor=self.supervisor,
-            )
-        except BaseException:
-            # An exception escaping mid-sweep may strand queued chunk
-            # tasks in the persistent pool; release it so no orphaned
-            # workers outlive the failed call (lazily rebuilt on the
-            # next sharded forward).
-            self.close()
-            raise
-        if self.supervisor is not None and self.supervisor.last_report.degraded:
-            # The supervisor shut down (and possibly replaced, run-
-            # scoped) our broken pool; drop the stale reference so the
-            # next sharded forward lazily spawns a fresh one.
-            self.close()
+        expectations = run_noisy_trajectories(
+            compiled,
+            self.noise_model,
+            weights,
+            inputs,
+            n_trajectories=self.n_trajectories,
+            shots=self.shots,
+            noise_factor=self.noise_factor,
+            rng=self.rng,
+            n_workers=self.n_workers,
+            shard_size=self.shard_size,
+            shard_backend=self.shard_backend,
+            unravel=self.unravel,
+            pool=self.lease,
+            supervisor=self.supervisor,
+        )
         return expectations, None
 
     def backward(self, cache, grad):  # pragma: no cover - defensive
@@ -967,7 +898,7 @@ def _stabilizer_chunk(steps: tuple, n_qubits: int, n_traj: int, seed) -> np.ndar
     return state.z_expectations().sum(axis=0)
 
 
-class StabilizerEvalExecutor(_WorkerPoolMixin):
+class StabilizerEvalExecutor(_Sharded):
     """Clifford-tableau trajectory backend: polynomial-time noisy sweeps.
 
     Runs ``n_trajectories`` Pauli-noise trajectories of a Clifford
@@ -987,13 +918,16 @@ class StabilizerEvalExecutor(_WorkerPoolMixin):
     miscalibration (non-Clifford rotations) or exact relaxation
     channels are rejected at construction.
 
-    Sharding follows the trajectory engine's contract: chunk layout and
-    per-chunk seed streams depend only on ``shard_size``, never on the
-    worker count, so sharded output is bit-identical to serial, and a
-    ``supervisor`` retries failed chunks bit-identically from their
-    seeds.  Readout error applies analytically to the per-qubit
-    expectations (unscaled model, like every sampled engine); ``shots``
-    adds per-qubit binomial sampling noise.
+    Sharding follows the trajectory engine's contract and runs through
+    the same chunk path (:func:`repro.runtime.supervisor.run_chunks` on
+    the executor's pool lease): chunk layout and per-chunk seed streams
+    depend only on ``shard_size``, never on the worker count, so
+    sharded output is bit-identical to serial, and a ``supervisor``
+    retries failed chunks bit-identically from their seeds and degrades
+    to serial when the pool cannot spawn.  Readout error applies
+    analytically to the per-qubit expectations (unscaled model, like
+    every sampled engine); ``shots`` adds per-qubit binomial sampling
+    noise.
     """
 
     differentiable = False
@@ -1013,16 +947,8 @@ class StabilizerEvalExecutor(_WorkerPoolMixin):
     ):
         from repro.noise.model import CHANNEL_COHERENT
 
-        if shard_backend not in ("thread", "process"):
-            raise ValueError(
-                f"shard_backend must be 'thread' or 'process', got {shard_backend!r}"
-            )
-        if shard_size is not None and int(shard_size) < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
-        if n_trajectories < 1:
-            raise ValueError("need at least one trajectory")
+        check_shard_args(n_workers, shard_size, shard_backend)
+        _check_counts(n_trajectories, shots)
         # Raises on exact (relaxation) channels, naming capable engines.
         self.sampler = ErrorGateSampler(noise_model, noise_factor)
         if CHANNEL_COHERENT in noise_model.channel_kinds:
@@ -1031,22 +957,18 @@ class StabilizerEvalExecutor(_WorkerPoolMixin):
                 "stabilizer engine cannot represent this noise model -- "
                 "use a statevector or density engine"
             )
+        self.lease = PoolLease(n_workers, shard_backend)
         self.noise_model = noise_model
         self.n_trajectories = n_trajectories
         self.shots = shots
         self.noise_factor = noise_factor
         self.rng = as_rng(rng)
-        self.n_workers = n_workers
         self.shard_size = shard_size
-        self.shard_backend = shard_backend
         self.rz_tolerance = rz_tolerance
         if supervisor is True:
-            from repro.runtime.supervisor import ChunkSupervisor
-
             supervisor = ChunkSupervisor(label="stabilizer")
         self.supervisor = supervisor
         self._program_cache: "list[tuple[CompiledCircuit, tuple]]" = []
-        self._init_pool_state()
 
     def _program(self, compiled: "CompiledCircuit") -> tuple:
         for cached, program in self._program_cache:
@@ -1060,65 +982,19 @@ class StabilizerEvalExecutor(_WorkerPoolMixin):
         """Mean per-qubit <Z> over the trajectory batch, compact order."""
         program = self._program(compiled)
         n = compiled.circuit.n_qubits
-        size = (
-            int(self.shard_size)
-            if self.shard_size is not None
-            else _STABILIZER_SHARD_SIZE
+        chunks = chunk_seeds(
+            self.n_trajectories,
+            int(self.shard_size or _STABILIZER_SHARD_SIZE),
+            self.rng,
         )
-        chunks = [size] * (self.n_trajectories // size)
-        if self.n_trajectories % size:
-            chunks.append(self.n_trajectories % size)
-        # One root draw off the executor's generator: the stream layout
-        # depends only on the chunk decomposition, never on workers.
-        root = np.random.SeedSequence(int(self.rng.integers(0, 2**63)))
-        seeds = root.spawn(len(chunks))
-        if self.n_workers > 0 and len(chunks) > 1:
-            results = self._run_sharded(program, n, chunks, seeds)
-        elif self.supervisor is not None:
-            from repro.runtime.supervisor import ChunkTask
-
-            results = self.supervisor.run(
-                [
-                    ChunkTask(i, _stabilizer_chunk, (program, n, count, seed))
-                    for i, (count, seed) in enumerate(zip(chunks, seeds))
-                ]
-            )
-        else:
-            results = [
-                _stabilizer_chunk(program, n, count, seed)
-                for count, seed in zip(chunks, seeds)
-            ]
+        tasks = [
+            ChunkTask(i, _stabilizer_chunk, (program, n, count, seed))
+            for i, (count, seed) in enumerate(chunks)
+        ]
         total = np.zeros(n)
-        for result in results:  # fixed chunk-order accumulation
-            total += result
+        for result in run_chunks(tasks, self.supervisor, self.lease):
+            total += result  # fixed chunk-order accumulation
         return total / self.n_trajectories
-
-    def _run_sharded(self, program, n, chunks, seeds) -> list:
-        pool = self._ensure_pool()
-        if self.supervisor is not None:
-            from repro.runtime.supervisor import ChunkTask
-
-            rebuild = None
-            if self.shard_backend == "process":
-                from concurrent.futures import ProcessPoolExecutor
-
-                def rebuild(workers=self.n_workers):
-                    return ProcessPoolExecutor(max_workers=workers)
-
-            return self.supervisor.run(
-                [
-                    ChunkTask(i, _stabilizer_chunk, (program, n, count, seed))
-                    for i, (count, seed) in enumerate(zip(chunks, seeds))
-                ],
-                pool=pool,
-                rebuild=rebuild,
-            )
-        from repro.noise.trajectory import _collect_fail_fast
-
-        return _collect_fail_fast([
-            pool.submit(_stabilizer_chunk, program, n, count, seed)
-            for count, seed in zip(chunks, seeds)
-        ])
 
     def forward(
         self,
@@ -1126,16 +1002,7 @@ class StabilizerEvalExecutor(_WorkerPoolMixin):
         weights: np.ndarray,
         inputs: np.ndarray,
     ) -> "tuple[np.ndarray, None]":
-        try:
-            mean = self._sweep(compiled)
-        except BaseException:
-            # Release stranded chunk tasks with the pool (rebuilt lazily
-            # on the next sharded forward), mirroring the trajectory
-            # executor's failure path.
-            self.close()
-            raise
-        if self.supervisor is not None and self.supervisor.last_report.degraded:
-            self.close()
+        mean = self._sweep(compiled)
         readout = np.stack(
             [self.noise_model.readout_for(p) for p in compiled.physical_qubits]
         )

@@ -36,18 +36,23 @@ The naive implementation binds and sweeps one circuit per trajectory --
   hardware error rates);
 * splits trajectories into **chunks, which fix the RNG layout**: each
   chunk draws all its random numbers up front from its own
-  ``SeedSequence.spawn``-derived stream, and the chunk is also the unit
-  of sharding and supervision;
+  ``SeedSequence.spawn``-derived stream
+  (:func:`repro.runtime.supervisor.chunk_seeds`), and the chunk is also
+  the unit of sharding and supervision;
 * sweeps each chunk in **tiles, which bound the cache footprint**: a
   tile is a run of whole trajectories small enough that its two
   ping-pong work buffers (no per-gate allocation) stay in L2
   (:data:`_TILE_ENTRIES`), so a wide chunk -- 16 trajectories x 40 rows
   x 1024 amplitudes is 10.5 MB -- no longer streams through memory at
   every gate.  A chunk within the budget is one tile;
-* optionally **shards chunks across a worker pool**
-  (``n_workers``/``shard_backend``): because the chunk decomposition and
-  per-chunk streams never depend on the worker count, sharded output is
-  bit-identical to serial execution for a fixed seed.
+* hands the chunks to the runtime's one chunk-execution path
+  (:func:`repro.runtime.supervisor.run_chunks`), which optionally
+  **shards them across a leased worker pool**
+  (``n_workers``/``shard_backend``, pool lifetime owned by a
+  :class:`~repro.runtime.supervisor.PoolLease`) and optionally
+  supervises them: because the chunk decomposition and per-chunk
+  streams never depend on the worker count, sharded and supervised
+  output is bit-identical to serial execution for a fixed seed.
 
 Shot sampling uses one batched ``Generator.multinomial`` call over 2-D
 pvals instead of a per-sample Python loop.  The per-trajectory reference
@@ -74,6 +79,13 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.noise.model import NoiseModel
 from repro.noise.readout import apply_readout_to_joint_probabilities
 from repro.noise.sampler import ErrorGateSampler
+from repro.runtime.supervisor import (
+    ChunkTask,
+    check_shard_args,
+    chunk_seeds,
+    run_chunks,
+    shared_lease,
+)
 from repro.sim.gates import gate_matrix
 from repro.sim.statevector import (
     SmallLRU,
@@ -379,7 +391,7 @@ def _segment_chunk(
     n_qubits: int,
     batch: int,
     n_traj: int,
-    rng: np.random.Generator,
+    seed: np.random.SeedSequence,
 ) -> np.ndarray:
     """Sum of joint probabilities over ``n_traj`` stacked trajectories.
 
@@ -389,7 +401,9 @@ def _segment_chunk(
     per-trajectory error coefficients, applied operand-by-operand in
     :meth:`ErrorGateSampler.sample`'s insertion order.
 
-    The chunk draws all its random numbers first -- the Pauli choices,
+    The chunk builds its generator from ``seed`` (so a supervised retry
+    replays the failed attempt's stream exactly) and draws all its
+    random numbers first -- the Pauli choices,
     then in jump mode one uniform per row for every ``("jump", ...)``
     step as a single ``(jump steps, rows)`` block, the same numbers
     per-step draws would yield -- and then sweeps the stream one *tile*
@@ -410,6 +424,7 @@ def _segment_chunk(
     """
     dim = 1 << n_qubits
     tile = max(1, min(n_traj, _TILE_ENTRIES // (batch * dim)))
+    rng = np.random.default_rng(seed)
     choices = plan.sample(rng, n_traj)
     # Every jump site is one ("jump", row) step of the stream.
     n_jumps = len(plan.jump_sites)
@@ -485,8 +500,8 @@ _WORKER_PLAN_STATS = {"hits": 0, "misses": 0}
 def worker_plan_cache_stats() -> dict:
     """Debug hook: this process's worker plan-cache counters.
 
-    Submit to a pool worker (``pool.submit(worker_plan_cache_stats)``)
-    to observe cache behaviour across tasks; used by the plan-cache
+    Run it as a task on a process-pool worker to observe cache
+    behaviour across tasks; used by the plan-cache
     tests and harmless in the parent (where the cache stays empty --
     the serial path uses the circuit-attached cache instead).
     """
@@ -629,33 +644,9 @@ def _process_chunk_worker(
     plan, n_qubits = _worker_plan(payload)
     stream = plan.fused_stream(payload.weights, payload.inputs, payload.batch)
     return [
-        _segment_chunk(
-            plan, stream, n_qubits, payload.batch, n_traj,
-            np.random.default_rng(seed),
-        )
+        _segment_chunk(plan, stream, n_qubits, payload.batch, n_traj, seed)
         for n_traj, seed in group
     ]
-
-
-def _seeded_segment_chunk(
-    plan: _SegmentPlan,
-    stream: "list[tuple]",
-    n_qubits: int,
-    batch: int,
-    n_traj: int,
-    seed: "np.random.SeedSequence",
-) -> np.ndarray:
-    """:func:`_segment_chunk` taking the chunk's *seed*, not a Generator.
-
-    The supervised execution path re-runs a faulted chunk from scratch;
-    passing the ``SeedSequence`` and constructing the generator inside
-    the call means a retry consumes a pristine stream identical to the
-    failed attempt's -- passing a live ``Generator`` would hand the
-    retry a partially consumed stream and break bit-identical recovery.
-    """
-    return _segment_chunk(
-        plan, stream, n_qubits, batch, n_traj, np.random.default_rng(seed)
-    )
 
 
 def _tiled_op(op, n_traj: int, batch: int):
@@ -744,9 +735,9 @@ def _sweep_band(ops, n_qubits: int, lo: int, hi: int, state, scratch) -> None:
         s, c = c, s
 
 
-def run_ops_banded(ops, n_qubits: int, rows: int, band_rows: int, pool):
+def run_ops_banded(ops, n_qubits: int, rows: int, band_rows: int, lease):
     """Sweep bound ops over a zero-initialized ``(rows, 2**n)`` stack in
-    fixed row bands distributed over a thread pool.
+    fixed row bands, run as chunk tasks on a thread-pool lease.
 
     The band layout is a function of ``band_rows`` alone -- never the
     worker count -- so the result is bitwise independent of how many
@@ -754,15 +745,18 @@ def run_ops_banded(ops, n_qubits: int, rows: int, band_rows: int, pool):
     tests); it may differ from the unbanded
     :func:`repro.sim.statevector.run_ops` sweep only where a kernel's
     BLAS blocking depends on the stack height (within float tolerance).
-    Thread pools only: bands share the two ping-pong buffers.
+    Thread leases only: bands share the two ping-pong buffers.
     """
     state = zero_state(n_qubits, rows)
     scratch = np.empty_like(state)
     bounds = list(range(0, rows, band_rows)) + [rows]
-    _collect_fail_fast([
-        pool.submit(_sweep_band, ops, n_qubits, lo, hi, state, scratch)
-        for lo, hi in zip(bounds, bounds[1:])
-    ])
+    run_chunks(
+        [
+            ChunkTask(i, _sweep_band, (ops, n_qubits, lo, hi, state, scratch))
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ],
+        lease=lease,
+    )
     return scratch if len(ops) % 2 else state
 
 
@@ -784,10 +778,10 @@ def stacked_noisy_forward_with_tape(
     tape's state is the full ``(n_realizations * batch, 2**n)`` stack and
     is consumed by :func:`stacked_noisy_backward`.
 
-    ``pool`` (a thread executor or a zero-argument callable returning
-    one, held persistently by :class:`~repro.core.executors
-    .GateInsertionExecutor`) shards the sweep into one fixed row band
-    per realization via :func:`run_ops_banded`; the band layout never
+    ``pool`` (a thread :class:`~repro.runtime.supervisor.PoolLease`,
+    held by :class:`~repro.core.executors.GateInsertionExecutor`) with
+    ``n_workers > 0`` shards the sweep into one fixed row band per
+    realization via :func:`run_ops_banded`; the band layout never
     depends on the worker count, so results are bitwise identical
     across worker counts.  The sampled events are identical to the
     serial sweep's -- the rng is consumed before any banding decision.
@@ -804,9 +798,7 @@ def stacked_noisy_forward_with_tape(
     ops, n_inserted = stacked_noisy_ops(
         compiled, sampler, weights, inputs, batch, n_realizations, rng
     )
-    if pool is not None and n_realizations > 1 and callable(pool):
-        pool = pool()  # lazy supplier; may decline (None) -> serial sweep
-    if pool is not None and n_realizations > 1:
+    if pool is not None and pool.n_workers > 0 and n_realizations > 1:
         state = run_ops_banded(
             ops, circuit.n_qubits, n_realizations * batch, batch, pool
         )
@@ -916,45 +908,43 @@ def mcwf_forward_with_tape(
     callers like :class:`~repro.core.executors.MCWFTrainExecutor` cache
     it per compiled block).
 
-    ``pool`` (a thread executor or zero-argument callable returning
-    one) row-bands the sweep via :func:`run_ops_banded` -- but only
-    when the model has *no* jump sites: each jump's probabilities
-    depend on the evolved state mid-sweep and its draws consume the rng
-    in stream order, so a jump-carrying sweep must stay a single serial
-    pass to preserve both the stream and the tape checkpoints.  With
-    jumps present the pool is simply not consulted and results are
-    unchanged.
+    A model with *no* jump sites is state-independent end to end: its
+    sweep is exactly :func:`stacked_noisy_forward_with_tape`'s (same
+    draws, same op order), so it runs there -- row-banded when ``pool``
+    (a thread lease) has workers.  Jump-carrying sweeps stay a single
+    serial pass: each jump's probabilities depend on the evolved state
+    mid-sweep and its draws consume the rng in stream order.
     """
+    circuit = compiled.circuit
+    if jump_sites is None:
+        jump_sites = sampler.jump_table(circuit, compiled.physical_qubits)
+    if not jump_sites:
+        expectations, tape, n_inserted = stacked_noisy_forward_with_tape(
+            compiled, sampler, weights, inputs, n_realizations, rng,
+            n_weights, n_inputs, pool,
+        )
+        return expectations, MCWFTape(
+            circuit, tape.ops, {}, set(), tape.state,
+            tape.n_weights, tape.n_inputs,
+        ), n_inserted
     rng = as_rng(rng)
     if inputs is not None:
         inputs = np.asarray(inputs, dtype=float)
         batch = inputs.shape[0]
     else:
         batch = 1
-    circuit = compiled.circuit
     n = circuit.n_qubits
     rows = n_realizations * batch
     base_ops = bind_circuit(circuit, weights, inputs, batch)
     events = sampler.sample_batched(
         circuit, compiled.physical_qubits, n_realizations, rng
     )
-    if jump_sites is None:
-        jump_sites = sampler.jump_table(circuit, compiled.physical_qubits)
     jump_by_gate: "dict[int, list[tuple[int, np.ndarray, np.ndarray]]]" = {}
     for _gi, local_q, kraus, effects in jump_sites:
         jump_by_gate.setdefault(_gi, []).append((local_q, kraus, effects))
 
-    # Jump-free sweeps are state-independent end to end: record the op
-    # list and run it banded on the pool instead of applying inline.
-    deferred = pool is not None and n_realizations > 1 and not jump_by_gate
-    if deferred and callable(pool):
-        pool = pool()  # lazy supplier; may decline (None) -> serial sweep
-        deferred = pool is not None
-    if deferred:
-        state = scratch = None
-    else:
-        state = zero_state(n, rows)
-        scratch = np.empty_like(state)
+    state = zero_state(n, rows)
+    scratch = np.empty_like(state)
     ops: list = []
     checkpoints: "dict[int, np.ndarray]" = {}
     jump_ops: "set[int]" = set()
@@ -963,9 +953,8 @@ def mcwf_forward_with_tape(
 
     def apply_op(op):
         nonlocal state, scratch
-        if not deferred:
-            apply_matrix(state, op.matrix, op.qubits, n, out=scratch)
-            state, scratch = scratch, state
+        apply_matrix(state, op.matrix, op.qubits, n, out=scratch)
+        state, scratch = scratch, state
         ops.append(op)
 
     for i, (op, post) in enumerate(zip(base_ops, events)):
@@ -989,9 +978,6 @@ def mcwf_forward_with_tape(
         coherent = [e for e in post if e[0] == "coherent"]
         for local_q, matrix in _expand_events(coherent, batch):
             apply_op(_error_op(local_q, matrix))
-
-    if deferred:
-        state = run_ops_banded(ops, n, rows, batch, pool)
 
     table = circuit.parameter_table
     tape = MCWFTape(
@@ -1152,13 +1138,14 @@ def trajectory_probabilities(
     unraveling -- exact relaxation Kraus sets become per-site jump
     points with state-dependent probabilities and per-row
     renormalization, so the trajectory ensemble converges to the full
-    compiled channel (relaxation included).  ``pool`` accepts an
-    already-running ``concurrent.futures`` executor matching
-    ``shard_backend``, or a zero-argument callable returning one (see
-    ``TrajectoryEvalExecutor``'s persistent pool); when given, workers
-    are reused across calls instead of respawned.  A callable is only
-    invoked when the run actually shards, so single-chunk runs never
-    spawn workers.
+    compiled channel (relaxation included).
+
+    ``pool`` is the :class:`~repro.runtime.supervisor.PoolLease` the
+    chunks run on, re-keyed to this call's ``(shard_backend,
+    n_workers)``; without one, sharded calls share the process-wide
+    lease for those settings.  Threads share the built plan and op
+    stream; process workers rebuild the plan once per worker
+    (:data:`_WORKER_PLAN_CACHE`).
 
     ``supervisor`` wraps chunk execution in a
     :class:`repro.runtime.supervisor.ChunkSupervisor`: per-chunk
@@ -1167,16 +1154,7 @@ def trajectory_probabilities(
     supervised run -- faults and retries included -- returns exactly
     what an unsupervised run returns.
     """
-    if shard_backend not in ("thread", "process"):
-        # Validate eagerly: a typo must raise even on runs that happen
-        # to form a single chunk and never reach the pool dispatch.
-        raise ValueError(
-            f"shard_backend must be 'thread' or 'process', got {shard_backend!r}"
-        )
-    if shard_size is not None and int(shard_size) < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    if n_workers < 0:
-        raise ValueError(f"n_workers must be >= 0, got {n_workers}")
+    check_shard_args(n_workers, shard_size, shard_backend)
     if unravel not in ("pauli", "jump"):
         raise ValueError(
             f"unravel must be 'pauli' or 'jump', got {unravel!r}"
@@ -1194,48 +1172,37 @@ def trajectory_probabilities(
     max_traj = max(
         1, _MAX_STACKED_ENTRIES // (batch * max(dim, len(plan.jump_sites)))
     )
-    if shard_size is None:
-        shard_size = _DEFAULT_SHARD_SIZE
-    max_traj = min(max_traj, int(shard_size))
-    chunks: "list[int]" = []
-    remaining = n_trajectories
-    while remaining > 0:
-        take = min(max_traj, remaining)
-        chunks.append(take)
-        remaining -= take
-    # One deterministic child RNG stream per chunk, derived from a single
-    # draw off the caller's generator: the stream layout depends only on
-    # the chunk decomposition, never on the worker count.
-    root = np.random.SeedSequence(int(rng.integers(0, 2**63)))
-    seeds = root.spawn(len(chunks))
-    if n_workers > 0 and len(chunks) > 1:
-        results = _run_sharded(
-            plan, stream, n_qubits, batch, chunks, seeds,
-            n_workers, shard_backend,
-            compiled, noise_model, noise_factor, weights, inputs,
-            jump=jump, pool=pool, supervisor=supervisor,
-        )
-    elif supervisor is not None:
-        from repro.runtime.supervisor import ChunkTask
-
-        results = supervisor.run(
-            [
-                ChunkTask(
-                    i,
-                    _seeded_segment_chunk,
-                    (plan, stream, n_qubits, batch, chunk, seed),
-                )
-                for i, (chunk, seed) in enumerate(zip(chunks, seeds))
-            ]
-        )
+    size = min(max_traj, int(shard_size or _DEFAULT_SHARD_SIZE))
+    chunks = chunk_seeds(n_trajectories, size, rng)
+    if pool is None:
+        pool = shared_lease(shard_backend, n_workers) if n_workers else None
     else:
-        results = [
-            _segment_chunk(
-                plan, stream, n_qubits, batch, chunk,
-                np.random.default_rng(seed),
-            )
-            for chunk, seed in zip(chunks, seeds)
+        pool.backend, pool.n_workers = shard_backend, n_workers
+    if shard_backend == "process" and n_workers and len(chunks) > 1:
+        # Contiguous chunk groups, one task per worker (at least two, so
+        # a one-worker pool still receives the run): even a cold worker
+        # builds its plan once per task instead of once per chunk (and a
+        # warm one not at all).  Group boundaries do not affect results
+        # -- every chunk keeps its own spawned stream and the flattening
+        # restores global chunk order.
+        payload = _shard_payload(
+            compiled, noise_model, noise_factor, weights, inputs, batch, jump
+        )
+        bounds = _balanced_group_bounds(
+            len(chunks), min(max(n_workers, 2), len(chunks))
+        )
+        tasks = [
+            ChunkTask(g, _process_chunk_worker, (payload, chunks[lo:hi]))
+            for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
+        results = [r for group in run_chunks(tasks, supervisor, pool)
+                   for r in group]
+    else:
+        tasks = [
+            ChunkTask(i, _segment_chunk, (plan, stream, n_qubits, batch, n, seed))
+            for i, (n, seed) in enumerate(chunks)
+        ]
+        results = run_chunks(tasks, supervisor, pool)
     # Fixed (chunk-order) summation keeps serial and sharded float
     # accumulation identical.
     total = np.zeros((batch, dim))
@@ -1260,206 +1227,6 @@ def _balanced_group_bounds(n_items: int, n_groups: int) -> "list[int]":
     for i in range(n_groups):
         bounds.append(bounds[-1] + base + (1 if i < extra else 0))
     return bounds
-
-
-def _collect_fail_fast(futures: list) -> list:
-    """Harvest pool futures in submission order, failing fast.
-
-    A plain ``[f.result() for f in futures]`` blocks on every earlier
-    future while a raised chunk leaves later siblings running and
-    un-reaped.  Instead: wait until all complete *or* any fails, cancel
-    the outstanding ones, and surface the first (submission-order)
-    failure promptly -- mirroring the chunk supervisor's semantics.
-    """
-    from concurrent.futures import FIRST_EXCEPTION, wait
-
-    done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    failed = next(
-        (f for f in futures if f in done and f.exception() is not None),
-        None,
-    )
-    if failed is None:
-        return [future.result() for future in futures]
-    for future in not_done:
-        future.cancel()
-    raise failed.exception()
-
-
-def _run_sharded(
-    plan: _SegmentPlan,
-    stream: "list[tuple]",
-    n_qubits: int,
-    batch: int,
-    chunks: "list[int]",
-    seeds: list,
-    n_workers: int,
-    shard_backend: str,
-    compiled: CompiledCircuit,
-    noise_model: NoiseModel,
-    noise_factor: float,
-    weights: "np.ndarray | None",
-    inputs: "np.ndarray | None",
-    jump: bool = False,
-    pool=None,
-    supervisor=None,
-) -> "list[np.ndarray]":
-    """Run trajectory chunks on a worker pool, results in chunk order.
-
-    Threads share the already-built plan and op stream (the sweep is
-    numpy-dominated, so worker threads overlap in the C kernels);
-    processes re-derive both deterministically from the pickled circuit
-    and noise model, memoized worker-side by payload digest
-    (:data:`_WORKER_PLAN_CACHE`).  ``pool`` reuses a caller-held
-    executor of the matching backend (kept alive across calls by
-    ``TrajectoryEvalExecutor``); without one, the process-global shared
-    pool for ``(backend, n_workers)`` is used
-    (:func:`repro.runtime.pools.shared_pool`) so repeat pool-less calls
-    -- training loops, serve flushes -- stop paying spawn cost and cold
-    worker caches per call.  Chunk decomposition, per-chunk streams and
-    result order never depend on which pool ran them.  ``supervisor``
-    routes dispatch through the chunk supervisor (deadlines, retry,
-    checksum validation, broken-pool recovery) -- results are unchanged
-    because chunks are re-runnable from their seeds.  Supervised runs
-    additionally degrade to serial in-parent execution when the pool
-    cannot even be spawned, instead of dying on the spawn error.
-    """
-    if callable(pool):
-        # Lazy supplier: the pool only materializes on runs that shard.
-        try:
-            pool = pool()
-        except OSError as exc:
-            if supervisor is None:
-                raise
-            _warn_spawn_degrade(shard_backend, exc)
-            pool = None
-        shared = False
-    else:
-        shared = False
-        if pool is None:
-            from repro.runtime.pools import shared_pool
-
-            try:
-                pool = shared_pool(shard_backend, n_workers)
-                shared = True
-            except OSError as exc:
-                if supervisor is None:
-                    raise
-                _warn_spawn_degrade(shard_backend, exc)
-                pool = None  # supervised serial fallback
-
-    if shard_backend == "thread":
-        def dispatch(active):
-            if supervisor is not None:
-                from repro.runtime.supervisor import ChunkTask
-
-                return supervisor.run(
-                    [
-                        ChunkTask(
-                            i,
-                            _seeded_segment_chunk,
-                            (plan, stream, n_qubits, batch, chunk, seed),
-                        )
-                        for i, (chunk, seed) in enumerate(zip(chunks, seeds))
-                    ],
-                    pool=active,
-                )
-            return _collect_fail_fast([
-                active.submit(
-                    _segment_chunk, plan, stream, n_qubits, batch,
-                    chunk, np.random.default_rng(seed),
-                )
-                for chunk, seed in zip(chunks, seeds)
-            ])
-
-        return _dispatch_guarded(dispatch, pool, shared, supervisor)
-
-    # shard_backend == "process" (validated by the caller).
-    payload = _shard_payload(
-        compiled, noise_model, noise_factor, weights, inputs, batch, jump
-    )
-    # Contiguous chunk groups, one task per worker: even a cold worker
-    # builds its plan once per task instead of once per chunk (and a
-    # warm one not at all).  Group boundaries do not affect results --
-    # every chunk keeps its own spawned stream and the flattening below
-    # restores global chunk order.
-    pairs = list(zip(chunks, seeds))
-    n_groups = min(n_workers, len(pairs))
-    bounds = _balanced_group_bounds(len(pairs), n_groups)
-    groups = [
-        pairs[bounds[i]:bounds[i + 1]]
-        for i in range(n_groups)
-        if bounds[i] < bounds[i + 1]
-    ]
-
-    def dispatch(active):
-        if supervisor is not None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.runtime.supervisor import ChunkTask
-
-            grouped = supervisor.run(
-                [
-                    ChunkTask(gi, _process_chunk_worker, (payload, group))
-                    for gi, group in enumerate(groups)
-                ],
-                pool=active,
-                # A broken pool (killed worker) is replaced wholesale;
-                # chunk payloads are worker-independent, so a fresh pool
-                # -- or the serial fallback when spawning fails --
-                # produces the same results.
-                rebuild=lambda: ProcessPoolExecutor(max_workers=n_workers),
-            )
-            return [result for group in grouped for result in group]
-        grouped = _collect_fail_fast([
-            active.submit(_process_chunk_worker, payload, group)
-            for group in groups
-        ])
-        return [result for group in grouped for result in group]
-
-    return _dispatch_guarded(dispatch, pool, shared, supervisor)
-
-
-def _dispatch_guarded(dispatch, pool, shared: bool, supervisor):
-    """Run ``dispatch(pool)``; evict a shared pool that stopped being safe.
-
-    A shared-registry pool whose run escaped with an exception (e.g.
-    ``BrokenProcessPool`` from a killed worker) or whose supervised run
-    came back ``degraded`` (the supervisor replaced or abandoned the
-    pool -- its contract says "my pool is gone, recreate lazily") is
-    discarded so the next pool-less call respawns a clean one.
-    """
-    if not shared:
-        return dispatch(pool)
-    from repro.runtime.pools import discard_shared_pool
-
-    try:
-        results = dispatch(pool)
-    except BaseException:
-        discard_shared_pool(pool)
-        raise
-    if (
-        supervisor is not None
-        and supervisor.last_report is not None
-        and supervisor.last_report.degraded
-    ):
-        discard_shared_pool(pool)
-    return results
-
-
-def _warn_spawn_degrade(shard_backend: str, exc: BaseException) -> None:
-    """Emit the DegradedExecution warning for a failed pool spawn."""
-    import warnings
-
-    from repro.runtime.errors import DegradedExecution
-
-    warnings.warn(
-        DegradedExecution(
-            f"{shard_backend} pool spawn failed ({exc}); chunks run "
-            "serially in the parent (results are unaffected)",
-            (f"{shard_backend}-pool", "serial"),
-        ),
-        stacklevel=4,
-    )
 
 
 def trajectory_probabilities_reference(
@@ -1591,10 +1358,11 @@ def run_noisy_trajectories(
     always runs on the caller's stream, so a sharded run's expectations
     stay bit-identical to the serial ones.  ``unravel="jump"`` selects
     the quantum-jump (MCWF) unraveling, the only sampled backend that
-    evaluates exact relaxation channels; ``pool`` reuses a caller-held
-    worker pool for the sharded chunks; ``supervisor`` routes chunk
-    execution through the fault-tolerant chunk supervisor (results
-    unchanged -- see :func:`trajectory_probabilities`).
+    evaluates exact relaxation channels; ``pool`` is the caller's
+    :class:`~repro.runtime.supervisor.PoolLease` for the sharded
+    chunks; ``supervisor`` routes chunk execution through the
+    fault-tolerant chunk supervisor (results unchanged -- see
+    :func:`trajectory_probabilities`).
     """
     _check_counts(n_trajectories, shots)
     rng = as_rng(rng)

@@ -7,15 +7,16 @@ execution layer survive failure without changing a single result:
 * :mod:`repro.runtime.errors` -- the structured failure taxonomy
   (typed chunk faults, :class:`EngineUnavailable`, the
   :class:`DegradedExecution` warning);
-* :mod:`repro.runtime.supervisor` -- chunk supervision with per-chunk
-  deadlines, crash detection, checksum validation and bounded
-  deterministic retry (recovered runs are bit-identical to fault-free
-  runs);
+* :mod:`repro.runtime.supervisor` -- the one chunk-execution path:
+  :func:`run_chunks` runs ordered chunk tasks on a :class:`PoolLease`
+  (the single owner of worker-pool lifetime; callers without one share
+  a lease per ``(backend, n_workers)``), under a
+  :class:`ChunkSupervisor` with per-chunk deadlines, crash detection,
+  checksum validation and bounded deterministic retry (recovered runs
+  are bit-identical to fault-free runs) -- or under the null policy
+  when unsupervised;
 * :mod:`repro.runtime.faults` -- the seed-driven fault-injection
   harness the chaos suite and CI chaos job drive;
-* :mod:`repro.runtime.pools` -- process-wide shared worker pools keyed
-  by ``(backend, n_workers)``, so sharded calls without a caller-held
-  executor stop paying pool spawn (and cold worker caches) per call;
 * :mod:`repro.runtime.checkpoint` -- atomic epoch-boundary training
   checkpoints with bit-identical resume.
 """
@@ -45,16 +46,15 @@ from repro.runtime.faults import (
     chaos_seed,
     inject_faults,
 )
-from repro.runtime.pools import (
-    discard_shared_pool,
-    shared_pool,
-    shutdown_shared_pools,
-)
 from repro.runtime.supervisor import (
     ChunkSupervisor,
     ChunkTask,
+    PoolLease,
     SupervisionReport,
     SupervisorConfig,
+    run_chunks,
+    shared_lease,
+    shutdown_shared_pools,
 )
 
 __all__ = [
@@ -71,6 +71,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFlushError",
+    "PoolLease",
     "RetryExhausted",
     "RuntimeFault",
     "SupervisionReport",
@@ -78,10 +79,10 @@ __all__ = [
     "TrainCheckpoint",
     "WorkerCrash",
     "chaos_seed",
-    "discard_shared_pool",
     "inject_faults",
     "load_checkpoint",
+    "run_chunks",
     "save_checkpoint",
-    "shared_pool",
+    "shared_lease",
     "shutdown_shared_pools",
 ]

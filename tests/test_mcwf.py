@@ -337,12 +337,12 @@ def test_executor_pool_persists_across_calls(device):
         rng=0, n_workers=2, shard_size=8, unravel="jump",
     )
     executor.forward(compiled, None, None)
-    pool_first = executor._pool
+    pool_first = executor.lease.pool
     assert pool_first is not None
     executor.forward(compiled, None, None)
-    assert executor._pool is pool_first  # alive and reused, not respawned
+    assert executor.lease.pool is pool_first  # alive and reused, not respawned
     executor.close()
-    assert executor._pool is None
+    assert executor.lease.pool is None
     executor.close()  # idempotent
 
 
@@ -354,10 +354,10 @@ def test_pool_not_spawned_for_single_chunk_runs(device):
         rng=0, n_workers=4, shard_size=8, unravel="jump",
     )
     executor.forward(compiled, None, None)  # 4 traj in one 8-chunk
-    assert executor._pool is None
+    assert executor.lease.pool is None
     executor.n_trajectories = 32  # now 4 chunks -> pool materializes
     executor.forward(compiled, None, None)
-    assert executor._pool is not None
+    assert executor.lease.pool is not None
     executor.close()
 
 
@@ -368,12 +368,12 @@ def test_executor_pool_recreated_when_settings_change(device):
         rng=0, n_workers=2, shard_size=8, unravel="jump",
     ) as executor:
         executor.forward(compiled, None, None)
-        pool_first = executor._pool
+        pool_first = executor.lease.pool
         executor.n_workers = 3
         executor.forward(compiled, None, None)
-        assert executor._pool is not pool_first
-        assert executor._pool_key == ("thread", 3)
-    assert executor._pool is None  # context exit closed it
+        assert executor.lease.pool is not pool_first
+        assert executor.lease.key == ("thread", 3)
+    assert executor.lease.pool is None  # context exit closed it
 
 
 def test_train_releases_validation_executor_pool(device):
@@ -396,7 +396,7 @@ def test_train_releases_validation_executor_pool(device):
         valid_executor=valid_executor,
     )
     assert valid_executor.n_workers == 0  # settings restored
-    assert valid_executor._pool is None  # and no worker pool left behind
+    assert valid_executor.lease.pool is None  # and no worker pool left behind
 
 
 def test_mid_sweep_exception_releases_worker_pool(device):
@@ -426,10 +426,10 @@ def test_mid_sweep_exception_releases_worker_pool(device):
     )
     with pytest.raises(RetryExhausted):
         executor.forward(compiled, None, None)
-    assert executor._pool is None  # closed on the way out, not leaked
-    # Process-global shared pools (runtime/pools.py) are deliberately
-    # long-lived; drain them so the orphan check below sees only what
-    # *this* executor would have leaked.
+    assert executor.lease.pool is None  # closed on the way out, not leaked
+    # Process-wide shared leases are deliberately long-lived; drain them
+    # so the orphan check below sees only what *this* executor would
+    # have leaked.
     from repro.runtime import shutdown_shared_pools
 
     shutdown_shared_pools()
@@ -452,7 +452,7 @@ def test_dropped_executor_reaps_pool_at_collection(device):
         unravel="jump",
     )
     executor.forward(compiled, None, None)
-    assert executor._pool is not None
+    assert executor.lease.pool is not None
     del executor
     gc.collect()
     # Drain the deliberately long-lived shared registry pools so the

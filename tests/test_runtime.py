@@ -28,7 +28,7 @@ from repro.core.engine import (
     create_engine_with_fallback,
     engine_fallback_chain,
 )
-from repro.core.executors import TrajectoryEvalExecutor
+from repro.core.executors import StabilizerEvalExecutor, TrajectoryEvalExecutor
 from repro.core.pipeline import QuantumNATConfig, QuantumNATModel
 from repro.core.training import TrainConfig, train
 from repro.noise import NoiseModel, PauliError, get_device, readout_matrix
@@ -45,11 +45,13 @@ from repro.runtime import (
     DegradedExecution,
     EngineUnavailable,
     FaultPlan,
+    PoolLease,
     RetryExhausted,
     SupervisorConfig,
     WorkerCrash,
     inject_faults,
     load_checkpoint,
+    run_chunks,
     save_checkpoint,
 )
 from repro.runtime.checkpoint import TrainCheckpoint
@@ -105,7 +107,7 @@ def _expected(n):
 
 def test_supervisor_serial_run_returns_results_in_task_order():
     supervisor = ChunkSupervisor()
-    out = supervisor.run(_tasks(5))
+    out = run_chunks(_tasks(5), supervisor)
     assert [o[0] for o in out] == _expected(5)
     assert supervisor.last_report.chunks == 5
     assert supervisor.last_report.attempts == 5
@@ -113,11 +115,9 @@ def test_supervisor_serial_run_returns_results_in_task_order():
 
 
 def test_supervisor_pooled_run_matches_serial():
-    from concurrent.futures import ThreadPoolExecutor
-
     supervisor = ChunkSupervisor()
-    with ThreadPoolExecutor(3) as pool:
-        out = supervisor.run(_tasks(7), pool=pool)
+    with PoolLease(3) as lease:
+        out = run_chunks(_tasks(7), supervisor, lease)
     assert [o[0] for o in out] == _expected(7)
 
 
@@ -126,7 +126,7 @@ def test_supervisor_retries_injected_crashes_to_identical_results():
     supervisor = ChunkSupervisor(
         SupervisorConfig(backoff_s=0.0), fault_plan=plan
     )
-    out = supervisor.run(_tasks(8))
+    out = run_chunks(_tasks(8), supervisor)
     assert [o[0] for o in out] == _expected(8)
     assert supervisor.last_report.crashes > 0
     assert supervisor.last_report.retries == supervisor.last_report.crashes
@@ -137,7 +137,7 @@ def test_supervisor_checksum_catches_corruption():
     supervisor = ChunkSupervisor(
         SupervisorConfig(backoff_s=0.0), fault_plan=plan
     )
-    out = supervisor.run(_tasks(4))
+    out = run_chunks(_tasks(4), supervisor)
     assert [o[0] for o in out] == _expected(4)
     assert supervisor.last_report.corruptions == 4
 
@@ -149,26 +149,25 @@ def test_supervisor_serial_deadline_detects_delay():
     supervisor = ChunkSupervisor(
         SupervisorConfig(deadline_s=0.05, backoff_s=0.0), fault_plan=plan
     )
-    out = supervisor.run(_tasks(3))
+    out = run_chunks(_tasks(3), supervisor)
     assert [o[0] for o in out] == _expected(3)
     assert supervisor.last_report.timeouts == 3
 
 
 def test_supervisor_pooled_deadline_detects_delay():
-    # One task, two workers: the retry never queues behind the sleeping
-    # first attempt, so exactly one timeout is observed.
-    from concurrent.futures import ThreadPoolExecutor
-
+    # Two tasks (a one-task run never spawns a pool), four workers: the
+    # retries never queue behind the sleeping first attempts, so exactly
+    # one timeout per task is observed.
     plan = FaultPlan(
         seed=1, rates={"delay": 1.0}, delay_s=0.5, max_attempt_faults=1
     )
     supervisor = ChunkSupervisor(
         SupervisorConfig(deadline_s=0.05, backoff_s=0.0), fault_plan=plan
     )
-    with ThreadPoolExecutor(2) as pool:
-        out = supervisor.run(_tasks(1), pool=pool)
-    assert [o[0] for o in out] == _expected(1)
-    assert supervisor.last_report.timeouts == 1
+    with PoolLease(4) as lease:
+        out = run_chunks(_tasks(2), supervisor, lease)
+    assert [o[0] for o in out] == _expected(2)
+    assert supervisor.last_report.timeouts == 2
 
 
 def test_retry_exhaustion_raises_chained_from_terminal_fault():
@@ -177,7 +176,7 @@ def test_retry_exhaustion_raises_chained_from_terminal_fault():
         SupervisorConfig(max_retries=1, backoff_s=0.0), fault_plan=plan
     )
     with pytest.raises(RetryExhausted) as excinfo:
-        supervisor.run(_tasks(1))
+        run_chunks(_tasks(1), supervisor)
     assert isinstance(excinfo.value.__cause__, ChunkCorruption)
     assert excinfo.value.attempts == 2  # initial try + one retry
 
@@ -304,38 +303,47 @@ def test_fallback_chain_contents():
     assert engine_fallback_chain("noiseless") == ("noiseless",)
 
 
-def test_pool_spawn_failure_degrades_to_serial(device, monkeypatch):
+@pytest.mark.parametrize("engine", ["trajectory", "stabilizer"])
+def test_pool_spawn_failure_degrades_to_serial(engine, device, monkeypatch):
     """Sharded + supervised: a pool that cannot spawn runs serially."""
     import concurrent.futures as futures_module
 
+    from repro.runtime import shutdown_shared_pools
+
+    noise_model = _pauli_model(device.n_qubits)
     circuit = Circuit(3)
     circuit.add("h", 0)
     circuit.add("cx", (0, 1))
-    circuit.add("rx", 2, 0.7)
-    compiled = transpile(circuit, device, optimization_level=1)
-    noise_model = _pauli_model(device.n_qubits)
+    if engine == "trajectory":
+        circuit.add("rx", 2, 0.7)
+        compiled = transpile(circuit, device, optimization_level=1)
 
-    baseline = trajectory_probabilities(
-        compiled, noise_model, None, None, 1,
-        n_trajectories=32, rng=0, shard_size=8,
-    )
+        def run(**kwargs):
+            return trajectory_probabilities(
+                compiled, noise_model, None, None, 1,
+                n_trajectories=32, rng=0, shard_size=8, **kwargs,
+            )
+    else:
+        circuit.add("s", 2)
+        compiled = transpile(circuit, device, optimization_level=1)
+
+        def run(**kwargs):
+            with StabilizerEvalExecutor(
+                noise_model, n_trajectories=32, rng=0, shard_size=8, **kwargs
+            ) as executor:
+                return executor.forward(compiled, None, None)[0]
+
+    baseline = run()
 
     def refuse(*args, **kwargs):
         raise OSError("no more processes")
 
     # Drain the shared registry first: an already-spawned ('thread', 2)
     # pool would satisfy the call without ever hitting the patched spawn.
-    from repro.runtime import shutdown_shared_pools
-
     shutdown_shared_pools()
     monkeypatch.setattr(futures_module, "ThreadPoolExecutor", refuse)
-    supervisor = ChunkSupervisor()
     with pytest.warns(DegradedExecution, match="spawn failed"):
-        degraded = trajectory_probabilities(
-            compiled, noise_model, None, None, 1,
-            n_trajectories=32, rng=0, shard_size=8,
-            n_workers=2, supervisor=supervisor,
-        )
+        degraded = run(n_workers=2, supervisor=ChunkSupervisor())
     assert np.array_equal(baseline, degraded)
 
 
@@ -402,15 +410,26 @@ def test_run_noisy_trajectories_rejects_zero_shots(device):
         )
 
 
-def test_executor_rejects_zero_n_trajectories(device):
+SAMPLED_EXECUTORS = pytest.mark.parametrize(
+    "executor", [TrajectoryEvalExecutor, StabilizerEvalExecutor],
+    ids=["trajectory", "stabilizer"],
+)
+
+
+@SAMPLED_EXECUTORS
+def test_executor_rejects_zero_n_trajectories(executor, device):
     # Used to fail in forward() with numpy's untyped "pvals ... NaNs".
     with pytest.raises(ValueError, match="n_trajectories must be >= 1"):
-        TrajectoryEvalExecutor(_pauli_model(device.n_qubits), n_trajectories=0)
+        executor(_pauli_model(device.n_qubits), n_trajectories=0)
 
 
-def test_executor_rejects_zero_shots(device):
+@SAMPLED_EXECUTORS
+@pytest.mark.parametrize("shots", [0, -1])
+def test_executor_rejects_zero_shots(shots, executor, device):
+    # The stabilizer engine used to return NaNs at shots=0 and fail only
+    # in forward() with numpy's bare "n < 0" at shots=-1.
     with pytest.raises(ValueError, match="shots must be >= 1"):
-        TrajectoryEvalExecutor(_pauli_model(device.n_qubits), shots=0)
+        executor(_pauli_model(device.n_qubits), shots=shots)
 
 
 # ---------------------------------------------------------------------------

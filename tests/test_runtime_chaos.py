@@ -26,9 +26,11 @@ from repro.runtime import (
     ChunkTask,
     DegradedExecution,
     FaultPlan,
+    PoolLease,
     SupervisorConfig,
     chaos_seed,
     inject_faults,
+    run_chunks,
 )
 
 pytestmark = pytest.mark.chaos
@@ -200,6 +202,18 @@ def test_ambient_plan_reaches_supervised_executor(device, compiled):
     assert np.array_equal(base, clean)
 
 
+def test_ambient_chaos_never_reaches_unsupervised_runs(device, compiled):
+    """Unsupervised runs share the supervised chunk path (under the null
+    policy), but an ambient fault plan must never reach them."""
+    base, _ = _trajectory_executor(device, unravel="pauli").forward(
+        compiled, None, None
+    )
+    sharded = _trajectory_executor(device, unravel="pauli", n_workers=2)
+    with sharded, inject_faults(FaultPlan(chaos_seed(7), ALWAYS_FAULT)):
+        got, _ = sharded.forward(compiled, None, None)
+    assert np.array_equal(base, got)
+
+
 # ---------------------------------------------------------------------------
 # process-pool chaos: killed workers, broken pools, serial degradation
 # ---------------------------------------------------------------------------
@@ -221,7 +235,8 @@ def _assert_no_orphans() -> None:
 
 def test_killed_process_workers_recover_bit_identically(device, compiled):
     """``kill`` faults hard-exit real worker processes; the broken pool
-    is rebuilt (run-scoped) and the recovered run matches serial."""
+    is respawned on the executor's lease and the recovered run matches
+    serial."""
     base, _ = _trajectory_executor(device, unravel="pauli").forward(
         compiled, None, None
     )
@@ -241,9 +256,9 @@ def test_killed_process_workers_recover_bit_identically(device, compiled):
     assert np.array_equal(base, got)
     assert supervisor.last_report.crashes > 0
     assert "pool-rebuilt" in supervisor.last_report.degraded
-    # The executor dropped its broken pool and the supervisor shut down
-    # the run-scoped replacement: no orphaned workers survive.
-    assert chaos_ex._pool is None
+    # The lease respawned the broken pool for the run and discarded it
+    # after the degraded report: no orphaned workers survive.
+    assert chaos_ex.lease.pool is None
     # Drain the deliberately long-lived shared registry pools so the
     # orphan check sees only what this run would have leaked.
     from repro.runtime import shutdown_shared_pools
@@ -257,21 +272,27 @@ def _seeded_payload(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).random(n)
 
 
-def test_broken_pool_without_rebuild_degrades_to_serial():
-    """No rebuild hook: the remaining chunks run serially in the parent
-    under a DegradedExecution warning, results unchanged."""
-    from concurrent.futures import ProcessPoolExecutor
+def test_broken_pool_without_rebuild_degrades_to_serial(monkeypatch):
+    """A broken pool that cannot be respawned: the remaining chunks run
+    serially in the parent under a DegradedExecution warning, results
+    unchanged."""
+    import concurrent.futures as futures_module
 
     tasks = [ChunkTask(i, _seeded_payload, (100 + i, 5)) for i in range(4)]
     expected = [_seeded_payload(100 + i, 5) for i in range(4)]
+
+    def refuse(*args, **kwargs):
+        raise OSError("no more processes")
 
     supervisor = ChunkSupervisor(
         SupervisorConfig(backoff_s=0.0),
         fault_plan=FaultPlan(chaos_seed(7), rates={"kill": 1.0}),
     )
-    with ProcessPoolExecutor(2) as pool:
+    with PoolLease(2, "process") as lease:
+        lease.acquire()  # the first spawn succeeds; the respawn cannot
+        monkeypatch.setattr(futures_module, "ProcessPoolExecutor", refuse)
         with pytest.warns(DegradedExecution) as record:
-            out = supervisor.run(tasks, pool=pool)
+            out = run_chunks(tasks, supervisor, lease)
     assert any(
         w.message.fallback_path == ("process-pool", "serial") for w in record
     )

@@ -4,27 +4,29 @@ Covers the pieces that make ``n_workers > 0`` actually win without
 changing a single bit of output:
 
 * balanced chunk-group bounds (no empty or oversized groups);
-* fail-fast future collection (a failing chunk surfaces immediately);
+* fail-fast chunk runs (a failing chunk surfaces its own error);
 * the worker-side plan cache (rebuilt plans memoized per process, warm
   across calls on a persistent pool, cold caches still bit-identical);
 * cache-blocked tiles (a chunk swept as several trajectory tiles
   agrees with one tile, and every execution path tiles alike);
-* the process-global shared pool registry;
+* the process-wide shared leases;
+* sharded == serial, bit for bit, for every shardable registered engine
+  on both backends, supervised or not;
 * row-banded stacked training sweeps (GateInsertion / MCWF executors)
-  over executor-held persistent pools;
+  over executor-held persistent pool leases;
 * the training factories forwarding ``n_workers``.
 """
-
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import get_device, paper_model
+from repro.circuits import Circuit
 from repro.compiler import transpile
-from repro.core.engine import engine_spec
+from repro.core.engine import engine_spec, engine_specs
 from repro.core.executors import GateInsertionExecutor, MCWFTrainExecutor
 from repro.core.injection import GATE_INSERTION, InjectionConfig
+from repro.noise import NoiseModel, PauliError, readout_matrix
 from repro.noise import trajectory as traj_mod
 from repro.noise.trajectory import (
     _balanced_group_bounds,
@@ -32,10 +34,10 @@ from repro.noise.trajectory import (
     trajectory_probabilities,
     worker_plan_cache_stats,
 )
-from repro.runtime import pools as pools_mod
 from repro.runtime import (
-    discard_shared_pool,
-    shared_pool,
+    ChunkSupervisor,
+    PoolLease,
+    shared_lease,
     shutdown_shared_pools,
 )
 
@@ -98,8 +100,8 @@ def test_balanced_group_bounds_beat_linspace_layout():
 def test_process_sharded_bit_identical_across_uneven_worker_counts(block):
     serial = _probs(block)
     for n_workers in (2, 3):
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            sharded = _probs(block, n_workers=n_workers, pool=pool,
+        with PoolLease(n_workers, "process") as lease:
+            sharded = _probs(block, n_workers=n_workers, pool=lease,
                              shard_backend="process")
         assert np.array_equal(serial, sharded)
 
@@ -124,9 +126,9 @@ def test_failing_chunk_surfaces_original_error(block, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(traj_mod, "_segment_chunk", exploding)
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with PoolLease(2) as lease:
         with pytest.raises(RuntimeError, match="chunk exploded"):
-            _probs(block, n_workers=2, pool=pool)
+            _probs(block, n_workers=2, pool=lease)
 
 
 # -- worker-side plan cache ----------------------------------------------
@@ -136,13 +138,13 @@ def test_worker_plan_cache_warm_across_calls(block):
     """On a persistent single-worker process pool, the second call must
     hit the worker-side plan cache instead of re-unpickling/rebuilding."""
     serial = _probs(block)
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        pool.submit(reset_worker_plan_cache).result()
-        first = _probs(block, n_workers=1, pool=pool,
+    with PoolLease(1, "process") as lease:
+        lease.acquire().submit(reset_worker_plan_cache).result()
+        first = _probs(block, n_workers=1, pool=lease,
                        shard_backend="process")
-        second = _probs(block, n_workers=1, pool=pool,
+        second = _probs(block, n_workers=1, pool=lease,
                         shard_backend="process")
-        stats = pool.submit(worker_plan_cache_stats).result()
+        stats = lease.acquire().submit(worker_plan_cache_stats).result()
     assert np.array_equal(serial, first)
     assert np.array_equal(first, second)
     assert stats["misses"] == 1
@@ -154,9 +156,9 @@ def test_worker_plan_cache_cold_is_still_bit_identical(block):
     """Fresh pools (cold caches) rebuild the plan and agree exactly."""
     serial = _probs(block)
     for _ in range(2):
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            pool.submit(reset_worker_plan_cache).result()
-            out = _probs(block, n_workers=1, pool=pool,
+        with PoolLease(1, "process") as lease:
+            lease.acquire().submit(reset_worker_plan_cache).result()
+            out = _probs(block, n_workers=1, pool=lease,
                          shard_backend="process")
         assert np.array_equal(serial, out)
 
@@ -228,13 +230,17 @@ def test_jump_uniform_block_counts_in_chunk_budget(block, monkeypatch):
 
 
 @pytest.mark.parametrize("unravel", ["pauli", "jump"])
-def test_tiled_chunks_sharded_and_supervised_bit_identical(block, unravel):
+def test_tiled_chunks_sharded_and_supervised_bit_identical(
+    block, unravel, monkeypatch
+):
     """Every execution path sweeps the same tiles as the serial run.
 
     The rows alone split each 5-trajectory chunk into tiles of 4 and 1
     under the default budget, so freshly spawned process workers (which
     would not see a patched budget) tile exactly like the parent.
     """
+    import concurrent.futures
+    import functools
     import multiprocessing
 
     from repro.runtime import ChunkSupervisor
@@ -252,10 +258,15 @@ def test_tiled_chunks_sharded_and_supervised_bit_identical(block, unravel):
             block, unravel, rows, n_workers=2, supervisor=ChunkSupervisor()
         ),
     }
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+    # The lease spawns its process pool under the "spawn" start method.
+    spawn_pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context("spawn"),
+    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+    with PoolLease(2, "process") as lease:
         runs["process"] = _tiled_probs(
-            block, unravel, rows, n_workers=2, pool=pool,
+            block, unravel, rows, n_workers=2, pool=lease,
             shard_backend="process",
         )
     for name, probs in runs.items():
@@ -266,13 +277,15 @@ def test_tiled_chunks_sharded_and_supervised_bit_identical(block, unravel):
 
 
 def test_shared_pool_registry_reuses_and_discards():
-    a = shared_pool("thread", 2)
-    assert shared_pool("thread", 2) is a
-    assert shared_pool("thread", 3) is not a
-    discard_shared_pool(a)
-    assert shared_pool("thread", 2) is not a
+    lease = shared_lease("thread", 2)
+    assert shared_lease("thread", 2) is lease
+    assert shared_lease("thread", 3) is not lease
+    a = lease.acquire()
+    assert lease.acquire() is a
+    lease.discard()
+    assert lease.acquire() is not a
     with pytest.raises(ValueError):
-        shared_pool("fork_bomb", 2)
+        shared_lease("fork_bomb", 2)
 
 
 def test_sharded_call_without_pool_uses_shared_registry(block):
@@ -280,10 +293,60 @@ def test_sharded_call_without_pool_uses_shared_registry(block):
     serial = _probs(block)
     out = _probs(block, n_workers=2)
     assert np.array_equal(serial, out)
-    assert ("thread", 2) in pools_mod._POOLS
-    held = pools_mod._POOLS[("thread", 2)]
+    held = shared_lease("thread", 2).pool
+    assert held is not None
     _probs(block, n_workers=2)
-    assert pools_mod._POOLS[("thread", 2)] is held  # reused, not respawned
+    assert shared_lease("thread", 2).pool is held  # reused, not respawned
+
+
+# -- every shardable engine: sharded == serial ----------------------------
+
+
+@pytest.fixture(scope="module")
+def clifford_case():
+    """A Clifford block under a pure Pauli model: every shardable engine,
+    the tableau one included, can run it."""
+    device = get_device("santiago")
+    n = device.n_qubits
+    circuit = Circuit(3)
+    for name, qubits in (("h", 0), ("cx", (0, 1)), ("s", 2), ("cx", (1, 2)),
+                         ("h", 1), ("x", 2)):
+        circuit.add(name, qubits)
+    model = NoiseModel(
+        n,
+        {(gate, q): PauliError(3e-3, 2e-3, 1e-3)
+         for q in range(n) for gate in ("sx", "x", "id")},
+        {(q, q + 1): PauliError(6e-3, 5e-3, 4e-3) for q in range(n - 1)},
+        np.stack([readout_matrix(0.01, 0.02)] * n),
+    )
+    return transpile(circuit, device, optimization_level=1), model
+
+
+@pytest.mark.parametrize("supervised", [False, True],
+                         ids=["unsupervised", "supervised"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize(
+    "spec", [spec for spec in engine_specs() if spec.capabilities.shardable],
+    ids=lambda spec: spec.name,
+)
+def test_every_shardable_engine_shards_bit_identically(
+    spec, backend, supervised, clifford_case
+):
+    compiled, model = clifford_case
+
+    def run(n_workers, supervisor=None):
+        executor = spec.factory(
+            model, rng=4, samples=24, shots=1024, n_workers=n_workers,
+            supervisor=supervisor,
+        )
+        executor.shard_size = 8  # three chunks to distribute
+        executor.shard_backend = backend
+        with executor:
+            return executor.forward(compiled, None, None)[0]
+
+    serial = run(0)
+    supervisor = ChunkSupervisor(label=spec.name) if supervised else None
+    assert np.array_equal(serial, run(2, supervisor))
 
 
 # -- row-banded stacked training sweeps ----------------------------------
@@ -342,10 +405,10 @@ def test_mcwf_banded_pauli_only_matches_serial(block):
 def test_executor_pool_is_persistent_until_closed(block):
     device, _, _, _ = block
     ex = GateInsertionExecutor(device.noise_model, rng=0, n_workers=2)
-    pool = ex._ensure_pool()
-    assert ex._ensure_pool() is pool  # held across calls
+    pool = ex.lease.acquire()
+    assert ex.lease.acquire() is pool  # held across calls
     ex.close()
-    fresh = ex._ensure_pool()
+    fresh = ex.lease.acquire()
     assert fresh is not pool
     ex.close()
 
