@@ -42,7 +42,6 @@ logical qubit order.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -151,85 +150,15 @@ def _scatter_logical(
     return grad
 
 
-#: Sentinel distinguishing "keyword not passed" from an explicit value,
-#: so the deprecation shim can detect genuine positional/keyword clashes.
-_UNSET = object()
-
-#: Legacy positional order of the ``make_*_executor`` helpers before the
-#: keyword-only unification (PR 7); the shim maps stray positionals onto
-#: these names under a DeprecationWarning.
-_LEGACY_EXECUTOR_PARAMS = ("shots", "rng", "n_trajectories", "n_workers", "supervisor")
-
-
-def _apply_legacy_executor_args(
-    name: str, legacy_args: tuple, kwargs: dict, n_trajectories
-) -> dict:
-    """Fold deprecated call forms into the keyword-only signature.
-
-    Two deprecated spellings are accepted with a warning: positional
-    arguments after ``model`` (the pre-PR-7 ``(model, shots, rng,
-    n_trajectories, n_workers, supervisor)`` order) and the
-    ``n_trajectories=`` keyword (now ``samples=``, the registry
-    factories' uniform name).  Mixing a deprecated spelling with its
-    replacement keyword raises ``TypeError`` rather than guessing.
-    """
-    if legacy_args:
-        if len(legacy_args) > len(_LEGACY_EXECUTOR_PARAMS):
-            raise TypeError(
-                f"{name}() takes at most {len(_LEGACY_EXECUTOR_PARAMS) + 1} "
-                f"positional arguments ({len(legacy_args) + 1} given)"
-            )
-        warnings.warn(
-            f"positional arguments to {name}() are deprecated; use the "
-            "keyword-only signature (shots=, rng=, samples=, n_workers=, "
-            "supervisor=, noise_factor=)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        for param, value in zip(_LEGACY_EXECUTOR_PARAMS, legacy_args):
-            target = "samples" if param == "n_trajectories" else param
-            if target in kwargs:
-                raise TypeError(
-                    f"{name}() got both a positional value and keyword "
-                    f"{target!r}"
-                )
-            kwargs[target] = value
-    if n_trajectories is not None:
-        warnings.warn(
-            f"the n_trajectories argument of {name}() is deprecated; "
-            "use samples= (the registry factories' uniform name)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if "samples" in kwargs:
-            raise TypeError(
-                f"{name}() got both n_trajectories and samples"
-            )
-        kwargs["samples"] = n_trajectories
-    return kwargs
-
-
-def _explicit_kwargs(
-    shots, rng, samples, n_workers, supervisor, noise_factor
-) -> dict:
-    """Only the keywords the caller actually passed (sentinel-filtered)."""
-    passed = dict(
-        shots=shots, rng=rng, samples=samples, n_workers=n_workers,
-        supervisor=supervisor, noise_factor=noise_factor,
-    )
-    return {k: v for k, v in passed.items() if v is not _UNSET}
-
-
 def make_real_qc_executor(
     model,
-    *legacy_args,
-    shots: "int | None" = _UNSET,
-    rng: "int | np.random.Generator | None" = _UNSET,
-    samples: int = _UNSET,
-    n_workers: int = _UNSET,
-    supervisor=_UNSET,
-    noise_factor: float = _UNSET,
-    n_trajectories: "int | None" = None,
+    *,
+    shots: "int | None" = 8192,
+    rng: "int | np.random.Generator | None" = None,
+    samples: int = 32,
+    n_workers: int = 0,
+    supervisor=None,
+    noise_factor: float = 1.0,
 ) -> EvalExecutor:
     """The 'real QC' surrogate for a model's device.
 
@@ -246,63 +175,44 @@ def make_real_qc_executor(
     The signature is keyword-only and identical to
     :func:`make_noise_model_executor` and ``EngineSpec.factory``
     (``shots``, ``rng``, ``samples``, ``n_workers``, ``supervisor``,
-    ``noise_factor``); the pre-unification positional form and the
-    ``n_trajectories`` spelling still work under a
-    ``DeprecationWarning``.
+    ``noise_factor``).
     """
-    kwargs = _apply_legacy_executor_args(
-        "make_real_qc_executor",
-        legacy_args,
-        _explicit_kwargs(shots, rng, samples, n_workers, supervisor, noise_factor),
-        n_trajectories,
-    )
-    kwargs.setdefault("shots", 8192)
     return _resolve_eval_executor(
-        model, model.device.hardware_model, **kwargs
+        model, model.device.hardware_model, shots=shots, rng=rng,
+        samples=samples, n_workers=n_workers, supervisor=supervisor,
+        noise_factor=noise_factor,
     )
 
 
 def make_noise_model_executor(
     model,
-    *legacy_args,
-    shots: "int | None" = _UNSET,
-    rng: "int | np.random.Generator | None" = _UNSET,
-    samples: int = _UNSET,
-    n_workers: int = _UNSET,
-    supervisor=_UNSET,
-    noise_factor: float = _UNSET,
-    n_trajectories: "int | None" = None,
+    *,
+    shots: "int | None" = None,
+    rng: "int | np.random.Generator | None" = None,
+    samples: int = 32,
+    n_workers: int = 0,
+    supervisor=None,
+    noise_factor: float = 1.0,
 ) -> EvalExecutor:
     """Evaluation under the *published* noise model (paper Table 11).
 
     Resolved through the engine registry exactly like
-    :func:`make_real_qc_executor` (same keyword-only signature, same
-    deprecation shims), just against the published model.
+    :func:`make_real_qc_executor` (same keyword-only signature), just
+    against the published model.
     """
-    kwargs = _apply_legacy_executor_args(
-        "make_noise_model_executor",
-        legacy_args,
-        _explicit_kwargs(shots, rng, samples, n_workers, supervisor, noise_factor),
-        n_trajectories,
-    )
     return _resolve_eval_executor(
-        model, model.device.noise_model, **kwargs
+        model, model.device.noise_model, shots=shots, rng=rng,
+        samples=samples, n_workers=n_workers, supervisor=supervisor,
+        noise_factor=noise_factor,
     )
 
 
-def _resolve_eval_executor(
-    model, noise_model, *, shots=None, rng=None, samples=32, n_workers=0,
-    supervisor=None, noise_factor=1.0,
-):
+def _resolve_eval_executor(model, noise_model, **factory_kwargs):
     from repro.core.engine import resolve_eval_engine
 
     widest = max(c.circuit.n_qubits for c in model.compiled)
     spec = resolve_eval_engine(noise_model.channel_kinds, widest)
-    return spec.factory(
-        noise_model, rng=rng, samples=samples, shots=shots,
-        n_workers=n_workers, supervisor=supervisor,
-        noise_factor=noise_factor,
-    )
+    return spec.factory(noise_model, **factory_kwargs)
 
 
 class NoiselessExecutor:

@@ -1,18 +1,20 @@
 """The QuantumNAT model: QNN + normalization + injection + quantization.
 
 This ties the whole paper together (Figure 3).  A :class:`QuantumNATModel`
-owns a QNN compiled for a device and runs the three-stage pipeline:
+owns a QNN compiled for a device and walks its blocks in one loop, which
+applies post-measurement normalization and quantization between blocks:
 
-* training forward: per block, execute on the *training executor* (gate
-  insertion / perturbation / noiseless), then -- between blocks --
-  post-measurement normalization and quantization (with the quadratic
-  centroid penalty added to the loss);
+* training forward: blocks run on the *training executor* (gate
+  insertion / perturbation / noiseless); the loop saves what backward
+  needs and adds the quadratic centroid penalty to the loss;
 * backward: softmax-CE gradient chains through the head, the
   straight-through quantizer, the batch-norm-style normalization
-  backward, and one adjoint sweep per block;
-* inference: the same classical pipeline over any evaluation backend
+  backward, and one adjoint sweep per block -- one chain for the batched
+  step and its per-sample reference alike;
+* inference (predictions, the Figure 4/6 block outcomes, validation
+  profiling): the same transforms over any evaluation backend
   (noise-free / density "noise model" / trajectory "real QC"), using the
-  *test batch's own statistics* for normalization (or fixed validation
+  *batch's own statistics* for normalization (or pinned validation
   statistics, Table 13).  Both noisy backends run compiled: the density
   executor executes the superoperator stream of
   :mod:`repro.compiler.superop` (gate + channel as one cached matrix per
@@ -35,6 +37,7 @@ import numpy as np
 
 from repro.compiler.passes import CompiledCircuit, transpile
 from repro.core.executors import InferenceExecutor, NoiselessExecutor
+from repro.core.gradients import QuantumTape, adjoint_backward_reference
 from repro.core.injection import (
     ANGLE_PERTURBATION,
     GATE_INSERTION,
@@ -46,6 +49,7 @@ from repro.core.injection import (
 from repro.core.losses import accuracy, cross_entropy
 from repro.core.normalization import (
     NormCache,
+    batch_statistics,
     normalize,
     normalize_backward,
     normalize_with_stats,
@@ -54,6 +58,11 @@ from repro.core.quantization import Quantizer
 from repro.noise.devices import Device
 from repro.noise.readout import apply_readout_to_expectations
 from repro.qnn.model import QNN, head_matrix
+from repro.sim.statevector import (
+    bind_circuit_reference,
+    run_ops_reference,
+    z_expectations,
+)
 from repro.utils.rng import as_rng
 
 
@@ -217,61 +226,67 @@ class QuantumNATModel:
         is_last = block == self.n_blocks - 1
         return (not is_last) or self.config.transform_final
 
+    # -- the block loop ----------------------------------------------------
+
+    def _run_blocks(self, weights, inputs, run_block, *, stats=None,
+                    stop=None, profile=None, train=None) -> np.ndarray:
+        """The one loop over blocks; returns the head's input.
+
+        ``run_block(compiled, block_weights, x)`` returns ``(expectations,
+        block cache)``; blocks :meth:`_transform_after` selects are then
+        normalized (with ``stats[b]``, else batch statistics) and
+        quantized.  ``stop`` returns that block's raw outcomes;
+        ``profile`` collects each block's :func:`batch_statistics`;
+        ``train`` (a :class:`ForwardCache`) records what backward needs.
+        """
+        config = self.config
+        current = np.asarray(inputs, dtype=float)
+        for b, compiled in enumerate(self.compiled):
+            current, block_cache = run_block(
+                compiled, self.qnn.block_weights(weights, b), current
+            )
+            if b == stop:
+                return current
+            if profile is not None:
+                profile.append(batch_statistics(current))
+            if train is not None:
+                train.block_caches.append(block_cache)
+            if not self._transform_after(b):
+                continue
+            if config.normalize and stats is not None:
+                current = normalize_with_stats(current, *stats[b])
+            elif config.normalize:
+                current, norm_cache = normalize(current)
+                if train is not None:
+                    train.norm_caches[b] = norm_cache
+            if train is not None and config.injection.strategy == OUTCOME_PERTURBATION:
+                current = perturb_outcomes(current, config.injection, self.rng)
+            if config.quantize and train is not None:
+                train.normalized[b] = current
+                train.quant_loss += self.quantizer.quantization_loss(current)
+                current, train.ste_masks[b] = self.quantizer.forward(current)
+            elif config.quantize:
+                current = self.quantizer.quantize(current)
+        return current
+
     # -- training forward / backward ----------------------------------------
 
     def forward_train(
         self, weights: np.ndarray, inputs: np.ndarray
     ) -> ForwardCache:
         """Noise-injected, differentiable forward pass."""
-        config = self.config
-        injection = config.injection
-        executor = self._train_executor
+        return self._forward_train(weights, inputs, self._train_executor)
 
+    def _forward_train(self, weights, inputs, executor) -> ForwardCache:
+        injection = self.config.injection
         if injection.strategy == ANGLE_PERTURBATION:
             weights = perturb_angles(weights, injection, self.rng)
             inputs = perturb_angles(np.asarray(inputs, dtype=float), injection, self.rng)
-
-        block_caches = []
-        norm_caches: "list[NormCache | None]" = []
-        ste_masks: "list[np.ndarray | None]" = []
-        normalized_acts: "list[np.ndarray | None]" = []
-        quant_loss = 0.0
-        current = np.asarray(inputs, dtype=float)
-
-        for b in range(self.n_blocks):
-            w_local = self.qnn.block_weights(weights, b)
-            expectations, cache = executor.forward(self.compiled[b], w_local, current)
-            block_caches.append(cache)
-
-            if not self._transform_after(b):
-                norm_caches.append(None)
-                ste_masks.append(None)
-                normalized_acts.append(None)
-                current = expectations
-                continue
-
-            values = expectations
-            if config.normalize:
-                values, norm_cache = normalize(values)
-                norm_caches.append(norm_cache)
-            else:
-                norm_caches.append(None)
-            if injection.strategy == OUTCOME_PERTURBATION:
-                values = perturb_outcomes(values, injection, self.rng)
-            if config.quantize:
-                normalized_acts.append(values)
-                quant_loss += self.quantizer.quantization_loss(values)
-                values, mask = self.quantizer.forward(values)
-                ste_masks.append(mask)
-            else:
-                normalized_acts.append(None)
-                ste_masks.append(None)
-            current = values
-
-        logits = current @ self.head.T
-        return ForwardCache(
-            block_caches, norm_caches, ste_masks, normalized_acts, logits, quant_loss
-        )
+        n = self.n_blocks
+        cache = ForwardCache([], [None] * n, [None] * n, [None] * n, None, 0.0)
+        head_input = self._run_blocks(weights, inputs, executor.forward, train=cache)
+        cache.logits = head_input @ self.head.T
+        return cache
 
     def loss_and_gradients(
         self, weights: np.ndarray, inputs: np.ndarray, labels: np.ndarray
@@ -283,8 +298,31 @@ class QuantumNATModel:
         per block; :meth:`loss_and_gradients_reference` is the retained
         per-sample baseline.
         """
+        return self._step(weights, inputs, labels, self._train_executor)
+
+    def loss_and_gradients_reference(
+        self, weights: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+    ) -> "tuple[float, float, np.ndarray]":
+        """Per-sample reference implementation of one training step.
+
+        The numerical baseline for :meth:`loss_and_gradients`: the same
+        step with the blocks run by :class:`_ReferenceBlocks`.
+
+        With single-realization gate insertion the error circuits are
+        sampled from the training executor's rng in the same order as
+        the fast path, so two identically seeded models agree to float
+        precision.  With ``n_realizations > 1`` the fast path draws each
+        error site's choices for all realizations in one vectorized call
+        while this path loops realizations, so the streams diverge and
+        stochastic noise matches only in distribution (deterministic
+        coherent-only models still agree exactly).
+        """
+        return self._step(weights, inputs, labels, _ReferenceBlocks(self))
+
+    def _step(self, weights, inputs, labels, executor):
+        """One training step, blocks run and differentiated by ``executor``."""
         config = self.config
-        cache = self.forward_train(weights, inputs)
+        cache = self._forward_train(weights, inputs, executor)
         ce_loss, grad_logits, _probs = cross_entropy(cache.logits, labels)
         loss = ce_loss + config.quant_loss_weight * cache.quant_loss
         acc = accuracy(cache.logits, labels)
@@ -294,22 +332,17 @@ class QuantumNATModel:
         grad_current = grad_logits @ self.head
 
         for b in reversed(range(self.n_blocks)):
-            if self._transform_after(b):
-                if config.quantize:
-                    grad_current = self.quantizer.backward(
-                        cache.ste_masks[b], grad_current
-                    )
-                    grad_current = grad_current + (
-                        config.quant_loss_weight
-                        * self.quantizer.quantization_loss_grad(
-                            cache.normalized[b]
-                        )
-                    )
-                if config.normalize:
-                    grad_current = normalize_backward(
-                        cache.norm_caches[b], grad_current
-                    )
-            w_grad_local, x_grad = self._train_executor.backward(
+            if cache.ste_masks[b] is not None:
+                grad_current = self.quantizer.backward(
+                    cache.ste_masks[b], grad_current
+                )
+                grad_current = grad_current + (
+                    config.quant_loss_weight
+                    * self.quantizer.quantization_loss_grad(cache.normalized[b])
+                )
+            if cache.norm_caches[b] is not None:
+                grad_current = normalize_backward(cache.norm_caches[b], grad_current)
+            w_grad_local, x_grad = executor.backward(
                 cache.block_caches[b], grad_current
             )
             grad_weights[self.qnn.weight_slices[b]] += w_grad_local
@@ -317,174 +350,15 @@ class QuantumNATModel:
 
         return loss, acc, grad_weights
 
-    # -- per-sample reference engine ---------------------------------------
-
-    def _reference_block_forward(
-        self, circuit, w_local: np.ndarray, inputs: np.ndarray
-    ) -> "tuple[np.ndarray, list]":
-        """One block's expectations via per-sample reference sweeps.
-
-        Runs every sample as its own ``(1, 2**n)`` statevector through
-        the pre-fast-engine kernels; returns the assembled
-        ``(batch, n_qubits)`` expectations and one tape per sample.
-        """
-        from repro.core.gradients import QuantumTape
-        from repro.sim.statevector import (
-            bind_circuit_reference,
-            run_ops_reference,
-            z_signs,
-        )
-
-        rows = []
-        tapes = []
-        for i in range(inputs.shape[0]):
-            ops = bind_circuit_reference(circuit, w_local, inputs[i : i + 1])
-            state = run_ops_reference(ops, circuit.n_qubits, 1)
-            tapes.append(
-                QuantumTape(circuit, ops, state, w_local.size, inputs.shape[1])
-            )
-            rows.append((np.abs(state) ** 2) @ z_signs(circuit.n_qubits).T)
-        return np.vstack(rows), tapes
-
-    def loss_and_gradients_reference(
-        self, weights: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-    ) -> "tuple[float, float, np.ndarray]":
-        """Per-sample reference implementation of one training step.
-
-        The numerical baseline for :meth:`loss_and_gradients`: every
-        sample (and every noise realization) is bound and swept
-        individually through the reference kernels, and backward runs one
-        per-sample adjoint sweep per tape -- the nested loops the batched
-        engine replaces.  Classical stages (normalization statistics,
-        quantization, head, loss) are batch-level math and identical.
-
-        With single-realization gate insertion the error circuits are
-        sampled from this model's own rng in the same order as the fast
-        path, so two identically seeded models agree to float precision.
-        With ``n_realizations > 1`` the fast path draws each error site's
-        choices for all realizations in one vectorized call while this
-        path loops realizations, so the streams diverge and stochastic
-        noise matches only in distribution (deterministic coherent-only
-        models still agree exactly).
-        """
-        from repro.core.gradients import adjoint_backward_reference
-
-        config = self.config
-        injection = config.injection
-        executor = self._train_executor
-        weights = np.asarray(weights, dtype=float)
-        inputs = np.asarray(inputs, dtype=float)
-        if injection.strategy == ANGLE_PERTURBATION:
-            weights = perturb_angles(weights, injection, self.rng)
-            inputs = perturb_angles(inputs, injection, self.rng)
-        insertion = injection.strategy == GATE_INSERTION
-        n_real = injection.n_realizations if insertion else 1
-
-        # -- forward: nested realization x sample loops per block ---------
-        block_tapes: "list[list[list]]" = []  # [block][realization][sample]
-        block_scales: "list[np.ndarray | None]" = []
-        norm_caches: "list[NormCache | None]" = []
-        ste_masks: "list[np.ndarray | None]" = []
-        normalized_acts: "list[np.ndarray | None]" = []
-        quant_loss = 0.0
-        current = inputs
-        for b in range(self.n_blocks):
-            compiled = self.compiled[b]
-            w_local = self.qnn.block_weights(weights, b)
-            realizations = []
-            tapes_per_real = []
-            for _ in range(n_real):
-                if insertion:
-                    circuit, _stats = executor.sampler.sample(
-                        compiled.circuit, compiled.physical_qubits, executor.rng
-                    )
-                else:
-                    circuit = compiled.circuit
-                expectations, tapes = self._reference_block_forward(
-                    circuit, w_local, current
-                )
-                realizations.append(expectations)
-                tapes_per_real.append(tapes)
-            block_tapes.append(tapes_per_real)
-            expectations = sum(realizations) / n_real
-            logical = expectations[:, list(compiled.measure_qubits)]
-            scales = None
-            if insertion and executor.readout:
-                readout = compiled.readout_matrices(executor.noise_model)
-                logical, scales = apply_readout_to_expectations(logical, readout)
-            block_scales.append(scales)
-
-            if not self._transform_after(b):
-                norm_caches.append(None)
-                ste_masks.append(None)
-                normalized_acts.append(None)
-                current = logical
-                continue
-            values = logical
-            if config.normalize:
-                values, norm_cache = normalize(values)
-                norm_caches.append(norm_cache)
-            else:
-                norm_caches.append(None)
-            if injection.strategy == OUTCOME_PERTURBATION:
-                values = perturb_outcomes(values, injection, self.rng)
-            if config.quantize:
-                normalized_acts.append(values)
-                quant_loss += self.quantizer.quantization_loss(values)
-                values, mask = self.quantizer.forward(values)
-                ste_masks.append(mask)
-            else:
-                normalized_acts.append(None)
-                ste_masks.append(None)
-            current = values
-
-        logits = current @ self.head.T
-        ce_loss, grad_logits, _probs = cross_entropy(logits, labels)
-        loss = ce_loss + config.quant_loss_weight * quant_loss
-        acc = accuracy(logits, labels)
-
-        # -- backward: chain transforms, then per-sample adjoint sweeps ----
-        grad_weights = np.zeros_like(weights)
-        grad_current = grad_logits @ self.head
-        for b in reversed(range(self.n_blocks)):
-            compiled = self.compiled[b]
-            if self._transform_after(b):
-                if config.quantize:
-                    grad_current = self.quantizer.backward(
-                        ste_masks[b], grad_current
-                    )
-                    grad_current = grad_current + (
-                        config.quant_loss_weight
-                        * self.quantizer.quantization_loss_grad(normalized_acts[b])
-                    )
-                if config.normalize:
-                    grad_current = normalize_backward(norm_caches[b], grad_current)
-            grad_logical = grad_current
-            if block_scales[b] is not None:
-                grad_logical = grad_logical * block_scales[b][None, :]
-            n_compact = compiled.circuit.n_qubits
-            batch = grad_logical.shape[0]
-            grad_full = np.zeros((batch, n_compact))
-            grad_full[:, list(compiled.measure_qubits)] = grad_logical
-            w_grad = None
-            x_rows = []
-            for tapes in block_tapes[b]:
-                for i, tape in enumerate(tapes):
-                    wg, xg = adjoint_backward_reference(
-                        tape, grad_full[i : i + 1] / n_real
-                    )
-                    w_grad = wg if w_grad is None else w_grad + wg
-                    if len(x_rows) <= i:
-                        x_rows.append(xg[0])
-                    else:
-                        x_rows[i] = x_rows[i] + xg[0]
-            grad_weights[self.qnn.weight_slices[b]] += w_grad
-            x_grad = np.vstack(x_rows)
-            grad_current = x_grad
-
-        return loss, acc, grad_weights
-
     # -- inference ---------------------------------------------------------
+
+    @staticmethod
+    def _inference_blocks(executor):
+        """The block callable inference walks with (see :meth:`predict`)."""
+        executor = executor or NoiselessExecutor()
+        if isinstance(executor, InferenceExecutor):
+            return lambda c, w, x: (executor.forward_inference(c, w, x), None)
+        return executor.forward
 
     def predict(
         self,
@@ -507,34 +381,9 @@ class QuantumNATModel:
         per weight vector across repeated predict/evaluate calls; plain
         :class:`EvalExecutor` backends run their ``forward`` path.
         """
-        config = self.config
-        executor = executor or NoiselessExecutor()
-        tape_free = isinstance(executor, InferenceExecutor)
-        current = np.asarray(inputs, dtype=float)
-        for b in range(self.n_blocks):
-            w_local = self.qnn.block_weights(weights, b)
-            if tape_free:
-                expectations = executor.forward_inference(
-                    self.compiled[b], w_local, current
-                )
-            else:
-                expectations, _cache = executor.forward(
-                    self.compiled[b], w_local, current
-                )
-            if not self._transform_after(b):
-                current = expectations
-                continue
-            values = expectations
-            if config.normalize:
-                if self.fixed_stats is not None:
-                    mean, std = self.fixed_stats[b]
-                    values = normalize_with_stats(values, mean, std)
-                else:
-                    values, _ = normalize(values)
-            if config.quantize:
-                values = self.quantizer.quantize(values)
-            current = values
-        return current @ self.head.T
+        run = self._inference_blocks(executor)
+        head_input = self._run_blocks(weights, inputs, run, stats=self.fixed_stats)
+        return head_input @ self.head.T
 
     def evaluate(
         self,
@@ -554,31 +403,19 @@ class QuantumNATModel:
         inputs: np.ndarray,
         block: int,
         executor: "object | None" = None,
-        apply_transforms_before: bool = True,
     ) -> np.ndarray:
         """Raw measurement outcomes of one block (analysis/figures).
 
-        Runs the pipeline up to ``block`` and returns that block's
+        Runs :meth:`predict`'s pipeline up to ``block`` (same executor
+        path, :attr:`fixed_stats` when pinned) and returns that block's
         *untransformed* expectations -- what Figures 4 and 6 histogram.
         """
-        config = self.config
-        executor = executor or NoiselessExecutor()
-        current = np.asarray(inputs, dtype=float)
-        for b in range(block + 1):
-            w_local = self.qnn.block_weights(weights, b)
-            expectations, _cache = executor.forward(self.compiled[b], w_local, current)
-            if b == block:
-                return expectations
-            if not self._transform_after(b) or not apply_transforms_before:
-                current = expectations
-                continue
-            values = expectations
-            if config.normalize:
-                values, _ = normalize(values)
-            if config.quantize:
-                values = self.quantizer.quantize(values)
-            current = values
-        raise AssertionError("unreachable")
+        if not 0 <= block < self.n_blocks:
+            raise IndexError(f"block {block} not in 0..{self.n_blocks - 1}")
+        run = self._inference_blocks(executor)
+        return self._run_blocks(
+            weights, inputs, run, stats=self.fixed_stats, stop=block
+        )
 
     def profile_statistics(
         self,
@@ -586,33 +423,76 @@ class QuantumNATModel:
         inputs: np.ndarray,
         executor: "object | None" = None,
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Per-block-boundary normalization statistics on a dataset.
+        """Per-block normalization statistics on a dataset.
 
-        Run once on the validation set and assign to :attr:`fixed_stats`
-        to reproduce the paper's small-test-batch deployment mode
-        (Appendix A.3.7, Table 13).
+        One ``(mean, std)`` per block, from :func:`batch_statistics` (the
+        statistics :func:`normalize` uses) along :meth:`predict`'s path,
+        so pinning them and predicting the profiled batch reproduces
+        batch-statistics predict exactly; a block without a transform
+        never reads its entry.  Run once on the validation set and assign
+        to :attr:`fixed_stats` to reproduce the paper's small-test-batch
+        deployment mode (Appendix A.3.7, Table 13).
         """
-        config = self.config
-        executor = executor or NoiselessExecutor()
-        current = np.asarray(inputs, dtype=float)
         stats: "list[tuple[np.ndarray, np.ndarray]]" = []
-        for b in range(self.n_blocks):
-            w_local = self.qnn.block_weights(weights, b)
-            expectations, _cache = executor.forward(self.compiled[b], w_local, current)
-            if not self._transform_after(b):
-                stats.append((np.zeros(expectations.shape[1]), np.ones(expectations.shape[1])))
-                current = expectations
-                continue
-            mean = expectations.mean(axis=0)
-            std = expectations.std(axis=0)
-            stats.append((mean, std))
-            values = expectations
-            if config.normalize:
-                values = normalize_with_stats(values, mean, std)
-            if config.quantize:
-                values = self.quantizer.quantize(values)
-            current = values
+        run = self._inference_blocks(executor)
+        self._run_blocks(weights, inputs, run, profile=stats)
         return stats
+
+
+class _ReferenceBlocks:
+    """Per-sample reference block executor for the training step.
+
+    Every sample of every noise realization (its error circuit drawn from
+    the training executor's sampler and rng) is bound and swept alone
+    through the reference kernels, and backward runs one reference
+    adjoint per tape: the nested loops the batched engine replaces.
+    """
+
+    def __init__(self, model: QuantumNATModel):
+        injection = model.config.injection
+        self.executor = model._train_executor
+        self.insertion = injection.strategy == GATE_INSERTION
+        self.n_real = injection.n_realizations if self.insertion else 1
+
+    def forward(self, compiled, weights, inputs):
+        executor = self.executor
+        realizations, tapes = [], []
+        for _ in range(self.n_real):
+            circuit = compiled.circuit
+            if self.insertion:
+                circuit, _stats = executor.sampler.sample(
+                    circuit, compiled.physical_qubits, executor.rng
+                )
+            rows = []
+            for i in range(inputs.shape[0]):
+                ops = bind_circuit_reference(circuit, weights, inputs[i : i + 1])
+                state = run_ops_reference(ops, circuit.n_qubits, 1)
+                tapes.append(
+                    QuantumTape(circuit, ops, state, weights.size, inputs.shape[1])
+                )
+                rows.append(z_expectations(state, circuit.n_qubits))
+            realizations.append(np.vstack(rows))
+        expectations = sum(realizations) / self.n_real
+        logical = expectations[:, list(compiled.measure_qubits)]
+        scales = None
+        if self.insertion and executor.readout:
+            readout = compiled.readout_matrices(executor.noise_model)
+            logical, scales = apply_readout_to_expectations(logical, readout)
+        return logical, (compiled, tapes, scales)
+
+    def backward(self, cache, grad_logical):
+        compiled, tapes, scales = cache
+        if scales is not None:
+            grad_logical = grad_logical * scales[None, :]
+        batch = grad_logical.shape[0]
+        grad = np.zeros((batch, compiled.circuit.n_qubits))
+        grad[:, list(compiled.measure_qubits)] = grad_logical
+        grads = [  # tapes are realization-major: tape k holds sample k % batch
+            adjoint_backward_reference(tape, grad[k % batch][None] / self.n_real)
+            for k, tape in enumerate(tapes)
+        ]
+        x_rows = [sum(xg[0] for _, xg in grads[i::batch]) for i in range(batch)]
+        return sum(wg for wg, _ in grads), np.vstack(x_rows)
 
 
 def predict(

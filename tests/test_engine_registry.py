@@ -274,17 +274,10 @@ def test_make_executors_resolve_through_registry():
     assert resolved.unravel == "jump"
 
 
-def _shim_model(wide: bool = False):
+def _shim_model():
     from repro.core.pipeline import QuantumNATConfig, QuantumNATModel
     from repro.qnn import paper_model
 
-    if wide:
-        # 10 qubits resolves past density's width cap to the trajectory
-        # backend, whose executor exposes the sample count to assert on.
-        return QuantumNATModel(
-            paper_model(10, 1, 1, 36, 4), get_device("melbourne"),
-            QuantumNATConfig.baseline(), rng=0,
-        )
     return QuantumNATModel(
         paper_model(4, 1, 1, 16, 4), get_device("santiago"),
         QuantumNATConfig.baseline(), rng=0,
@@ -300,36 +293,6 @@ def test_make_executor_keyword_form_warns_nothing():
         warnings.simplefilter("error")
         make_real_qc_executor(model, shots=512, rng=1, samples=4)
         make_noise_model_executor(model, rng=1, samples=4, noise_factor=1.0)
-
-
-def test_make_executor_n_trajectories_shim_warns_and_maps():
-    """n_trajectories= still works but deprecates onto samples=."""
-    model = _shim_model(wide=True)
-    with pytest.warns(DeprecationWarning, match="n_trajectories"):
-        legacy = make_real_qc_executor(model, rng=1, n_trajectories=6)
-    modern = make_real_qc_executor(model, rng=1, samples=6)
-    assert isinstance(legacy, TrajectoryEvalExecutor)
-    assert type(legacy) is type(modern)
-    assert legacy.n_trajectories == modern.n_trajectories == 6
-
-
-def test_make_executor_positional_shim_warns_and_maps():
-    """The pre-registry positional form (model, shots, rng, n_traj)."""
-    model = _shim_model(wide=True)
-    with pytest.warns(DeprecationWarning, match="keyword-only"):
-        legacy = make_real_qc_executor(model, 512, 1, 6)
-    modern = make_real_qc_executor(model, shots=512, rng=1, samples=6)
-    assert isinstance(legacy, TrajectoryEvalExecutor)
-    assert type(legacy) is type(modern)
-    assert legacy.n_trajectories == modern.n_trajectories == 6
-    assert legacy.shots == modern.shots == 512
-
-
-def test_make_executor_positional_keyword_collision_raises():
-    model = _shim_model()
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError, match="both a positional"):
-            make_real_qc_executor(model, 512, shots=1024)
 
 
 def test_sampler_error_names_registry_engines():

@@ -203,3 +203,54 @@ def test_quant_loss_reported_in_cache():
     inputs = RNG.uniform(-1, 1, (6, 16))
     cache = model.forward_train(weights, inputs)
     assert cache.quant_loss >= 0.0
+
+
+_CONFIGS = {
+    "baseline": QuantumNATConfig.baseline(),
+    "norm_only": QuantumNATConfig.norm_only(),
+    "norm_injection": QuantumNATConfig.norm_and_injection(0.5),
+    "full": QuantumNATConfig.full(0.5, 5),
+    "full_r3": QuantumNATConfig(
+        injection=InjectionConfig("gate_insertion", 0.5, n_realizations=3)
+    ),
+    "outcome_perturbation": QuantumNATConfig(
+        injection=InjectionConfig("outcome_perturbation", 1.0, 0.0, 0.3)
+    ),
+    "angle_perturbation": QuantumNATConfig(
+        injection=InjectionConfig("angle_perturbation", 1.0, angle_sigma=0.2)
+    ),
+    "transform_final": QuantumNATConfig(transform_final=True),
+}
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("name", ["norm_only", "full"])
+def test_last_block_outcomes_through_head_are_predict_logits(name, pinned):
+    """Block outcomes come from predict's own path: executor, and batch
+    or pinned validation statistics on the blocks before."""
+    model = _small_model(_CONFIGS[name], blocks=3, layers=2)
+    rng = np.random.default_rng(41)
+    weights = model.qnn.init_weights(12)
+    inputs = rng.uniform(-1, 1, (16, 16))
+    if pinned:
+        valid = rng.uniform(-1, 1, (32, 16))
+        model.fixed_stats = model.profile_statistics(weights, valid)
+    last = model.measure_block_outcomes(weights, inputs, model.n_blocks - 1)
+    assert np.array_equal(last @ model.head.T, model.predict(weights, inputs))
+    for block in (-1, model.n_blocks):
+        with pytest.raises(IndexError):
+            model.measure_block_outcomes(weights, inputs, block)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_profiled_statistics_reproduce_batch_statistics_predict(name, blocks):
+    """Pinning a batch's profiled statistics and predicting that batch
+    is batch-statistics predict, bit for bit."""
+    model = _small_model(_CONFIGS[name], blocks=blocks, layers=2)
+    weights = model.qnn.init_weights(13)
+    inputs = np.random.default_rng(42).uniform(-1, 1, (16, 16))
+    batch_logits = model.predict(weights, inputs)
+    model.fixed_stats = model.profile_statistics(weights, inputs)
+    assert len(model.fixed_stats) == model.n_blocks
+    assert np.array_equal(model.predict(weights, inputs), batch_logits)
