@@ -23,6 +23,10 @@ coalesced batch size.  Correctness rides along: the server records
 every flush and replays it (`verify_flush_log` -- coalesced output must
 be *bit-identical* to the serial predict over the same stack), and the
 coalesced logits are compared against the naive baseline's row by row.
+Every phase serves the same model, weights and noise-model object, so
+every cache key must repeat: once the naive phase has warmed the caches,
+a coalesced or Poisson phase that adds a miss to any
+:func:`repro.utils.cache.cache_stats` row raises.
 
 Usage::
 
@@ -55,6 +59,7 @@ from repro import (
 )
 from repro.core.engine import create_engine, engine_spec
 from repro.serve import InferenceServer, ServeConfig
+from repro.utils.cache import cache_stats
 
 #: Request counts / coalescing knobs per harness scale.
 SERVE_SCALES = {
@@ -85,6 +90,20 @@ def _naive_baseline(model, weights, executor, requests) -> "tuple[float, np.ndar
     t0 = time.perf_counter()
     outputs = [model.predict(weights, x[None, :], executor)[0] for x in requests]
     return time.perf_counter() - t0, np.stack(outputs)
+
+
+def _check_keys_repeat(warm: dict) -> None:
+    """Raise if any cache row gained a miss since the ``warm`` snapshot."""
+    new_misses = {
+        name: row["misses"] - warm[name]["misses"]
+        for name, row in cache_stats().items()
+        if name in warm and row["misses"] > warm[name]["misses"]
+    }
+    if new_misses:
+        raise RuntimeError(
+            "serving the same model, weights and noise model missed "
+            f"caches after warm-up (a key that never repeats): {new_misses}"
+        )
 
 
 async def _drive_burst(session, requests) -> np.ndarray:
@@ -136,6 +155,7 @@ def run_serve_load(
         engine, _noise_model_for(engine, model), rng=seed
     )
     naive_s, naive_out = _naive_baseline(model, weights, naive_executor, requests)
+    warm = cache_stats()
 
     # Coalesced burst: the gated fast path.
     server = InferenceServer(
@@ -161,6 +181,7 @@ def run_serve_load(
     poisson_s = time.perf_counter() - t0
     poisson = server_p.metrics.snapshot(elapsed_s=poisson_s)
     server_p.close()
+    _check_keys_repeat(warm)
 
     record = {
         "reference_s": naive_s,

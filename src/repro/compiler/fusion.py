@@ -24,16 +24,19 @@ Fusion must NOT be used for:
 :class:`FusionPlan` adds a per-circuit cache layer for repeated
 inference over the same weights (evaluation loops, SPSA/parameter-shift
 objective calls): gate runs that depend only on weights and constants
-are fused once per weight vector (small LRU keyed on the weight bytes),
-while input-dependent encoder gates -- whose matrices change with every
-batch -- pass through unfused.
+are fused once per weight vector (a small :class:`~repro.utils.cache
+.Cache` keyed on the weight bytes), while input-dependent encoder gates
+-- whose matrices change with every batch -- pass through unfused.  The
+plan itself lives in the circuit's :func:`~repro.utils.cache
+.circuit_cache`, so it is rebuilt whenever the circuit's gates change.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.statevector import SmallLRU, bind_plan_for, weights_key
+from repro.sim.statevector import bind_plan_for, weights_key
+from repro.utils.cache import Cache, circuit_cache
 
 _EYE2 = np.eye(2, dtype=complex)
 
@@ -188,20 +191,7 @@ class FusionPlan:
         self.bind_plan = bind_plan_for(circuit)
         self._layout = static_dynamic_layout(circuit)
         # weight bytes -> fused ops per static span, in layout order.
-        self._cache = SmallLRU(_FUSION_CACHE_SIZE)
-
-    def _static_segments(self, ops: list, weights) -> "list[list]":
-        key = weights_key(weights)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        segments = [
-            fuse_bound_ops(ops[start:end])
-            for kind, start, end in self._layout
-            if kind == "static"
-        ]
-        self._cache.put(key, segments)
-        return segments
+        self._cache = Cache("fusion.segments", _FUSION_CACHE_SIZE)
 
     def fused_ops(
         self,
@@ -211,7 +201,14 @@ class FusionPlan:
     ) -> list:
         """Bind and fuse the circuit for one inference call."""
         ops = self.bind_plan.bind(weights, inputs, batch)
-        segments = iter(self._static_segments(ops, weights))
+        segments = iter(self._cache.get_or_build(
+            weights_key(weights),
+            lambda: [
+                fuse_bound_ops(ops[start:end])
+                for kind, start, end in self._layout
+                if kind == "static"
+            ],
+        ))
         out: list = []
         for kind, start, end in self._layout:
             if kind == "static":
@@ -222,9 +219,7 @@ class FusionPlan:
 
 
 def fusion_plan_for(circuit) -> FusionPlan:
-    """The circuit's cached :class:`FusionPlan`, (re)built when stale."""
-    plan = getattr(circuit, "_fusion_plan", None)
-    if plan is None or plan.bind_plan.stale(circuit):
-        plan = FusionPlan(circuit)
-        circuit._fusion_plan = plan
-    return plan
+    """The circuit's :class:`FusionPlan`, built once per gate list."""
+    return circuit_cache(circuit, "fusion.plan", 1).get_or_build(
+        None, lambda: FusionPlan(circuit)
+    )

@@ -72,10 +72,10 @@ class CompiledCircuit:
         """The circuit's bind cache (constant gates bound exactly once).
 
         Delegates to :func:`~repro.sim.statevector.bind_plan_for`, which
-        memoizes the plan on the circuit itself with a staleness check --
-        so every bind path over this circuit shares one invalidation
-        policy.  Executors re-evaluate only weight/input-dependent gates
-        per training step.
+        keeps the plan in the circuit's :func:`~repro.utils.cache
+        .circuit_cache` -- so every bind path over this circuit shares
+        one plan, dropped when the gates change.  Executors re-evaluate
+        only weight/input-dependent gates per training step.
         """
         from repro.sim.statevector import bind_plan_for
 

@@ -27,9 +27,13 @@ the density.  This pass precompiles all of that away:
   support stays within two qubits are merged into fused segment
   operators, mirroring :mod:`repro.compiler.fusion` -- a ~200-gate
   transpiled QNN block collapses to a few dozen matrices.
-* **Caching**: fused static segments (constant or weight-only gates) are
-  retained per weight vector in a small LRU; only input-dependent
-  encoder sites are rebuilt per call, as batched superoperators.
+* **Caching**: a plan is built once per (noise model, noise factor,
+  layout) and kept in the circuit's :func:`~repro.utils.cache
+  .circuit_cache`, so it is rebuilt whenever the circuit's gates change;
+  fused static segments (constant or weight-only gates) are retained
+  per weight vector in a small :class:`~repro.utils.cache.Cache`, and
+  only input-dependent encoder sites are rebuilt per call, as batched
+  superoperators.
 
 The compiled stream applies through
 :func:`repro.sim.density.apply_superop_to_density` (one transpose + one
@@ -49,42 +53,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.noise.model import NoiseModel
 from repro.sim.density import kraus_superop, superop_is_diagonal, unitary_superop
 from repro.sim.kraus import pauli_channel
-from repro.sim.statevector import SmallLRU, bind_plan_for, weights_key
+from repro.sim.statevector import bind_plan_for, weights_key
+from repro.utils.cache import Cache, circuit_cache
 
 _EYE2 = np.eye(2, dtype=complex)
 
 #: Fused static superop segments retained per plan, keyed on weight bytes.
 _SUPEROP_CACHE_SIZE = 4
 
-#: Compiled plans retained per circuit (distinct noise model / factor pairs).
+#: Noise-keyed plans retained per circuit and kind (superoperator,
+#: trajectory and stabilizer plans, jump tables, shard payloads): one
+#: entry per distinct (noise model, factor, layout).
 _PLAN_CACHE_SIZE = 8
-
-
-def cached_noise_plan(circuit, attr: str, noise_model, noise_factor, build):
-    """Per-circuit cache of noise-model-keyed execution plans.
-
-    The shared memoization policy of the compiled noisy backends
-    (:func:`superop_plan_for` here, the trajectory segment plan in
-    :mod:`repro.noise.trajectory`): rows live in the ``attr`` list on
-    the circuit, match by noise-model identity plus factor, invalidate
-    through the plan's ``bind_plan.stale`` check when the circuit's gate
-    list changes, and trim FIFO at :data:`_PLAN_CACHE_SIZE`.
-    """
-    rows = getattr(circuit, attr, None)
-    if rows is None:
-        rows = []
-        setattr(circuit, attr, rows)
-    stale = [row for row in rows if row[2].bind_plan.stale(circuit)]
-    for row in stale:
-        rows.remove(row)
-    for model_ref, factor, plan in rows:
-        if model_ref is noise_model and factor == noise_factor:
-            return plan
-    plan = build()
-    rows.append((noise_model, noise_factor, plan))
-    if len(rows) > _PLAN_CACHE_SIZE:
-        del rows[0]
-    return plan
 
 
 class SuperOp:
@@ -287,8 +267,8 @@ class SuperopPlan:
         from repro.compiler.fusion import static_dynamic_layout
 
         self._layout = static_dynamic_layout(circuit)
-        self._cache = SmallLRU(_SUPEROP_CACHE_SIZE)
-        self._site_cache = SmallLRU(_SUPEROP_CACHE_SIZE)
+        self._cache = Cache("superop.segments", _SUPEROP_CACHE_SIZE)
+        self._site_cache = Cache("superop.sites", _SUPEROP_CACHE_SIZE)
         # Readout is unscaled by the noise factor (paper convention), so
         # the stage is built from the original model.
         self._readout = _readout_superops(compiled, noise_model)
@@ -314,8 +294,8 @@ class SuperopPlan:
             train_layout.append(("const", run))
         self._train_layout = train_layout
         self._train_static_sites = static_sites
-        self._train_segments: "list[list[SuperOp]] | None" = None
-        self._train_site_cache = SmallLRU(_SUPEROP_CACHE_SIZE)
+        self._train_segments = Cache("superop.train_segments", 1)
+        self._train_site_cache = Cache("superop.train_sites", _SUPEROP_CACHE_SIZE)
 
     def channel(self, index: int) -> "np.ndarray | None":
         """Gate site ``index``'s constant noise superoperator (or None).
@@ -334,23 +314,6 @@ class SuperopPlan:
             matrix = np.matmul(channel, matrix)
         return SuperOp(op.qubits, matrix)
 
-    def _cached_static_superops(
-        self, ops: list, weights, cache: SmallLRU, indices
-    ) -> "dict[int, SuperOp]":
-        """Weight-keyed cache of per-site superops for ``indices``.
-
-        The shared caching policy of :meth:`site_superops` and
-        :meth:`training_stream`: static sites' superops depend only on
-        the weight vector, so each consumer keeps one small LRU over
-        its own site-index set and rebuilds only on a fresh vector.
-        """
-        key = weights_key(weights)
-        static = cache.get(key)
-        if static is None:
-            static = {i: self.site_superop(ops[i], i) for i in indices}
-            cache.put(key, static)
-        return static
-
     def site_superops(
         self,
         weights: "np.ndarray | None" = None,
@@ -363,18 +326,18 @@ class SuperopPlan:
         adjoint sweep stores pre-site densities and differentiates the
         gate factor), so segment fusion does not apply -- but the static
         sites' superops depend only on the weight vector and are cached
-        per weights here, mirroring :meth:`_static_segments`; only
+        per weights here, like :meth:`superops`' fused segments; only
         input-dependent encoder sites rebuild per call.
         """
         ops = self.bind_plan.bind(weights, inputs, batch)
-        static = self._cached_static_superops(
-            ops, weights, self._site_cache,
-            (
-                i
+        static = self._site_cache.get_or_build(
+            weights_key(weights),
+            lambda: {
+                i: self.site_superop(ops[i], i)
                 for kind, start, end in self._layout
                 if kind == "static"
                 for i in range(start, end)
-            ),
+            },
         )
         out: "list[tuple]" = []
         for kind, start, end in self._layout:
@@ -405,18 +368,21 @@ class SuperopPlan:
         rebuild per call.
         """
         ops = self.bind_plan.bind(weights, inputs, batch)
-        if self._train_segments is None:
-            self._train_segments = [
-                fuse_superops(
-                    [self.site_superop(ops[i], i) for i in indices]
-                )
+        segments = iter(self._train_segments.get_or_build(
+            None,
+            lambda: [
+                fuse_superops([self.site_superop(ops[i], i) for i in indices])
                 for kind, indices in self._train_layout
                 if kind == "const"
-            ]
-        static = self._cached_static_superops(
-            ops, weights, self._train_site_cache, self._train_static_sites
+            ],
+        ))
+        static = self._train_site_cache.get_or_build(
+            weights_key(weights),
+            lambda: {
+                i: self.site_superop(ops[i], i)
+                for i in self._train_static_sites
+            },
         )
-        segments = iter(self._train_segments)
         out: "list[tuple]" = []
         for kind, payload in self._train_layout:
             if kind == "const":
@@ -427,21 +393,6 @@ class SuperopPlan:
                     superop = self.site_superop(ops[payload], payload)
                 out.append(("site", ops[payload], superop, payload))
         return out
-
-    def _static_segments(self, ops: list, weights) -> "list[list[SuperOp]]":
-        key = weights_key(weights)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        segments = [
-            fuse_superops(
-                [self.site_superop(ops[i], i) for i in range(start, end)]
-            )
-            for kind, start, end in self._layout
-            if kind == "static"
-        ]
-        self._cache.put(key, segments)
-        return segments
 
     def superops(
         self,
@@ -457,7 +408,16 @@ class SuperopPlan:
         caller must then skip the probability-space readout application.
         """
         ops = self.bind_plan.bind(weights, inputs, batch)
-        segments = iter(self._static_segments(ops, weights))
+        segments = iter(self._cache.get_or_build(
+            weights_key(weights),
+            lambda: [
+                fuse_superops(
+                    [self.site_superop(ops[i], i) for i in range(start, end)]
+                )
+                for kind, start, end in self._layout
+                if kind == "static"
+            ],
+        ))
         out: "list[SuperOp]" = []
         for kind, start, _end in self._layout:
             if kind == "static":
@@ -474,14 +434,16 @@ def superop_plan_for(
     noise_model: "NoiseModel",
     noise_factor: float = 1.0,
 ) -> SuperopPlan:
-    """The cached :class:`SuperopPlan` for a compiled circuit + model.
+    """The :class:`SuperopPlan` for a compiled circuit + model.
 
-    Plans are memoized on the circuit (one row per distinct
-    ``(noise model, factor)`` pair, matched by identity, bounded FIFO)
-    and rebuilt when the circuit's gate list goes stale -- the same
-    invalidation policy as the bind and fusion plans.
+    Plans live in the circuit's :func:`~repro.utils.cache.circuit_cache`
+    under ``(noise model, factor, physical qubits)`` -- the model matched
+    by identity, at most :data:`_PLAN_CACHE_SIZE` per circuit -- and are
+    dropped with the circuit's other derived plans when its gates change.
     """
-    return cached_noise_plan(
-        compiled.circuit, "_superop_plans", noise_model, noise_factor,
+    return circuit_cache(
+        compiled.circuit, "superop.plan", _PLAN_CACHE_SIZE
+    ).get_or_build(
+        (noise_model, noise_factor, compiled.physical_qubits),
         lambda: SuperopPlan(compiled, noise_model, noise_factor),
     )

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.core.gradients import QuantumTape, adjoint_backward, forward_with_tape
 from repro.noise.density_backend import run_noisy_density
 from repro.noise.readout import apply_readout_to_expectations
@@ -67,6 +68,7 @@ from repro.runtime.supervisor import (
     chunk_seeds,
     run_chunks,
 )
+from repro.utils.cache import circuit_cache
 from repro.utils.rng import as_rng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -273,31 +275,19 @@ class NoiselessExecutor:
         return adjoint_backward(cache.tape, grad)
 
 
-class _ReadoutEmulationMixin:
+def _emulate_readout(
+    compiled: "CompiledCircuit", noise_model: "NoiseModel", logical: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
     """Analytic readout-error emulation shared by the training backends.
 
-    Readout confusion acts on per-qubit <Z> as an affine map (scale
-    cached for the backward pass); the confusion matrices are stacked
-    once per compiled block -- executors only ever see a handful of
-    blocks -- instead of on every training step.  Consumers must set
-    ``self.noise_model`` and ``self._readout_cache = []``.
+    Readout confusion acts on per-qubit <Z> as an affine map; returns
+    ``(noisy, scales)``, the scales kept for the backward pass.  The
+    block's confusion matrices are stacked per call: that costs
+    microseconds, far below one training step.
     """
-
-    def _readout_matrices(self, compiled: "CompiledCircuit") -> np.ndarray:
-        for cached, matrices in self._readout_cache:
-            if cached is compiled:
-                return matrices
-        matrices = compiled.readout_matrices(self.noise_model)
-        self._readout_cache.append((compiled, matrices))
-        return matrices
-
-    def _emulate_readout(
-        self, compiled: "CompiledCircuit", logical: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Apply the block's readout confusion; returns (noisy, scales)."""
-        return apply_readout_to_expectations(
-            logical, self._readout_matrices(compiled)
-        )
+    return apply_readout_to_expectations(
+        logical, compiled.readout_matrices(noise_model)
+    )
 
 
 class _Sharded:
@@ -330,7 +320,7 @@ class _Sharded:
         self.close()
 
 
-class GateInsertionExecutor(_ReadoutEmulationMixin, _Sharded):
+class GateInsertionExecutor(_Sharded):
     """QuantumNAT's training backend: sampled error gates + readout noise.
 
     Every ``forward`` call samples a fresh set of Pauli error gates
@@ -375,7 +365,6 @@ class GateInsertionExecutor(_ReadoutEmulationMixin, _Sharded):
         self.n_realizations = n_realizations
         self.sampler = ErrorGateSampler(noise_model, noise_factor)
         self.last_insertion_stats = None
-        self._readout_cache: "list[tuple[CompiledCircuit, np.ndarray]]" = []
 
     def forward(
         self,
@@ -412,7 +401,9 @@ class GateInsertionExecutor(_ReadoutEmulationMixin, _Sharded):
         logical = _gather_logical(expectations, compiled.measure_qubits)
         scales = None
         if self.readout:
-            logical, scales = self._emulate_readout(compiled, logical)
+            logical, scales = _emulate_readout(
+                compiled, self.noise_model, logical
+            )
         return logical, BlockCache(
             tape, compiled.measure_qubits, scales, self.n_realizations
         )
@@ -430,7 +421,7 @@ class GateInsertionExecutor(_ReadoutEmulationMixin, _Sharded):
         return adjoint_backward(cache.tape, grad)
 
 
-class DensityTrainExecutor(_ReadoutEmulationMixin):
+class DensityTrainExecutor:
     """Exact-channel noisy training backend (adjoint on superoperators).
 
     The deterministic counterpart of :class:`GateInsertionExecutor`:
@@ -461,7 +452,6 @@ class DensityTrainExecutor(_ReadoutEmulationMixin):
         self.noise_model = noise_model
         self.noise_factor = noise_factor
         self.readout = readout
-        self._readout_cache: "list[tuple[CompiledCircuit, np.ndarray]]" = []
 
     def forward(
         self,
@@ -484,7 +474,9 @@ class DensityTrainExecutor(_ReadoutEmulationMixin):
         logical = _gather_logical(expectations, compiled.measure_qubits)
         scales = None
         if self.readout:
-            logical, scales = self._emulate_readout(compiled, logical)
+            logical, scales = _emulate_readout(
+                compiled, self.noise_model, logical
+            )
         # BlockCache is duck-typed over the tape: backward only needs
         # the DensityTape's n_qubits and the shared readout-scale fields.
         return logical, BlockCache(tape, compiled.measure_qubits, scales)
@@ -553,7 +545,7 @@ class DensityEvalExecutor:
         raise NotImplementedError("density evaluation is inference-only")
 
 
-class MCWFTrainExecutor(_ReadoutEmulationMixin, _Sharded):
+class MCWFTrainExecutor(_Sharded):
     """Quantum-jump (MCWF) noise-injection training backend.
 
     The stochastic-wavefunction counterpart of
@@ -598,21 +590,6 @@ class MCWFTrainExecutor(_ReadoutEmulationMixin, _Sharded):
             noise_model, noise_factor, allow_exact=True
         )
         self.last_insertion_stats = None
-        self._readout_cache: "list[tuple[CompiledCircuit, np.ndarray]]" = []
-        # Per-block jump-site table (Kraus + effect stacks): depends only
-        # on the compiled circuit and the scaled model, so it is built
-        # once per block rather than once per training step.
-        self._jump_cache: "list[tuple[CompiledCircuit, list]]" = []
-
-    def _jump_sites(self, compiled: "CompiledCircuit") -> list:
-        for cached, sites in self._jump_cache:
-            if cached is compiled:
-                return sites
-        sites = self.sampler.jump_table(
-            compiled.circuit, compiled.physical_qubits
-        )
-        self._jump_cache.append((compiled, sites))
-        return sites
 
     def forward(
         self,
@@ -627,7 +604,6 @@ class MCWFTrainExecutor(_ReadoutEmulationMixin, _Sharded):
             compiled, self.sampler, weights, inputs,
             self.n_realizations, self.rng,
             n_weights=n_weights, n_inputs=n_inputs,
-            jump_sites=self._jump_sites(compiled),
             pool=self.lease,
         )
         self.last_insertion_stats = InsertionStats(
@@ -636,7 +612,9 @@ class MCWFTrainExecutor(_ReadoutEmulationMixin, _Sharded):
         logical = _gather_logical(expectations, compiled.measure_qubits)
         scales = None
         if self.readout:
-            logical, scales = self._emulate_readout(compiled, logical)
+            logical, scales = _emulate_readout(
+                compiled, self.noise_model, logical
+            )
         return logical, BlockCache(
             tape, compiled.measure_qubits, scales, self.n_realizations
         )
@@ -878,19 +856,17 @@ class StabilizerEvalExecutor(_Sharded):
         if supervisor is True:
             supervisor = ChunkSupervisor(label="stabilizer")
         self.supervisor = supervisor
-        self._program_cache: "list[tuple[CompiledCircuit, tuple]]" = []
-
-    def _program(self, compiled: "CompiledCircuit") -> tuple:
-        for cached, program in self._program_cache:
-            if cached is compiled:
-                return program
-        program = _stabilizer_program(compiled, self.sampler, self.rz_tolerance)
-        self._program_cache.append((compiled, program))
-        return program
 
     def _sweep(self, compiled: "CompiledCircuit") -> np.ndarray:
         """Mean per-qubit <Z> over the trajectory batch, compact order."""
-        program = self._program(compiled)
+        sampler = self.sampler
+        program = circuit_cache(
+            compiled.circuit, "stabilizer.program", _PLAN_CACHE_SIZE
+        ).get_or_build(
+            (sampler.noise_model, sampler.noise_factor, self.rz_tolerance,
+             compiled.physical_qubits),
+            lambda: _stabilizer_program(compiled, sampler, self.rz_tolerance),
+        )
         n = compiled.circuit.n_qubits
         chunks = chunk_seeds(
             self.n_trajectories,

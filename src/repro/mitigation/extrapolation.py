@@ -22,6 +22,10 @@ import numpy as np
 
 from repro.compiler.passes import transpile
 from repro.core.pipeline import QuantumNATModel
+from repro.utils.cache import Cache
+
+#: Transpiled derived blocks, keyed on (circuit, device, level).
+_TRANSPILE_CACHE = Cache("zne.transpile", 16)
 
 
 def linear_extrapolate_to_zero(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -79,22 +83,14 @@ def extrapolate_noise_free_std(
             depth_scale = 2 * (k - 1) + 1
         # The QNN memoizes derived circuits, so repeated extrapolation
         # sweeps (drift-adaptation loops re-estimate every step) see the
-        # same circuit objects and can reuse their compilations.  The
-        # cache lives on the *model*: a model's device (and thus layout,
-        # coupling and calibration) is fixed for its lifetime, and
-        # calibration refreshes build a new model via adapt_model, so
-        # entries can never go stale -- at any optimization level.
-        cache = getattr(model, "_zne_transpile_cache", None)
-        if cache is None:
-            cache = model._zne_transpile_cache = {}
-        key = (id(circuit), model.optimization_level)
-        entry = cache.get(key)
-        # The entry pins the source circuit, so an id() can never be
-        # recycled by a new object while its cache row is alive.
-        if entry is None or entry[0] is not circuit:
-            entry = (circuit, transpile(circuit, model.device, model.optimization_level))
-            cache[key] = entry
-        compiled = entry[1]
+        # same circuit objects and reuse their compilations.  The key is
+        # everything a compilation depends on: the circuit (by identity),
+        # the device (its calibration included, so models rebound by
+        # adapt_model never share a stale entry) and the level.
+        compiled = _TRANSPILE_CACHE.get_or_build(
+            (circuit, model.device, model.optimization_level),
+            lambda: transpile(circuit, model.device, model.optimization_level),
+        )
         expectations = executor_factory(compiled, w_local, inputs)
         stds.append(expectations.std(axis=0))
         scaled_depths.append(depth_scale)

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from repro.circuits.circuit import Circuit
+from repro.utils.cache import circuit_cache
 
 Runner = Callable[[Circuit], np.ndarray]
 
@@ -62,29 +63,24 @@ def achieved_scale(circuit: Circuit, folded: Circuit) -> float:
     return len(folded) / len(circuit)
 
 
+#: Folded copies retained per circuit, keyed on the scale.
+_FOLD_CACHE_SIZE = 8
+
+
 def cached_fold(circuit: Circuit, scale: float) -> Circuit:
-    """:func:`fold_circuit` memoized on the circuit, per scale.
+    """:func:`fold_circuit` memoized per circuit and scale.
 
     Repeated ZNE sweeps over the same circuit then reuse the *same*
-    folded circuit objects -- which is what lets the execution-side
-    caches attached to them (statevector bind plans, trajectory segment
-    plans, density superoperator plans) survive across calls instead of
-    being rebuilt per sweep.  Staleness follows the bind-plan
-    convention: entries are invalidated when the circuit's gate *list*
-    (identity or length) changes, not just its length.
+    folded circuit objects -- which is what lets the plans cached for
+    them (statevector bind plans, trajectory segment plans, density
+    superoperator plans) survive across calls instead of being rebuilt
+    per sweep.  The folds live in the circuit's
+    :func:`~repro.utils.cache.circuit_cache`, so they are dropped with
+    its other derived values when its gate list changes.
     """
-    cache = getattr(circuit, "_fold_cache", None)
-    if cache is None:
-        cache = circuit._fold_cache = {}
-    key = float(scale)
-    entry = cache.get(key)
-    if entry is not None:
-        gates_ref, n_gates, folded = entry
-        if gates_ref is circuit.gates and n_gates == len(circuit.gates):
-            return folded
-    folded = fold_circuit(circuit, scale)
-    cache[key] = (circuit.gates, len(circuit.gates), folded)
-    return folded
+    return circuit_cache(circuit, "zne.fold", _FOLD_CACHE_SIZE).get_or_build(
+        float(scale), lambda: fold_circuit(circuit, scale)
+    )
 
 
 # -- extrapolators -----------------------------------------------------------------
@@ -189,8 +185,8 @@ def zne_expectations(
     realized = []
     results = []
     for scale in scales:
-        # Folded circuits are memoized per (scale, length): repeated ZNE
-        # sweeps hand the runner identical circuit objects, so the noisy
+        # Folded circuits are memoized per scale: repeated ZNE sweeps
+        # hand the runner identical circuit objects, so the noisy
         # backends' per-circuit plans (segment fusion, superoperators)
         # are reused across every fold of every call.
         folded = cached_fold(circuit, scale)

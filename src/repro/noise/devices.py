@@ -179,6 +179,7 @@ class Device:
         return f"ibmq-{self.name}"
 
 
+#: A plain dict, not a bounded Cache: its keys are the finite device catalog.
 _DEVICE_CACHE: "dict[str, Device]" = {}
 
 

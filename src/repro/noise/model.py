@@ -179,7 +179,8 @@ class NoiseModel:
         if d1 < 0 or d2 < 0:
             raise ValueError("relaxation durations must be non-negative")
         self.relaxation_durations: "tuple[float, float]" = (float(d1), float(d2))
-        # (qubit, n_operands) -> Kraus stack, built lazily once per model.
+        # (qubit, n_operands) -> Kraus stack, built lazily once per model;
+        # a plain dict, not a bounded Cache: the keys are qubit x {1q, 2q}.
         self._relaxation_kraus: "dict[tuple[int, int], list[np.ndarray]]" = {}
 
     # -- lookups -------------------------------------------------------------

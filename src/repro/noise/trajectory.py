@@ -54,6 +54,12 @@ The naive implementation binds and sweeps one circuit per trajectory --
   streams never depend on the worker count, sharded and supervised
   output is bit-identical to serial execution for a fixed seed.
 
+The segment plans, the quantum-jump site table (shared by jump-mode
+plans and the MCWF training sweep) and the pickled process payload live
+in the circuit's :func:`~repro.utils.cache.circuit_cache`, keyed by
+(noise model, factor, layout); process workers keep rebuilt plans in
+:data:`_WORKER_PLAN_CACHE`, keyed by the payload digest.
+
 Shot sampling uses one batched ``Generator.multinomial`` call over 2-D
 pvals instead of a per-sample Python loop.  The per-trajectory reference
 implementation is kept as :func:`trajectory_probabilities_reference`;
@@ -76,6 +82,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
+from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.noise.model import NoiseModel
 from repro.noise.readout import apply_readout_to_joint_probabilities
 from repro.noise.sampler import ErrorGateSampler
@@ -88,7 +95,6 @@ from repro.runtime.supervisor import (
 )
 from repro.sim.gates import gate_matrix
 from repro.sim.statevector import (
-    SmallLRU,
     apply_grouped_1q,
     apply_matrix,
     batched_multinomial,
@@ -99,6 +105,7 @@ from repro.sim.statevector import (
     z_signs,
     zero_state,
 )
+from repro.utils.cache import Cache, circuit_cache
 from repro.utils.rng import as_rng
 
 #: (I, X, Y, Z) stacked for indexed lookup by sampled error choices.
@@ -208,8 +215,6 @@ class _SegmentPlan:
         sampler: ErrorGateSampler,
         jump: bool = False,
     ):
-        from repro.sim.statevector import SmallLRU
-
         circuit = compiled.circuit
         self.bind_plan = bind_plan_for(circuit)
         pauli_sites, coherent_by_gate = sampler.site_table(
@@ -228,11 +233,7 @@ class _SegmentPlan:
         # (probabilities are the effects' expectation values), so they
         # interrupt fusion like Pauli sites do; their uniforms are
         # pre-drawn, but each operator is chosen during the sweep.
-        self.jump_sites = (
-            sampler.jump_table(circuit, compiled.physical_qubits)
-            if jump
-            else []
-        )
+        self.jump_sites = _jump_table(compiled, sampler) if jump else []
         jump_rows: "dict[int, list[int]]" = {}
         for row, (gate_index, _q, _k, _e) in enumerate(self.jump_sites):
             jump_rows.setdefault(gate_index, []).append(row)
@@ -268,29 +269,27 @@ class _SegmentPlan:
         flush()
         self._layout = layout
         # weight bytes -> fused ops per static run, in layout order.
-        self._cache = SmallLRU(_SEGMENT_FUSION_CACHE_SIZE)
+        self._cache = Cache("trajectory.segments", _SEGMENT_FUSION_CACHE_SIZE)
 
     def _static_segments(self, ops: list, weights) -> "list[list]":
         from repro.compiler.fusion import constant_op, fuse_bound_ops
         from repro.sim.statevector import weights_key
 
-        key = weights_key(weights)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        segments = []
-        for kind, payload in self._layout:
-            if kind != "static":
-                continue
-            raw = [
-                ops[token[1]]
-                if token[0] == "g"
-                else constant_op((token[1],), _coherent_unitary(*token[2]))
-                for token in payload
-            ]
-            segments.append(fuse_bound_ops(raw))
-        self._cache.put(key, segments)
-        return segments
+        def build() -> "list[list]":
+            segments = []
+            for kind, payload in self._layout:
+                if kind != "static":
+                    continue
+                raw = [
+                    ops[token[1]]
+                    if token[0] == "g"
+                    else constant_op((token[1],), _coherent_unitary(*token[2]))
+                    for token in payload
+                ]
+                segments.append(fuse_bound_ops(raw))
+            return segments
+
+        return self._cache.get_or_build(weights_key(weights), build)
 
     def fused_stream(
         self,
@@ -366,22 +365,36 @@ def _segment_plan_for(
     sampler: ErrorGateSampler,
     jump: bool = False,
 ) -> _SegmentPlan:
-    """The cached :class:`_SegmentPlan` for a compiled circuit + sampler.
+    """The :class:`_SegmentPlan` for a compiled circuit + sampler.
 
-    Shares the superop plan's memoization policy
-    (:func:`repro.compiler.superop.cached_noise_plan`): rows keyed by
-    noise model identity and factor, invalidated when the circuit's
-    gate list goes stale, bounded FIFO.  Jump-mode (MCWF) plans live in
-    their own cache attribute -- the same (model, factor) pair compiles
-    to a different layout when relaxation sites are unraveled.
+    Kept in the circuit's :func:`~repro.utils.cache.circuit_cache` under
+    (noise model, factor, physical qubits), like the superoperator plan.
+    Jump-mode (MCWF) plans are a cache of their own -- the same (model,
+    factor) pair compiles to a different layout when relaxation sites
+    are unraveled.
     """
-    from repro.compiler.superop import cached_noise_plan
-
-    return cached_noise_plan(
+    return circuit_cache(
         compiled.circuit,
-        "_mcwf_plans" if jump else "_trajectory_plans",
-        sampler.noise_model, sampler.noise_factor,
+        "mcwf.plan" if jump else "trajectory.plan",
+        _PLAN_CACHE_SIZE,
+    ).get_or_build(
+        (sampler.noise_model, sampler.noise_factor, compiled.physical_qubits),
         lambda: _SegmentPlan(compiled, sampler, jump=jump),
+    )
+
+
+def _jump_table(compiled: "CompiledCircuit", sampler: ErrorGateSampler) -> list:
+    """The circuit's quantum-jump sites (Kraus + effect stacks).
+
+    :meth:`~repro.noise.sampler.ErrorGateSampler.jump_table` depends only
+    on the circuit, its layout and the scaled model, so the jump-mode
+    segment plan and every MCWF training step share one entry.
+    """
+    return circuit_cache(
+        compiled.circuit, "mcwf.jump_table", _PLAN_CACHE_SIZE
+    ).get_or_build(
+        (sampler.noise_model, sampler.noise_factor, compiled.physical_qubits),
+        lambda: sampler.jump_table(compiled.circuit, compiled.physical_qubits),
     )
 
 
@@ -491,41 +504,14 @@ def _segment_chunk(
 #: worker* instead of once per task; the plan's internal weight-keyed
 #: fusion cache then makes repeat calls with the same weight vector
 #: (training sweeps, serve flushes) hit fully warm plans.
-_WORKER_PLAN_CACHE = SmallLRU(8)
-
-#: Hit/miss counters for :data:`_WORKER_PLAN_CACHE`, per worker process.
-_WORKER_PLAN_STATS = {"hits": 0, "misses": 0}
-
-
-def worker_plan_cache_stats() -> dict:
-    """Debug hook: this process's worker plan-cache counters.
-
-    Run it as a task on a process-pool worker to observe cache
-    behaviour across tasks; used by the plan-cache
-    tests and harmless in the parent (where the cache stays empty --
-    the serial path uses the circuit-attached cache instead).
-    """
-    import os
-
-    return {
-        "pid": os.getpid(),
-        "entries": len(_WORKER_PLAN_CACHE),
-        **_WORKER_PLAN_STATS,
-    }
-
-
-def reset_worker_plan_cache() -> None:
-    """Debug hook: clear this process's worker plan cache and counters."""
-    _WORKER_PLAN_CACHE._data.clear()
-    _WORKER_PLAN_STATS["hits"] = 0
-    _WORKER_PLAN_STATS["misses"] = 0
+_WORKER_PLAN_CACHE = Cache("trajectory.worker_plan", 8)
 
 
 @dataclass(frozen=True)
 class _ShardPayload:
     """Per-call constants a process-backend chunk task ships once.
 
-    ``plan_blob`` is the pre-pickled ``(bare circuit, noise model,
+    ``plan_blob`` is the pre-pickled ``(compiled circuit, noise model,
     noise factor, jump)`` tuple -- serialized *once per call* in the
     parent (re-pickling the payload per task then only memcpys the
     bytes) -- and ``plan_digest`` is its hash, the worker plan-cache
@@ -542,18 +528,6 @@ class _ShardPayload:
     batch: int
 
 
-class _PayloadBlob:
-    """A cached (blob, digest) row for :func:`_shard_payload`.
-
-    ``cached_noise_plan`` rows are ``(model, factor, plan)`` with
-    staleness checked via ``plan.bind_plan.stale(circuit)``; carrying
-    the parent circuit's bind plan makes the cached blob invalidate
-    with the gate list exactly like the execution plans do.
-    """
-
-    __slots__ = ("bind_plan", "blob", "digest")
-
-
 def _shard_payload(
     compiled: "CompiledCircuit",
     noise_model: NoiseModel,
@@ -563,67 +537,31 @@ def _shard_payload(
     batch: int,
     jump: bool,
 ) -> _ShardPayload:
-    """Build (and memoize on the parent circuit) a call's task payload.
+    """A call's task payload around the circuit's cached plan blob.
 
-    Ships a *bare* copy of the compiled circuit: the original carries
-    the parent's plan caches (``_bind_plan``, ``_trajectory_plans``,
-    fused segment matrices) as instance attributes, which would bloat
-    the pickle only for the worker to rebuild its plan from the gates
-    anyway.  The blob + digest depend only on (gates, noise model,
-    factor, jump), so they share the circuit-attached memoization
-    policy of the plans themselves
-    (:func:`repro.compiler.superop.cached_noise_plan`) and a training
-    loop's repeat calls skip re-pickling the circuit entirely.
+    The blob and its digest depend only on (gates, layout, noise model,
+    factor, jump), so they live in the circuit's
+    :func:`~repro.utils.cache.circuit_cache` next to the plans, and a
+    training loop's repeat calls skip re-pickling the circuit entirely.
+    The circuit pickles bare: its derived plans are held by the cache,
+    not by the circuit, so the worker rebuilds them from the gates.
     """
-    from dataclasses import replace
 
-    from repro.circuits.circuit import Circuit
-    from repro.compiler.superop import cached_noise_plan
-
-    def build():
-        bare = replace(
-            compiled,
-            circuit=Circuit(
-                compiled.circuit.n_qubits, list(compiled.circuit.gates)
-            ),
-        )
-        entry = _PayloadBlob()
-        entry.bind_plan = bind_plan_for(compiled.circuit)
-        entry.blob = pickle.dumps(
-            (bare, noise_model, noise_factor, jump),
+    def build() -> "tuple[bytes, str]":
+        blob = pickle.dumps(
+            (compiled, noise_model, noise_factor, jump),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        entry.digest = hashlib.sha1(entry.blob).hexdigest()
-        return entry
+        return blob, hashlib.sha1(blob).hexdigest()
 
-    entry = cached_noise_plan(
+    blob, digest = circuit_cache(
         compiled.circuit,
-        "_mcwf_payloads" if jump else "_shard_payloads",
-        noise_model, noise_factor, build,
+        "mcwf.payload" if jump else "trajectory.payload",
+        _PLAN_CACHE_SIZE,
+    ).get_or_build(
+        (noise_model, noise_factor, compiled.physical_qubits), build
     )
-    return _ShardPayload(entry.blob, entry.digest, weights, inputs, batch)
-
-
-def _worker_plan(payload: _ShardPayload) -> "tuple[_SegmentPlan, int]":
-    """The (plan, n_qubits) for a task payload, from this worker's cache.
-
-    A cache hit skips unpickling the circuit blob entirely; a miss
-    deserializes and compiles deterministically, so a cold cache is
-    bit-identical to a warm one (verified by the plan-cache tests).
-    """
-    cached = _WORKER_PLAN_CACHE.get(payload.plan_digest)
-    if cached is not None:
-        _WORKER_PLAN_STATS["hits"] += 1
-        return cached
-    _WORKER_PLAN_STATS["misses"] += 1
-    compiled, noise_model, noise_factor, jump = pickle.loads(payload.plan_blob)
-    sampler = ErrorGateSampler(noise_model, noise_factor, allow_exact=jump)
-    entry = (
-        _SegmentPlan(compiled, sampler, jump=jump),
-        compiled.circuit.n_qubits,
-    )
-    _WORKER_PLAN_CACHE.put(payload.plan_digest, entry)
-    return entry
+    return _ShardPayload(blob, digest, weights, inputs, batch)
 
 
 def _process_chunk_worker(
@@ -635,13 +573,20 @@ def _process_chunk_worker(
     Each worker task receives a *contiguous group* of chunks so even a
     cold plan is built once per task, not once per chunk; on a
     persistent pool the digest-keyed :data:`_WORKER_PLAN_CACHE` carries
-    the plan across tasks and calls.  Plan construction and segment
-    fusion are deterministic, and each chunk still consumes only its
-    own spawned stream, so the results are bit-identical to the same
-    chunks computed serially in the parent (verified by the sharding
-    equivalence tests).
+    the plan across tasks and calls, and a hit skips unpickling the
+    blob entirely.  Plan construction and segment fusion are
+    deterministic, and each chunk still consumes only its own spawned
+    stream, so the results are bit-identical to the same chunks
+    computed serially in the parent, from a cold cache or a warm one
+    (verified by the sharding equivalence and plan-cache tests).
     """
-    plan, n_qubits = _worker_plan(payload)
+
+    def build() -> "tuple[_SegmentPlan, int]":
+        compiled, noise_model, noise_factor, jump = pickle.loads(payload.plan_blob)
+        sampler = ErrorGateSampler(noise_model, noise_factor, allow_exact=jump)
+        return _SegmentPlan(compiled, sampler, jump=jump), compiled.circuit.n_qubits
+
+    plan, n_qubits = _WORKER_PLAN_CACHE.get_or_build(payload.plan_digest, build)
     stream = plan.fused_stream(payload.weights, payload.inputs, payload.batch)
     return [
         _segment_chunk(plan, stream, n_qubits, payload.batch, n_traj, seed)
@@ -883,7 +828,6 @@ def mcwf_forward_with_tape(
     rng: "int | np.random.Generator | None" = None,
     n_weights: "int | None" = None,
     n_inputs: "int | None" = None,
-    jump_sites: "list | None" = None,
     pool=None,
 ) -> "tuple[np.ndarray, MCWFTape, int]":
     """Quantum-jump noisy forward over stacked realizations, with tape.
@@ -902,11 +846,10 @@ def mcwf_forward_with_tape(
     (:func:`mcwf_adjoint_backward`) is exact for that frozen linear map
     (verified against finite differences under a frozen jump sampler).
 
-    ``jump_sites`` lets the caller pass a precomputed
-    :meth:`~repro.noise.sampler.ErrorGateSampler.jump_table` (the table
-    depends only on the circuit, layout and scaled model, so per-step
-    callers like :class:`~repro.core.executors.MCWFTrainExecutor` cache
-    it per compiled block).
+    The jump sites come from the circuit's cached table
+    (:func:`_jump_table`), so per-step callers like
+    :class:`~repro.core.executors.MCWFTrainExecutor` build it once per
+    block.
 
     A model with *no* jump sites is state-independent end to end: its
     sweep is exactly :func:`stacked_noisy_forward_with_tape`'s (same
@@ -916,8 +859,7 @@ def mcwf_forward_with_tape(
     mid-sweep and its draws consume the rng in stream order.
     """
     circuit = compiled.circuit
-    if jump_sites is None:
-        jump_sites = sampler.jump_table(circuit, compiled.physical_qubits)
+    jump_sites = _jump_table(compiled, sampler)
     if not jump_sites:
         expectations, tape, n_inserted = stacked_noisy_forward_with_tape(
             compiled, sampler, weights, inputs, n_realizations, rng,

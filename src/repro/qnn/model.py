@@ -19,7 +19,11 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.qnn.encoders import EncoderSpec, encoder_for_features, reupload_encoder
 from repro.qnn.layers import design_space
+from repro.utils.cache import circuit_cache
 from repro.utils.rng import as_rng
+
+#: Folded / repeated copies retained per block, keyed on (kind, count).
+_DERIVED_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,6 @@ class QNN:
         self.blocks: "list[Circuit]" = []
         self.encoders: "list[EncoderSpec]" = []
         self.weight_slices: "list[slice]" = []
-        #: Derived circuits (folded / repeated blocks) memoized per
-        #: (kind, block, count).  Returning the *same* Circuit object on
-        #: repeat lets downstream caches -- the statevector BindPlan, the
-        #: transpile cache ZNE sweeps attach -- survive across calls
-        #: instead of being rebuilt every extrapolation step.
-        self._derived: "dict[tuple[str, int, int], Circuit]" = {}
         offset = 0
         builder = design_space(arch.design)
         for b in range(arch.n_blocks):
@@ -119,21 +117,16 @@ class QNN:
         """
         if n_folds < 0:
             raise ValueError("n_folds must be >= 0")
-        cached = self._derived.get(("fold", block, n_folds))
-        if cached is not None:
-            return cached
-        circuit = self.blocks[block]
-        n_encoder_gates = self.encoders[block].n_inputs
-        encoder_part = Circuit(circuit.n_qubits, circuit.gates[:n_encoder_gates])
-        trainable_part = Circuit(circuit.n_qubits, circuit.gates[n_encoder_gates:])
-        folded = encoder_part.copy()
-        folded.extend(trainable_part)
-        inverse = trainable_part.inverse()
-        for _ in range(n_folds):
-            folded.extend(inverse)
-            folded.extend(trainable_part)
-        self._derived[("fold", block, n_folds)] = folded
-        return folded
+
+        def build(folded: Circuit, trainable: Circuit) -> Circuit:
+            folded.extend(trainable)
+            inverse = trainable.inverse()
+            for _ in range(n_folds):
+                folded.extend(inverse)
+                folded.extend(trainable)
+            return folded
+
+        return self._derived_block(block, ("fold", n_folds), build)
 
     def repeated_block(self, block: int, n_repeats: int) -> Circuit:
         """Literal layer repetition (weights shared), as described in
@@ -144,18 +137,29 @@ class QNN:
         """
         if n_repeats < 1:
             raise ValueError("n_repeats must be >= 1")
-        cached = self._derived.get(("repeat", block, n_repeats))
-        if cached is not None:
-            return cached
+
+        def build(repeated: Circuit, trainable: Circuit) -> Circuit:
+            for _ in range(n_repeats):
+                repeated.extend(trainable)
+            return repeated
+
+        return self._derived_block(block, ("repeat", n_repeats), build)
+
+    def _derived_block(self, block: int, key: tuple, build) -> Circuit:
+        """``build(encoder part, trainable part)`` of a block, memoized per key.
+
+        Returning the *same* Circuit object on repeat lets the plans
+        cached for it -- its bind plan, its ZNE transpilation -- survive
+        across calls instead of being rebuilt every extrapolation step.
+        """
         circuit = self.blocks[block]
         n_encoder_gates = self.encoders[block].n_inputs
-        encoder_part = Circuit(circuit.n_qubits, circuit.gates[:n_encoder_gates])
-        trainable_part = Circuit(circuit.n_qubits, circuit.gates[n_encoder_gates:])
-        repeated = encoder_part.copy()
-        for _ in range(n_repeats):
-            repeated.extend(trainable_part)
-        self._derived[("repeat", block, n_repeats)] = repeated
-        return repeated
+        return circuit_cache(
+            circuit, "qnn.derived", _DERIVED_CACHE_SIZE
+        ).get_or_build(key, lambda: build(
+            Circuit(circuit.n_qubits, circuit.gates[:n_encoder_gates]),
+            Circuit(circuit.n_qubits, circuit.gates[n_encoder_gates:]),
+        ))
 
 
 def head_matrix(n_classes: int, n_qubits: int) -> np.ndarray:

@@ -33,8 +33,10 @@ The per-gate hot path is organized around three caches:
   their :class:`BoundOp` (matrix included) built exactly once and reused
   across every training step; constant matrices are additionally shared
   process-wide through :func:`constant_gate_matrix`.  Weight-only gates
-  are memoized per weight vector (small LRU), so optimizer sub-steps that
-  revisit a weight vector skip rebinding.  Only the remaining
+  are memoized per weight vector (a small :class:`~repro.utils.cache
+  .Cache`), so optimizer sub-steps that revisit a weight vector skip
+  rebinding.  The plan itself lives in the circuit's
+  :func:`~repro.utils.cache.circuit_cache`.  Only the remaining
   parameterized gates are re-evaluated per call, and per-sample values
   stay broadcast *views*, never materialized copies.
 
@@ -52,6 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.sim.gates import CX_MATRIX, gate_def
+from repro.utils.cache import Cache, circuit_cache
 from repro.utils.rng import as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
@@ -550,36 +553,6 @@ def weights_key(weights: "np.ndarray | None") -> bytes:
     return np.asarray(weights, dtype=float).tobytes()
 
 
-class SmallLRU:
-    """Tiny insertion-ordered LRU for per-weight-vector caches.
-
-    Shared by the :class:`BindPlan` weight cache and the gate-fusion
-    static-segment cache (:mod:`repro.compiler.fusion`): dict insertion
-    order doubles as recency, hits re-insert, inserts evict the oldest.
-    """
-
-    __slots__ = ("maxsize", "_data")
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key):
-        """The cached value (marked most recently used), or None."""
-        value = self._data.get(key)
-        if value is not None:
-            self._data[key] = self._data.pop(key)
-        return value
-
-    def put(self, key, value) -> None:
-        if len(self._data) >= self.maxsize:
-            self._data.pop(next(iter(self._data)))
-        self._data[key] = value
-
-
 class BindPlan:
     """One-time classification of a circuit's gates for fast rebinding.
 
@@ -594,12 +567,9 @@ class BindPlan:
     arrays.
     """
 
-    __slots__ = ("gates_ref", "n_gates", "_entries", "n_constant",
-                 "n_weight_only", "_weight_cache")
+    __slots__ = ("_entries", "n_constant", "n_weight_only", "_weight_cache")
 
     def __init__(self, circuit: Circuit):
-        self.gates_ref = circuit.gates
-        self.n_gates = len(circuit.gates)
         entries = []
         n_constant = 0
         n_weight_only = 0
@@ -621,30 +591,22 @@ class BindPlan:
         self.n_weight_only = n_weight_only
         # weight bytes -> list of BoundOps for the weight-only entries,
         # in entry order.
-        self._weight_cache = SmallLRU(_WEIGHT_CACHE_SIZE)
-
-    def stale(self, circuit: Circuit) -> bool:
-        """True when ``circuit``'s gate list no longer matches this plan."""
-        return (
-            self.gates_ref is not circuit.gates
-            or self.n_gates != len(circuit.gates)
-        )
+        self._weight_cache = Cache("bind.weights", _WEIGHT_CACHE_SIZE)
 
     def _weight_only_ops(self, weights: "np.ndarray | None") -> "list[BoundOp]":
         """Bound ops for the weight-only entries (cached per weight vector)."""
-        key = weights_key(weights)
-        cached = self._weight_cache.get(key)
-        if cached is not None:
-            return cached
-        ops = []
-        for entry in self._entries:
-            if type(entry) is BoundOp or entry[1]:
-                continue
-            gate = entry[0]
-            values = tuple(expr.evaluate(weights, None) for expr in gate.params)
-            ops.append(BoundOp(gate, gate.definition.matrix(values), values))
-        self._weight_cache.put(key, ops)
-        return ops
+
+        def build() -> "list[BoundOp]":
+            ops = []
+            for entry in self._entries:
+                if type(entry) is BoundOp or entry[1]:
+                    continue
+                gate = entry[0]
+                values = tuple(expr.evaluate(weights, None) for expr in gate.params)
+                ops.append(BoundOp(gate, gate.definition.matrix(values), values))
+            return ops
+
+        return self._weight_cache.get_or_build(weights_key(weights), build)
 
     def bind(
         self,
@@ -678,12 +640,10 @@ class BindPlan:
 
 
 def bind_plan_for(circuit: Circuit) -> BindPlan:
-    """The circuit's cached :class:`BindPlan`, (re)built when stale."""
-    plan = getattr(circuit, "_bind_plan", None)
-    if plan is None or plan.stale(circuit):
-        plan = BindPlan(circuit)
-        circuit._bind_plan = plan
-    return plan
+    """The circuit's :class:`BindPlan`, built once per gate list."""
+    return circuit_cache(circuit, "bind.plan", 1).get_or_build(
+        None, lambda: BindPlan(circuit)
+    )
 
 
 def bind_circuit(

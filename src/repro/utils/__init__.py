@@ -1,5 +1,7 @@
-"""Shared utilities: RNG handling and small linear-algebra helpers."""
+"""Shared utilities: RNG handling, small linear-algebra helpers and the
+one cache type."""
 
+from repro.utils.cache import Cache, cache_stats, circuit_cache
 from repro.utils.rng import as_rng, spawn_rng
 from repro.utils.linalg import (
     is_unitary,
@@ -10,6 +12,9 @@ from repro.utils.linalg import (
 )
 
 __all__ = [
+    "Cache",
+    "cache_stats",
+    "circuit_cache",
     "as_rng",
     "spawn_rng",
     "is_unitary",

@@ -266,14 +266,17 @@ def test_bind_plan_weight_cache_invalidates_on_new_weights():
 
 def test_bind_plan_weight_cache_evicts_oldest():
     from repro.sim import statevector as sv
+    from repro.utils.cache import cache_stats
 
     c = Circuit(1).add("rz", 0, ParamExpr.weight(0))
     plan = bind_plan_for(c)
     first = np.array([0.0])
     op_first = plan.bind(first)[0]
+    before = cache_stats()["bind.weights"]["evictions"]
     for k in range(1, sv._WEIGHT_CACHE_SIZE + 1):
         plan.bind(np.array([float(k)]))
     assert len(plan._weight_cache) == sv._WEIGHT_CACHE_SIZE
+    assert cache_stats()["bind.weights"]["evictions"] - before == 1
     # The oldest entry was evicted -> rebinding builds a fresh op.
     assert plan.bind(first)[0] is not op_first
 
@@ -291,11 +294,15 @@ def test_bind_plan_input_values_stay_views():
 def test_bind_plan_goes_stale_on_circuit_mutation():
     c = Circuit(1).add("h", 0)
     plan = bind_plan_for(c)
-    assert not plan.stale(c)
+    assert bind_plan_for(c) is plan
     c.add("x", 0)
-    assert plan.stale(c)
+    assert bind_plan_for(c) is not plan
     ops = bind_circuit(c)
     assert len(ops) == 2 and ops[1].gate.name == "x"
+    # A new gate list of the same length is a different circuit too.
+    replanned = bind_plan_for(c)
+    c.gates = [c.gates[0], c.gates[0]]
+    assert bind_plan_for(c) is not replanned
 
 
 def test_bind_requires_inputs_for_input_exprs_via_plan():

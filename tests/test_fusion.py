@@ -140,12 +140,16 @@ def test_fusion_plan_caches_static_segments_per_weight_vector():
 
 
 def test_fusion_plan_cache_evicts_oldest():
+    from repro.utils.cache import cache_stats
+
     compiled, weights, inputs = _compiled_block(2)
     plan = FusionPlan(compiled.circuit)
     first = [op for op in plan.fused_ops(weights, inputs) if isinstance(op, FusedOp)]
+    before = cache_stats()["fusion.segments"]["evictions"]
     for k in range(1, _FUSION_CACHE_SIZE + 1):
         plan.fused_ops(weights + 0.01 * k, inputs)
     assert len(plan._cache) == _FUSION_CACHE_SIZE
+    assert cache_stats()["fusion.segments"]["evictions"] - before == 1
     refreshed = [
         op for op in plan.fused_ops(weights, inputs) if isinstance(op, FusedOp)
     ]

@@ -28,18 +28,14 @@ from repro.core.executors import GateInsertionExecutor, MCWFTrainExecutor
 from repro.core.injection import GATE_INSERTION, InjectionConfig
 from repro.noise import NoiseModel, PauliError, readout_matrix
 from repro.noise import trajectory as traj_mod
-from repro.noise.trajectory import (
-    _balanced_group_bounds,
-    reset_worker_plan_cache,
-    trajectory_probabilities,
-    worker_plan_cache_stats,
-)
+from repro.noise.trajectory import _balanced_group_bounds, trajectory_probabilities
 from repro.runtime import (
     ChunkSupervisor,
     PoolLease,
     shared_lease,
     shutdown_shared_pools,
 )
+from repro.utils.cache import cache_stats
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +128,21 @@ def test_failing_chunk_surfaces_original_error(block, monkeypatch):
 
 
 # -- worker-side plan cache ----------------------------------------------
+#
+# Worker-side reads and clears go through module-level task functions:
+# they pickle by reference and run against the worker's own cache,
+# where a bound method (``_WORKER_PLAN_CACHE.clear``) would pickle a
+# copy of the cache and clear that instead.
+
+
+def _worker_plan_row() -> "tuple[dict, int]":
+    """This process's worker plan-cache counters and entry count."""
+    return (cache_stats()["trajectory.worker_plan"],
+            len(traj_mod._WORKER_PLAN_CACHE))
+
+
+def _clear_worker_plans() -> None:
+    traj_mod._WORKER_PLAN_CACHE.clear()
 
 
 def test_worker_plan_cache_warm_across_calls(block):
@@ -139,17 +150,18 @@ def test_worker_plan_cache_warm_across_calls(block):
     hit the worker-side plan cache instead of re-unpickling/rebuilding."""
     serial = _probs(block)
     with PoolLease(1, "process") as lease:
-        lease.acquire().submit(reset_worker_plan_cache).result()
+        lease.acquire().submit(_clear_worker_plans).result()
+        before, _ = lease.acquire().submit(_worker_plan_row).result()
         first = _probs(block, n_workers=1, pool=lease,
                        shard_backend="process")
         second = _probs(block, n_workers=1, pool=lease,
                         shard_backend="process")
-        stats = lease.acquire().submit(worker_plan_cache_stats).result()
+        after, entries = lease.acquire().submit(_worker_plan_row).result()
     assert np.array_equal(serial, first)
     assert np.array_equal(first, second)
-    assert stats["misses"] == 1
-    assert stats["hits"] >= 1
-    assert stats["entries"] == 1
+    assert after["misses"] - before["misses"] == 1
+    assert after["hits"] - before["hits"] >= 1
+    assert entries == 1
 
 
 def test_worker_plan_cache_cold_is_still_bit_identical(block):
@@ -157,10 +169,13 @@ def test_worker_plan_cache_cold_is_still_bit_identical(block):
     serial = _probs(block)
     for _ in range(2):
         with PoolLease(1, "process") as lease:
-            lease.acquire().submit(reset_worker_plan_cache).result()
+            lease.acquire().submit(_clear_worker_plans).result()
+            before, _ = lease.acquire().submit(_worker_plan_row).result()
             out = _probs(block, n_workers=1, pool=lease,
                          shard_backend="process")
+            after, _ = lease.acquire().submit(_worker_plan_row).result()
         assert np.array_equal(serial, out)
+        assert after["misses"] - before["misses"] == 1
 
 
 # -- cache-blocked tiles --------------------------------------------------
