@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.statevector import bind_plan_for, weights_key
+from repro.sim.statevector import bind_plan_for, gate_kernel, weights_key
 from repro.utils.cache import Cache, circuit_cache
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -45,17 +45,25 @@ class FusedOp:
     """A merged gate run, ready for ``apply_matrix``/``run_ops``.
 
     Quacks like :class:`~repro.sim.statevector.BoundOp` for execution
-    (``matrix``, ``qubits``, ``batched``) but is inference-only: it has
-    no parameter bookkeeping and no adjoint support.
+    (``matrix``, ``qubits``, ``batched``, ``kernel``) but is
+    inference-only: it has no parameter bookkeeping.
     """
 
-    __slots__ = ("qubits", "matrix", "batched", "n_merged")
+    __slots__ = ("qubits", "matrix", "batched", "n_merged", "_kernel")
 
     def __init__(self, qubits, matrix, n_merged):
         self.qubits = qubits
         self.matrix = matrix
         self.batched = matrix.ndim == 3
         self.n_merged = n_merged
+        self._kernel = None
+
+    def kernel(self, n_qubits: int):
+        """The merged run's kernel on an ``n_qubits``-qubit state (built once)."""
+        kernel = self._kernel
+        if kernel is None or kernel.n_qubits != n_qubits:
+            kernel = self._kernel = gate_kernel(self.matrix, self.qubits, n_qubits)
+        return kernel
 
 
 def constant_op(qubits: "tuple[int, ...]", matrix: np.ndarray) -> FusedOp:

@@ -12,6 +12,21 @@ This module provides the equivalent from scratch:
   derivatives chain onto weights / inputs through the affine coefficients
   of each :class:`ParamExpr`.
 
+  The ket and the bra ride stacked in one buffer, and every op is
+  un-applied through its precompiled kernel's inverse
+  (:class:`repro.sim.statevector.Kernel`), one call for the pair.  A
+  rotation with generator ``G`` (``dU/dtheta = -(i/2) G U``; rx, ry, rz,
+  rxx, ryy, rzz, rzx, crx, cry, crz, u1) contributes
+  ``2 Re <bra|dU|psi_before> = Im <bra|G|psi>`` read off the post-gate
+  state *before* it is un-applied: one generator-kernel call and one
+  contraction (a ``vdot`` when only weights depend on the angle).  u3
+  and cu3 contract bra and ket once into the op's reduced ``d x d``
+  transition operator and read each parameter off it with its
+  ``dmatrix`` times ``U^dag``.  :func:`adjoint_step` is that per-op
+  step; the MCWF backward
+  (:func:`repro.noise.trajectory.mcwf_adjoint_backward`) calls it for
+  every op but the non-unitary jumps.
+
 * :class:`ParameterShiftEngine` -- the hardware-executable two-term rule
   ``dE/dt = (E(t + pi/2) - E(t - pi/2)) / 2`` used for the paper's
   on-QC training experiment (Table 3), valid for weights that enter the
@@ -36,6 +51,8 @@ from repro.sim.statevector import (
     apply_matrix,
     apply_matrix_reference,
     bind_circuit,
+    gate_groups,
+    generator_kernel,
     run_ops,
     z_signs,
 )
@@ -114,53 +131,102 @@ def adjoint_backward(
         raise ValueError(
             f"grad shape {grad_expectations.shape} != ({batch}, {n})"
         )
-
-    # Effective per-sample diagonal observable O_eff = sum_q g_q * Z_q.
-    diag = grad_expectations @ z_signs(n)  # (batch, dim)
-    dim = tape.state.shape[1]
-
-    # |psi> and O_eff|psi> live stacked in one (2*batch, dim) buffer: ops
-    # with no differentiable parameters (the vast majority after error
-    # insertion) advance both with a single fused gate application.  Two
-    # ping-pong work buffers remove all per-gate allocation; the cached
-    # BoundOp.adjoint_matrix is computed once per op, not per sweep.
-    pair = np.empty((2 * batch, dim), dtype=complex)
-    pair[:batch] = tape.state
-    np.multiply(diag, tape.state, out=pair[batch:])
-    scratch = np.empty_like(pair)
-
+    pair, scratch = adjoint_pair(tape.state, grad_expectations, n)
     weight_grad = np.zeros(tape.n_weights)
     input_grad = np.zeros((batch, tape.n_inputs))
-
     for op in reversed(tape.ops):
-        adj = op.adjoint_matrix()
-        if not op.grad_params:
-            if op.batched:
-                apply_matrix(pair[:batch], adj, op.qubits, n, out=scratch[:batch])
-                apply_matrix(pair[batch:], adj, op.qubits, n, out=scratch[batch:])
-            else:
-                apply_matrix(pair, adj, op.qubits, n, out=scratch)
-            pair, scratch = scratch, pair
-            continue
-        # |psi_{k-1}>; the bra (old value) is still needed for the inner
-        # products, so it advances only after the parameter gradients.
-        psi = apply_matrix(pair[:batch], adj, op.qubits, n, out=scratch[:batch])
-        bra = pair[batch:]
-        for which, expr in op.grad_params:
-            dmat = op.dmatrix(which)
-            dpsi = apply_matrix(psi, dmat, op.qubits, n)
-            # dL/d(param) per sample: 2 Re <bra | dU | psi_{k-1}>
-            inner = np.einsum("bi,bi->b", bra.conj(), dpsi)
-            g = 2.0 * np.real(inner)
-            for kind, index, coeff in expr.terms:
-                if kind == WEIGHT:
-                    weight_grad[index] += coeff * g.sum()
-                elif kind == INPUT:
-                    input_grad[:, index] += coeff * g
-        apply_matrix(bra, adj, op.qubits, n, out=scratch[batch:])
-        pair, scratch = scratch, pair
-
+        pair, scratch = adjoint_step(
+            op, pair, scratch, n, weight_grad, input_grad
+        )
     return weight_grad, input_grad
+
+
+def adjoint_pair(
+    state: np.ndarray, grad_expectations: np.ndarray, n_qubits: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The adjoint sweep's stacked ``(psi, bra)`` buffer and its scratch.
+
+    ``|psi>`` and ``O_eff|psi>``, with ``O_eff = sum_q g_q Z_q`` the
+    per-row effective diagonal observable, live in one ``(2 * rows,
+    dim)`` buffer, so every op without differentiable parameters
+    un-applies both with one kernel call; the scratch buffer makes the
+    sweep allocation-free.
+    """
+    rows = state.shape[0]
+    pair = np.empty((2 * rows, state.shape[1]), dtype=complex)
+    pair[:rows] = state
+    np.multiply(grad_expectations @ z_signs(n_qubits), state, out=pair[rows:])
+    return pair, np.empty_like(pair)
+
+
+def adjoint_step(
+    op: BoundOp,
+    pair: np.ndarray,
+    scratch: np.ndarray,
+    n_qubits: int,
+    weight_grad: np.ndarray,
+    input_grad: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Un-apply ``op`` from the stacked ``(psi, bra)`` pair.
+
+    The op's parameter gradients ``2 Re <bra|dU|psi_before>`` are read
+    first, off the post-gate ``psi`` the pair holds
+    (:func:`_op_gradients`); one kernel call then un-applies the whole
+    pair.  Returns the new ``(pair, scratch)``.
+    """
+    if op.grad_params:
+        rows = pair.shape[0] // 2
+        _op_gradients(op, pair[:rows], pair[rows:], scratch[:rows], n_qubits,
+                      weight_grad, input_grad)
+    inverse = op.kernel(n_qubits).adjoint()
+    apply_matrix(pair, inverse, op.qubits, n_qubits, out=scratch)
+    return scratch, pair
+
+
+def _op_gradients(op, psi, bra, work, n, weight_grad, input_grad) -> None:
+    """Accumulate ``op``'s parameter gradients from the post-gate state.
+
+    A rotation with generator ``G`` (``dU/dtheta = -(i/2) G U``) gives
+    ``Im <bra|G|psi>``: one generator-kernel call into ``work`` and one
+    contraction.  u3 and cu3 (three parameters, no single generator)
+    contract bra and psi once into the op's reduced ``d x d`` transition
+    operator and read each parameter off it with ``dU U^dag``, since
+    ``dU psi_before = dU U^dag psi``.
+    """
+    generator = generator_kernel(op.gate.name, op.qubits, n)
+    if generator is not None:
+        (_which, expr), = op.grad_params
+        # Re <bra| -iG |psi> = Im <bra|G|psi>, per row or batch-summed.
+        dpsi = apply_matrix(psi, generator, op.qubits, n, out=work)
+        if expr.depends_on_input:
+            g = np.einsum("ij,ij->i", bra.view(float), dpsi.view(float))
+        else:
+            g = np.vdot(bra, dpsi).real
+        _chain(expr, g, weight_grad, input_grad)
+        return
+    groups = gate_groups(n, op.qubits)
+    # transition[r, i, j] = sum over the other qubits of bra* x psi.
+    transition = np.einsum("rsi,rsj->rij", bra[:, groups].conj(), psi[:, groups])
+    undo = op.matrix.conj().swapaxes(-1, -2)
+    for which, expr in op.grad_params:
+        dmat = op.dmatrix(which) @ undo
+        sub = "ij,rij->r" if dmat.ndim == 2 else "rij,rij->r"
+        _chain(expr, 2.0 * np.einsum(sub, dmat, transition).real,
+               weight_grad, input_grad)
+
+
+def _chain(expr, g, weight_grad: np.ndarray, input_grad: np.ndarray) -> None:
+    """Chain a parameter's gradient onto its expression's terms.
+
+    ``g`` is per row, or already summed over rows when the expression
+    has no input terms.
+    """
+    total = g.sum() if np.ndim(g) else g
+    for kind, index, coeff in expr.terms:
+        if kind == WEIGHT:
+            weight_grad[index] += coeff * total
+        elif kind == INPUT:
+            input_grad[:, index] += coeff * g
 
 
 def adjoint_backward_reference(

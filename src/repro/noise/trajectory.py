@@ -101,7 +101,6 @@ from repro.sim.statevector import (
     bind_circuit,
     bind_plan_for,
     expectations_from_counts,
-    run_circuit,
     z_signs,
     zero_state,
 )
@@ -664,19 +663,19 @@ def stacked_noisy_ops(
 def _sweep_band(ops, n_qubits: int, lo: int, hi: int, state, scratch) -> None:
     """Apply bound ops to one contiguous row band of a shared stack.
 
-    Batched (per-row) matrices are sliced to the band; bands write
-    disjoint row slices of the two shared ping-pong buffers, so
-    concurrent bands never alias.  Every band performs ``len(ops)``
-    buffer swaps, so all bands end on the same parity and the caller
-    resolves the final buffer once.
+    Per-row kernels are sliced to the band; bands write disjoint row
+    slices of the two shared ping-pong buffers, so concurrent bands
+    never alias.  Every band performs ``len(ops)`` buffer swaps, so all
+    bands end on the same parity and the caller resolves the final
+    buffer once.
     """
     s = state[lo:hi]
     c = scratch[lo:hi]
     for op in ops:
-        matrix = op.matrix
+        kernel = op.kernel(n_qubits)
         if op.batched:
-            matrix = matrix[lo:hi]
-        apply_matrix(s, matrix, op.qubits, n_qubits, out=c)
+            kernel = kernel.band(lo, hi)
+        apply_matrix(s, kernel, op.qubits, n_qubits, out=c)
         s, c = c, s
 
 
@@ -895,7 +894,7 @@ def mcwf_forward_with_tape(
 
     def apply_op(op):
         nonlocal state, scratch
-        apply_matrix(state, op.matrix, op.qubits, n, out=scratch)
+        apply_matrix(state, op.kernel(n), op.qubits, n, out=scratch)
         state, scratch = scratch, state
         ops.append(op)
 
@@ -957,7 +956,7 @@ def mcwf_adjoint_backward(
     """
     import bisect
 
-    from repro.circuits.parameters import INPUT, WEIGHT
+    from repro.core.gradients import adjoint_pair, adjoint_step
 
     n = tape.circuit.n_qubits
     grad_expectations = np.asarray(grad_expectations, dtype=float)
@@ -965,13 +964,8 @@ def mcwf_adjoint_backward(
     stacked_grad = np.tile(
         grad_expectations / n_realizations, (n_realizations, 1)
     )
-    rows, dim = tape.state.shape
-    diag = stacked_grad @ z_signs(n)
-    pair = np.empty((2 * rows, dim), dtype=complex)
-    pair[:rows] = tape.state
-    np.multiply(diag, tape.state, out=pair[rows:])
-    scratch = np.empty_like(pair)
-
+    rows = tape.state.shape[0]
+    pair, scratch = adjoint_pair(tape.state, stacked_grad, n)
     weight_grad = np.zeros(tape.n_weights)
     input_grad = np.zeros((rows, tape.n_inputs))
 
@@ -994,39 +988,23 @@ def mcwf_adjoint_backward(
             if i != j and i in tape.jump_ops:
                 window[i] = state
             op_i = tape.ops[i]
-            state = apply_matrix(state, op_i.matrix, op_i.qubits, n)
+            state = apply_matrix(state, op_i.kernel(n), op_i.qubits, n)
         return state
 
     for k in range(len(tape.ops) - 1, -1, -1):
         op = tape.ops[k]
-        adj = op.adjoint_matrix()
         if k in tape.jump_ops:
             # Non-unitary jump: restore the ket, adjoint the bra.
-            apply_matrix(pair[rows:], adj, op.qubits, n, out=scratch[rows:])
+            apply_matrix(
+                pair[rows:], op.kernel(n).adjoint(), op.qubits, n,
+                out=scratch[rows:],
+            )
             scratch[:rows] = restore(k)
             pair, scratch = scratch, pair
             continue
-        if not op.grad_params:
-            if op.batched:
-                apply_matrix(pair[:rows], adj, op.qubits, n, out=scratch[:rows])
-                apply_matrix(pair[rows:], adj, op.qubits, n, out=scratch[rows:])
-            else:
-                apply_matrix(pair, adj, op.qubits, n, out=scratch)
-            pair, scratch = scratch, pair
-            continue
-        psi = apply_matrix(pair[:rows], adj, op.qubits, n, out=scratch[:rows])
-        bra = pair[rows:]
-        for which, expr in op.grad_params:
-            dpsi = apply_matrix(psi, op.dmatrix(which), op.qubits, n)
-            inner = np.einsum("bi,bi->b", bra.conj(), dpsi)
-            g = 2.0 * np.real(inner)
-            for kind, index, coeff in expr.terms:
-                if kind == WEIGHT:
-                    weight_grad[index] += coeff * g.sum()
-                elif kind == INPUT:
-                    input_grad[:, index] += coeff * g
-        apply_matrix(bra, adj, op.qubits, n, out=scratch[rows:])
-        pair, scratch = scratch, pair
+        pair, scratch = adjoint_step(
+            op, pair, scratch, n, weight_grad, input_grad
+        )
 
     input_grad = input_grad.reshape(n_realizations, batch, -1).sum(axis=0)
     return weight_grad, input_grad
@@ -1185,18 +1163,23 @@ def trajectory_probabilities_reference(
 
     Samples, binds and sweeps a fresh error-inserted circuit per
     trajectory -- the baseline the fused engine is checked and
-    benchmarked against.
+    benchmarked against.  The sweep applies each bound matrix through
+    the raw-matrix route, not the ops' kernels, so the baseline keeps
+    its original arithmetic and cost.
     """
     rng = as_rng(rng)
     sampler = ErrorGateSampler(noise_model, noise_factor)
     if inputs is not None:
         batch = np.asarray(inputs).shape[0]
-    total = np.zeros((batch, 2**compiled.circuit.n_qubits))
+    n = compiled.circuit.n_qubits
+    total = np.zeros((batch, 2**n))
     for _ in range(n_trajectories):
         noisy_circuit, _stats = sampler.sample(
             compiled.circuit, compiled.physical_qubits, rng
         )
-        state, _ = run_circuit(noisy_circuit, weights, inputs, batch)
+        state = zero_state(n, batch)
+        for op in bind_circuit(noisy_circuit, weights, inputs, batch):
+            state = apply_matrix(state, op.matrix, op.qubits, n)
         total += np.abs(state) ** 2
     return total / n_trajectories
 

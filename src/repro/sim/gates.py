@@ -19,8 +19,15 @@ Conventions
   lets the statevector engine run a whole training batch (whose encoder
   angles differ per sample) in single vectorized numpy calls.
 * ``GateDef.dmatrix(params, which)`` returns the elementwise derivative
-  of the gate matrix with respect to parameter ``which`` -- consumed by
-  the adjoint differentiation engine (``repro.core.gradients``).
+  of the gate matrix with respect to parameter ``which``.
+* The single-parameter rotations (``rx, ry, rz, rxx, ryy, rzz, rzx, crx,
+  cry, crz, u1``) also declare their generator: the Hermitian ``G`` with
+  ``dU/dtheta = -(i/2) G U``.  The adjoint engine
+  (``repro.core.gradients``) reads their gradients off the post-gate
+  state with ``G`` and needs no derivative matrix; ``u3``/``cu3`` have
+  three parameters and keep ``dmatrix``.
+* Fixed gate matrices, like every constant the simulator shares between
+  calls, are read-only: writing into one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -35,14 +42,23 @@ import numpy as np
 # Constant matrices
 # ---------------------------------------------------------------------------
 
-I2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-SX_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
-S_MATRIX = np.array([[1, 0], [0, 1j]], dtype=complex)
-T_MATRIX = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only and return it (shared constants only)."""
+    array.flags.writeable = False
+    return array
+
+
+I2 = frozen(np.eye(2, dtype=complex))
+PAULI_X = frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = frozen(np.array([[1, 0], [0, -1]], dtype=complex))
+HADAMARD = frozen(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+SX_MATRIX = frozen(
+    0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
+)
+S_MATRIX = frozen(np.array([[1, 0], [0, 1j]], dtype=complex))
+T_MATRIX = frozen(np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex))
 
 PAULI_BY_NAME = {"i": I2, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
@@ -53,21 +69,21 @@ def _sqrtm_2x2(matrix: np.ndarray) -> np.ndarray:
     return vectors @ np.diag(np.sqrt(values.astype(complex))) @ np.linalg.inv(vectors)
 
 
-SH_MATRIX = _sqrtm_2x2(HADAMARD)  # sqrt(H), used by the 'rxyz' design space
+SH_MATRIX = frozen(_sqrtm_2x2(HADAMARD))  # sqrt(H), used by the 'rxyz' design space
 
 # Two-qubit constants (index = bit(q0) + 2 * bit(q1); q0 = control for CX)
-CX_MATRIX = np.array(
+CX_MATRIX = frozen(np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
-CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
-CY_MATRIX = np.array(
+))
+CZ_MATRIX = frozen(np.diag([1, 1, 1, -1]).astype(complex))
+CY_MATRIX = frozen(np.array(
     [[1, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1, 0], [0, 1j, 0, 0]], dtype=complex
-)
-SWAP_MATRIX = np.array(
+))
+SWAP_MATRIX = frozen(np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+))
 _s = 0.5 * (1 + 1j)
-SQSWAP_MATRIX = np.array(
+SQSWAP_MATRIX = frozen(np.array(
     [
         [1, 0, 0, 0],
         [0, _s, _s.conjugate(), 0],
@@ -75,14 +91,14 @@ SQSWAP_MATRIX = np.array(
         [0, 0, 0, 1],
     ],
     dtype=complex,
-)
+))
 
 # Kronecker products in our index convention: operator on qubit 1 is the
 # *left* factor because it owns the more-significant bit.
-XX_KRON = np.kron(PAULI_X, PAULI_X)
-YY_KRON = np.kron(PAULI_Y, PAULI_Y)
-ZZ_KRON = np.kron(PAULI_Z, PAULI_Z)
-XZ_KRON = np.kron(PAULI_X, PAULI_Z)  # Z on qubits[0], X on qubits[1]
+XX_KRON = frozen(np.kron(PAULI_X, PAULI_X))
+YY_KRON = frozen(np.kron(PAULI_Y, PAULI_Y))
+ZZ_KRON = frozen(np.kron(PAULI_Z, PAULI_Z))
+XZ_KRON = frozen(np.kron(PAULI_X, PAULI_Z))  # Z on qubits[0], X on qubits[1]
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +216,13 @@ def _controlled(block_fn: Callable[[tuple], np.ndarray]) -> Callable[[tuple], np
     return build
 
 
+def _control_projected(matrix: np.ndarray) -> np.ndarray:
+    """``|1><1| (x) matrix`` with the control on ``qubits[0]`` (bit 0)."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[1::2, 1::2] = matrix
+    return frozen(out)
+
+
 def _controlled_deriv(
     deriv_fn: Callable[[tuple, int], np.ndarray]
 ) -> Callable[[tuple, int], np.ndarray]:
@@ -232,6 +255,9 @@ class GateDef:
     deriv_fn: "Callable[[tuple, int], np.ndarray] | None" = field(
         default=None, repr=False
     )
+    #: Hermitian ``G`` with ``dU/dtheta = -(i/2) G U`` (single-parameter
+    #: rotations only; ``None`` elsewhere).
+    generator: "np.ndarray | None" = field(default=None, repr=False)
 
     def matrix(self, params: tuple = ()) -> np.ndarray:
         """Gate matrix; broadcasts over array-valued parameters."""
@@ -254,11 +280,12 @@ def _build_registry() -> "dict[str, GateDef]":
     registry: dict[str, GateDef] = {}
 
     def fixed(name: str, matrix: np.ndarray, nq: int) -> None:
-        registry[name] = GateDef(name, nq, 0, _broadcast_fixed(matrix))
+        registry[name] = GateDef(name, nq, 0, _broadcast_fixed(frozen(matrix)))
 
     def rot(name: str, generator: np.ndarray, nq: int) -> None:
         registry[name] = GateDef(
-            name, nq, 1, _rotation_builder(generator), _rotation_deriv(generator)
+            name, nq, 1, _rotation_builder(generator),
+            _rotation_deriv(generator), generator,
         )
 
     fixed("id", I2, 1)
@@ -288,7 +315,11 @@ def _build_registry() -> "dict[str, GateDef]":
     rot("rzz", ZZ_KRON, 2)
     rot("rzx", XZ_KRON, 2)  # Z on qubits[0], X on qubits[1]
 
-    registry["u1"] = GateDef("u1", 1, 1, _u1_matrix, _u1_deriv)
+    # u1(l) = diag(1, e^{il}) = e^{il/2} rz(l): dU/dl = -(i/2) diag(0, -2) U.
+    registry["u1"] = GateDef(
+        "u1", 1, 1, _u1_matrix, _u1_deriv,
+        frozen(np.diag([0.0, -2.0]).astype(complex)),
+    )
     registry["u3"] = GateDef("u3", 1, 3, _u3_matrix, _u3_deriv)
     registry["cu3"] = GateDef(
         "cu3", 2, 3, _controlled(_u3_matrix), _controlled_deriv(_u3_deriv)
@@ -301,6 +332,7 @@ def _build_registry() -> "dict[str, GateDef]":
             1,
             _controlled(base.matrix_fn),
             _controlled_deriv(base.deriv_fn),
+            _control_projected(base.generator),
         )
     return registry
 

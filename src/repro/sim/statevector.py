@@ -13,32 +13,51 @@ einsum calls.
 
 Fast-engine design
 ------------------
-The per-gate hot path is organized around three caches:
+The per-gate hot path rests on four pieces:
 
-* **Apply-kernel cache** (:func:`_apply_plan`): per ``(n_qubits, qubits)``
-  signature, the reshape factorization / permutation needed to expose the
-  target bit-axes is computed once and memoized.  1-qubit gates and
+* **Gate kernels** (:class:`Kernel`, :func:`gate_kernel`): a bound op's
+  matrix is classified once, the first time a sweep applies the op, and
+  the kernel is kept on the op.  A *diagonal* gate (rz, z, s, cz, rzz,
+  per-row encoder rz...) becomes one phase per amplitude -- shared, or
+  one row of phases per sample -- and applies as a single multiply; a
+  *signed permutation* (x, y, cx, swap...) becomes one source index per
+  amplitude plus optional phases, a ``take`` and at most one multiply;
+  any other shared gate becomes its full-width ``(2**n, 2**n)`` matrix,
+  one GEMM, up to :data:`_DENSE_MAX_QUBITS` qubits, and keeps the raw
+  route above that.  Each kernel also builds its conjugate transpose once
+  (the inverse the adjoint sweep un-applies with).  Constant gates'
+  kernels live in one process-wide memo (``sim.kernels``), keyed on the
+  matrix bytes, so the freshly sampled noisy circuit of each
+  gate-insertion step reuses them.  :func:`apply_matrix` accepts a
+  kernel in place of a matrix; :func:`run_ops`, the banded and MCWF
+  sweeps and the adjoint sweep pass kernels, so a gate costs one or two
+  numpy calls.
+* **Raw-matrix route** (:func:`_apply_plan`): a plain matrix goes through
+  the original kernels, keyed per ``(n_qubits, qubits)`` signature by a
+  memoized reshape factorization / permutation.  1-qubit gates and
   *structured* 2-qubit gates (CX permutation, diagonals) never transpose
-  the state at all -- they reshape (a view) so the target axes sit
-  between untouched blocks and apply slice kernels in place.  Dense 2q
-  matrices and 3+-qubit gates use the cached transpose route (move target
-  axes last, one small matmul -- per row on wide states -- move back).
-* **Work buffers**: :func:`apply_matrix` accepts ``out=``; callers such as
-  :func:`run_ops` and the adjoint backward sweep ping-pong between two
-  preallocated ``(batch, 2**n)`` buffers instead of allocating two fresh
-  arrays per gate.
+  the state -- they reshape (a view) so the target axes sit between
+  untouched blocks and apply slice kernels in place.  Dense 2q matrices
+  and 3+-qubit gates use the cached transpose route (move target axes
+  last, one small matmul -- per row on wide states -- move back).  The
+  trajectory chunk sweep, Pauli strings and ``circuit_unitary`` use this
+  route, as do kernels wider than :data:`_KERNEL_MAX_QUBITS`.
+* **Work buffers**: :func:`apply_matrix` accepts ``out=`` (distinct from
+  the input; overlap raises); callers such as :func:`run_ops` and the
+  adjoint backward sweep ping-pong between two preallocated ``(batch,
+  2**n)`` buffers instead of allocating two fresh arrays per gate.
 * **Bind cache** (:class:`BindPlan`): a circuit is classified once into
   constant / weight-dependent / input-dependent gates.  Constant gates --
   the vast majority after transpilation and error-gate insertion -- get
   their :class:`BoundOp` (matrix included) built exactly once and reused
   across every training step; constant matrices are additionally shared
-  process-wide through :func:`constant_gate_matrix`.  Weight-only gates
-  are memoized per weight vector (a small :class:`~repro.utils.cache
-  .Cache`), so optimizer sub-steps that revisit a weight vector skip
-  rebinding.  The plan itself lives in the circuit's
-  :func:`~repro.utils.cache.circuit_cache`.  Only the remaining
-  parameterized gates are re-evaluated per call, and per-sample values
-  stay broadcast *views*, never materialized copies.
+  process-wide, read-only, through :func:`constant_gate_matrix`.
+  Weight-only gates are memoized per weight vector (a small
+  :class:`~repro.utils.cache.Cache`), so optimizer sub-steps that
+  revisit a weight vector skip rebinding.  The plan itself lives in the
+  circuit's :func:`~repro.utils.cache.circuit_cache`.  Only the
+  remaining parameterized gates are re-evaluated per call, and
+  per-sample values stay broadcast *views*, never materialized copies.
 
 The original straightforward implementations are kept as
 ``*_reference`` functions; ``tests/test_fast_engine.py`` and the
@@ -53,7 +72,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.gates import CX_MATRIX, gate_def
+from repro.sim.gates import CX_MATRIX, frozen, gate_def
 from repro.utils.cache import Cache, circuit_cache
 from repro.utils.rng import as_rng
 
@@ -77,7 +96,8 @@ class _ApplyPlan:
     """Precomputed layout for applying a gate on a fixed qubit signature."""
 
     __slots__ = (
-        "k", "left", "right", "blocks", "swap", "perm", "inverse"
+        "k", "left", "right", "blocks", "swap", "perm", "inverse",
+        "layout", "dense",
     )
 
 
@@ -93,6 +113,7 @@ def _apply_plan(n_qubits: int, qubits: "tuple[int, ...]") -> _ApplyPlan:
     plan = _ApplyPlan()
     k = len(qubits)
     plan.k = k
+    plan.layout = plan.dense = None  # kernel operands, built on first use
     if k == 1:
         q = qubits[0]
         plan.left = 1 << (n_qubits - 1 - q)
@@ -191,18 +212,37 @@ def _apply_1q(tensor, matrix, target):
 
 def apply_matrix(
     state: np.ndarray,
-    matrix: np.ndarray,
+    matrix: "np.ndarray | Kernel",
     qubits: "tuple[int, ...]",
     n_qubits: int,
     out: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Apply a k-qubit gate matrix to ``state`` on ``qubits``.
+    """Apply a k-qubit gate to ``state`` on ``qubits``.
 
-    ``matrix`` is ``(d, d)`` (shared across the batch) or ``(batch, d, d)``
-    (per-sample).  When ``out`` (same shape as ``state``, distinct memory)
-    is given the result is written there and ``out`` is returned; otherwise
-    a new array is returned.  The input is never modified.
+    ``matrix`` is ``(d, d)`` (shared across the batch), ``(batch, d, d)``
+    (per-sample), or a :class:`Kernel` built for this gate signature by
+    :func:`gate_kernel` (the bound-op sweeps pass ``op.kernel(n)``).
+    When ``out`` (same shape as ``state``, distinct memory) is given the
+    result is written there and ``out`` is returned; otherwise a new
+    array is returned.  The input is never modified.
     """
+    if out is not None and np.may_share_memory(state, out):
+        raise ValueError("out must not overlap state")
+    if state.dtype.kind != "c":
+        # Real-dtype states (user-built basis vectors) must upcast before
+        # the kernels write complex products into the output buffer.
+        state = state.astype(complex)
+    if isinstance(matrix, Kernel):
+        if state.shape[-1] != 1 << matrix.n_qubits or (
+            matrix.rows is not None and state.shape[0] % matrix.rows
+        ):
+            raise ValueError(
+                f"state shape {state.shape} does not fit a {matrix.n_qubits}"
+                f"-qubit kernel over {matrix.rows or 'any number of'} rows"
+            )
+        if out is None:
+            out = np.empty_like(state)
+        return matrix.apply(state, out)
     batch = state.shape[0]
     k = len(qubits)
     dim_gate = 2**k
@@ -217,13 +257,14 @@ def apply_matrix(
             )
     elif matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D or 3-D, got {matrix.ndim}-D")
-    if not np.iscomplexobj(state):
-        # Real-dtype states (user-built basis vectors) must upcast before
-        # the slice kernels write complex products into the output buffer.
-        state = state.astype(complex)
+    return _apply_raw(state, matrix, qubits, n_qubits, out)
 
+
+def _apply_raw(state, matrix, qubits, n_qubits, out):
+    """The raw-matrix route of :func:`apply_matrix` (arguments checked)."""
+    batch = state.shape[0]
+    dim_gate = matrix.shape[-1]
     plan = _apply_plan(n_qubits, tuple(qubits))
-
     if plan.k == 1:
         tensor = state.reshape(batch, plan.left, 2, plan.right)
         target = None if out is None else out.reshape(batch, plan.left, 2, plan.right)
@@ -416,6 +457,299 @@ def apply_matrix_reference(
 
 
 # ---------------------------------------------------------------------------
+# Gate kernels
+# ---------------------------------------------------------------------------
+
+#: Kernels work on full-width operands (a phase or index per amplitude,
+#: 8-16 B each) up to this many qubits; wider gates keep the raw-matrix
+#: route.  From 8 to 12 qubits diagonal and permutation kernels ran 2-4x
+#: faster than the raw route on a 2-vCPU host (16 and 64 rows), but every
+#: op kernel a bind plan's weight cache retains grows with ``2**n``: at
+#: 10 qubits, the widest paper model, an op and its inverse hold 32 KB.
+_KERNEL_MAX_QUBITS = 10
+
+#: Shared dense gates contract as one full-width ``(2**n, 2**n)`` GEMM up
+#: to this many qubits.  On a 2-vCPU host, over 16-128 rows, the GEMM took
+#: 4-19 us at 4-5 qubits against 13-83 us for the slice / transpose route;
+#: at 6 qubits it still won 1.1-2x but reached the sizes OpenBLAS threads,
+#: at 7 it broke even and at 8 it lost.
+_DENSE_MAX_QUBITS = 5
+
+#: Process-wide memo of constant gates' kernels and of the rotation
+#: generators' kernels.  Keys carry the qubit signature and width;
+#: constant gates key on their matrix bytes, so a freshly sampled noisy
+#: circuit reuses every kernel built for the circuits before it.
+_KERNEL_MEMO = Cache("sim.kernels", 1024)
+
+
+def _layout(n_qubits: int, qubits: "tuple[int, ...]"):
+    """``(gate_index, rest, place, groups)`` for a gate signature.
+
+    ``gate_index[a]`` is amplitude ``a``'s row in the gate matrix (its
+    target bits, ``qubits[0]`` lowest), ``rest[a]`` is ``a`` with the
+    target bits cleared, and ``place[j]`` is gate row ``j``'s offset in
+    the amplitude index, so ``rest[a] + place[gate_index[a]] == a``.
+    ``groups[s, j]`` lists the amplitudes gate by gate: row ``s`` holds
+    the ``d`` amplitudes one assignment of the other qubits spans.
+    Built once per signature and kept on its :func:`_apply_plan`.
+    """
+    plan = _apply_plan(n_qubits, qubits)
+    if plan.layout is None:
+        amps = np.arange(1 << n_qubits)
+        rows = np.arange(1 << len(qubits))
+        gate_index = np.zeros_like(amps)
+        place = np.zeros_like(rows)
+        for bit, q in enumerate(qubits):
+            gate_index |= ((amps >> q) & 1) << bit
+            place |= ((rows >> bit) & 1) << q
+        rest = amps - place[gate_index]
+        groups = rest[gate_index == 0][:, None] + place
+        plan.layout = tuple(
+            frozen(a) for a in (gate_index, rest, place, groups)
+        )
+    return plan.layout
+
+
+def _dense_gather(n_qubits: int, qubits: "tuple[int, ...]"):
+    """``(take, mask)``: ``where(mask, matrix.ravel()[take], 0)`` is the
+    gate's full-width matrix, transposed (kept on the apply plan)."""
+    plan = _apply_plan(n_qubits, qubits)
+    if plan.dense is None:
+        gate_index, rest, _place, _groups = _layout(n_qubits, qubits)
+        d = 1 << len(qubits)
+        plan.dense = (
+            frozen(gate_index[None, :] * d + gate_index[:, None]),
+            frozen(rest[:, None] == rest[None, :]),
+        )
+    return plan.dense
+
+
+def gate_groups(n_qubits: int, qubits: "tuple[int, ...]") -> np.ndarray:
+    """``(2**n // d, d)`` amplitude indices, one row per gate block.
+
+    ``state[:, gate_groups(n, qubits)]`` views every row as its
+    ``2**n // d`` copies of the gate's ``d``-dimensional space.
+    """
+    return _layout(n_qubits, tuple(qubits))[3]
+
+
+class Kernel:
+    """How one gate applies to ``(rows, 2**n)`` stacks, decided once.
+
+    Built by :func:`gate_kernel` from the gate's matrix and accepted by
+    :func:`apply_matrix` in its place.  ``kind`` names the class --
+    ``"diagonal"`` (a phase per amplitude), ``"permutation"`` (an index
+    per amplitude plus optional phases), ``"dense"`` (a full-width
+    matrix) or ``"raw"`` (today's matrix route) -- and ``rows`` is
+    ``None`` for a gate shared by every row, else the per-row count: a
+    per-row kernel also applies to stacks of several such row blocks
+    (the adjoint sweep's stacked ket and bra).  Kernel operands are
+    read-only and a kernel never changes once built, so memoized ones
+    are shared across ops and threads.
+    """
+
+    __slots__ = ("matrix", "qubits", "n_qubits", "rows", "_adjoint")
+    kind = ""
+
+    def __init__(self, matrix, qubits, n_qubits):
+        self.matrix = matrix
+        self.qubits = qubits
+        self.n_qubits = n_qubits
+        self.rows = matrix.shape[0] if matrix.ndim == 3 else None
+        self._adjoint = None
+
+    def apply(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the gate applied to ``state`` into ``out`` (checked)."""
+        raise NotImplementedError
+
+    def adjoint(self) -> "Kernel":
+        """The conjugate-transpose kernel: the inverse of a unitary gate,
+        the covector map of a non-unitary one (built once)."""
+        if self._adjoint is None:
+            self._adjoint = self._build_adjoint()
+        return self._adjoint
+
+    def _build_adjoint(self) -> "Kernel":
+        return gate_kernel(
+            self.matrix.conj().swapaxes(-1, -2), self.qubits, self.n_qubits
+        )
+
+    def _blocks(self, array: np.ndarray) -> np.ndarray:
+        """``array`` viewed as ``(blocks, rows, 2**n)`` for a per-row kernel."""
+        return array.reshape(-1, self.rows, array.shape[-1])
+
+
+class _DiagonalKernel(Kernel):
+    __slots__ = ("phases",)
+    kind = "diagonal"
+
+    def __init__(self, matrix, qubits, n_qubits, phases):
+        super().__init__(matrix, qubits, n_qubits)
+        self.phases = frozen(phases)
+
+    def apply(self, state, out):
+        if self.rows is None or state.shape[0] == self.rows:
+            return np.multiply(state, self.phases, out=out)
+        np.multiply(self._blocks(state), self.phases, out=self._blocks(out))
+        return out
+
+    def _build_adjoint(self):
+        return _DiagonalKernel(
+            self.matrix.conj().swapaxes(-1, -2), self.qubits, self.n_qubits,
+            self.phases.conj(),
+        )
+
+    def band(self, lo: int, hi: int) -> "Kernel":
+        """This per-row kernel restricted to rows ``lo:hi`` (views)."""
+        return _DiagonalKernel(
+            self.matrix[lo:hi], self.qubits, self.n_qubits, self.phases[lo:hi]
+        )
+
+
+class _PermutationKernel(Kernel):
+    __slots__ = ("index", "phases")
+    kind = "permutation"
+
+    def __init__(self, matrix, qubits, n_qubits, index, phases):
+        super().__init__(matrix, qubits, n_qubits)
+        self.index = frozen(index)
+        self.phases = None if phases is None else frozen(phases)
+
+    def apply(self, state, out):
+        # mode="clip" skips take's bounds-checking buffer (indices are valid).
+        np.take(state, self.index, axis=1, out=out, mode="clip")
+        if self.phases is not None:
+            np.multiply(out, self.phases, out=out)
+        return out
+
+
+class _DenseKernel(Kernel):
+    __slots__ = ("columns",)
+    kind = "dense"
+
+    def __init__(self, matrix, qubits, n_qubits, columns):
+        super().__init__(matrix, qubits, n_qubits)
+        # The transposed full-width matrix: state @ columns applies the
+        # gate to every row in one GEMM.
+        self.columns = frozen(columns)
+
+    def apply(self, state, out):
+        return np.matmul(state, self.columns, out=out)
+
+    def _build_adjoint(self):
+        return _DenseKernel(
+            self.matrix.conj().T, self.qubits, self.n_qubits,
+            np.ascontiguousarray(self.columns.T.conj()),
+        )
+
+
+class _RawKernel(Kernel):
+    __slots__ = ()
+    kind = "raw"
+
+    def apply(self, state, out):
+        if self.rows is None or state.shape[0] == self.rows:
+            return _apply_raw(state, self.matrix, self.qubits, self.n_qubits, out)
+        for block, target in zip(self._blocks(state), self._blocks(out)):
+            _apply_raw(block, self.matrix, self.qubits, self.n_qubits, target)
+        return out
+
+    def band(self, lo: int, hi: int) -> "Kernel":
+        """This per-row kernel restricted to rows ``lo:hi`` (views)."""
+        return _RawKernel(self.matrix[lo:hi], self.qubits, self.n_qubits)
+
+
+def gate_kernel(
+    matrix: np.ndarray, qubits: "tuple[int, ...]", n_qubits: int
+) -> Kernel:
+    """Classify a gate matrix on ``qubits`` of an ``n_qubits`` state.
+
+    Shared ``(d, d)`` matrices become diagonal kernels (rz, z, s, t, cz,
+    rzz, u1...), permutation kernels when every row holds at most one
+    nonzero, in distinct columns (x, y, cx, cy, swap, the rotation
+    generators), dense full-width kernels up to
+    :data:`_DENSE_MAX_QUBITS` and raw kernels otherwise.  Per-row
+    ``(rows, d, d)`` stacks become diagonal kernels when every row is
+    diagonal (encoder rz, sampled I/Z draws), else raw.  Diagonal and
+    permutation kernels compute exactly the raw slice kernels' products
+    (one per amplitude); dense kernels sum the same products in BLAS
+    order.  Wider than :data:`_KERNEL_MAX_QUBITS`, every kernel is raw.
+    """
+    qubits = tuple(qubits)
+    if n_qubits > _KERNEL_MAX_QUBITS:
+        return _RawKernel(matrix, qubits, n_qubits)
+    gate_index, rest, place, _groups = _layout(n_qubits, qubits)
+    if matrix.ndim == 3:
+        diagonal = np.diagonal(matrix, axis1=1, axis2=2)
+        if np.count_nonzero(matrix) != np.count_nonzero(diagonal):
+            return _RawKernel(matrix, qubits, n_qubits)
+        return _DiagonalKernel(matrix, qubits, n_qubits, diagonal[:, gate_index])
+    # Gate matrices are tiny: classify them on Python scalars.
+    entries = matrix.tolist()
+    source = []
+    for i, row in enumerate(entries):
+        columns = [j for j, value in enumerate(row) if value]
+        if len(columns) > 1:
+            break
+        source.append(columns[0] if columns else i)
+    else:
+        if source == list(range(len(entries))):
+            return _DiagonalKernel(
+                matrix, qubits, n_qubits, np.diagonal(matrix)[gate_index]
+            )
+        if len(set(source)) == len(source):
+            # Row j's nonzero sits in column source[j] (an all-zero row
+            # keeps phase 0): amplitude a reads rest[a] + place[source].
+            phases = [row[j] for row, j in zip(entries, source)]
+            source = np.array(source)[gate_index]
+            return _PermutationKernel(
+                matrix, qubits, n_qubits, rest + place[source],
+                None if all(p == 1 for p in phases)
+                else np.array(phases)[gate_index],
+            )
+    if n_qubits <= _DENSE_MAX_QUBITS:
+        take, mask = _dense_gather(n_qubits, qubits)
+        return _DenseKernel(
+            matrix, qubits, n_qubits, np.where(mask, matrix.ravel()[take], 0)
+        )
+    return _RawKernel(matrix, qubits, n_qubits)
+
+
+def constant_kernel(
+    matrix: np.ndarray, qubits: "tuple[int, ...]", n_qubits: int
+) -> Kernel:
+    """:func:`gate_kernel` of a shared constant matrix, memoized process-wide.
+
+    The memo keys on the matrix dtype and bytes and keeps a read-only
+    copy of a writable matrix, so no caller can change a kernel under its
+    key.
+    """
+
+    def build() -> Kernel:
+        stored = frozen(matrix.copy()) if matrix.flags.writeable else matrix
+        return gate_kernel(stored, qubits, n_qubits)
+
+    key = (matrix.dtype.char, matrix.tobytes(), qubits, n_qubits)
+    return _KERNEL_MEMO.get_or_build(key, build)
+
+
+def generator_kernel(name: str, qubits: "tuple[int, ...]", n_qubits: int):
+    """Kernel of ``-i G`` for rotation gate ``name``'s generator ``G``.
+
+    ``dU/dtheta = -(i/2) G U``, so ``-i G`` applied to the post-gate state
+    gives twice the derivative of the pre-gate state; ``None`` for gates
+    without a declared generator (u3, cu3).  Memoized process-wide.
+    """
+    generator = gate_def(name).generator
+    if generator is None:
+        return None
+    return _KERNEL_MEMO.get_or_build(
+        ("generator", name, qubits, n_qubits),
+        lambda: gate_kernel(-1j * generator, qubits, n_qubits),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Observables and sampling
 # ---------------------------------------------------------------------------
 
@@ -431,7 +765,7 @@ def z_signs(n_qubits: int) -> np.ndarray:
     signs = np.empty((n_qubits, 2**n_qubits), dtype=float)
     for q in range(n_qubits):
         signs[q] = 1.0 - 2.0 * ((indices >> q) & 1)
-    return signs
+    return frozen(signs)
 
 
 def z_expectations(state: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -486,14 +820,16 @@ class BoundOp:
     Stores everything the adjoint backward pass needs: the matrix, the
     original parameter expressions and the evaluated parameter values
     (scalars, or ``(batch,)`` arrays for input-dependent angles).
-    ``grad_params`` lists the differentiable parameters up front and the
-    conjugate-transpose matrix is computed lazily exactly once -- constant
-    ops are shared across every bind of a circuit, so their adjoint is
-    computed once per process, not once per training step.
+    ``grad_params`` lists the differentiable parameters up front.  The
+    op's :class:`Kernel` (and through it the adjoint) is built the first
+    time a sweep applies the op and kept on it; a shared op without
+    differentiable parameters takes its kernel from the process-wide
+    memo (:func:`constant_kernel`), so the constant gates of every
+    freshly sampled noisy circuit reuse kernels built once per process.
     """
 
     __slots__ = ("gate", "qubits", "matrix", "values", "batched",
-                 "grad_params", "_adjoint")
+                 "grad_params", "_kernel")
 
     def __init__(self, gate: Gate, matrix: np.ndarray, values: tuple):
         self.gate = gate
@@ -506,21 +842,18 @@ class BoundOp:
             for which, expr in enumerate(gate.params)
             if not expr.is_constant
         )
-        self._adjoint = None
+        self._kernel = None
 
-    def adjoint_matrix(self) -> np.ndarray:
-        """Conjugate transpose, batched or not (computed once, cached)."""
-        if self._adjoint is None:
-            if self.batched:
-                self._adjoint = self.matrix.conj().transpose(0, 2, 1)
-            else:
-                adj = self.matrix.conj().T
-                if np.array_equal(adj, self.matrix):
-                    # Hermitian gate (cx, cz, x, h...): reuse the original
-                    # object so identity-based kernel dispatch still fires.
-                    adj = self.matrix
-                self._adjoint = adj
-        return self._adjoint
+    def kernel(self, n_qubits: int) -> Kernel:
+        """The op's kernel on an ``n_qubits``-qubit state (built once)."""
+        kernel = self._kernel
+        if kernel is None or kernel.n_qubits != n_qubits:
+            build = (
+                gate_kernel if self.batched or self.grad_params
+                else constant_kernel
+            )
+            kernel = self._kernel = build(self.matrix, self.qubits, n_qubits)
+        return kernel
 
     def dmatrix(self, which: int) -> np.ndarray:
         """Derivative of the bound matrix w.r.t. bound parameter ``which``."""
@@ -534,9 +867,10 @@ def constant_gate_matrix(name: str, values: "tuple[float, ...]") -> np.ndarray:
     Error-insertion circuits are resampled every training step but are
     built almost entirely from constant gates (Paulis, fixed-angle
     miscalibration rotations, basis-gate constants); sharing their
-    matrices makes rebinding a fresh noisy circuit nearly free.
+    matrices makes rebinding a fresh noisy circuit nearly free.  The
+    shared matrices are read-only.
     """
-    return gate_def(name).matrix(values)
+    return frozen(gate_def(name).matrix(values))
 
 
 #: Bound weight-only op lists retained per circuit, keyed on the weight
@@ -705,12 +1039,13 @@ def run_ops(
 ) -> np.ndarray:
     """Apply bound ops to |0...0> and return the final state.
 
-    Uses two ping-pong work buffers, so no per-gate allocation happens.
+    Each op runs through its :class:`Kernel`, between two ping-pong work
+    buffers, so no per-gate allocation happens.
     """
     state = zero_state(n_qubits, batch)
     scratch = np.empty_like(state)
     for op in ops:
-        apply_matrix(state, op.matrix, op.qubits, n_qubits, out=scratch)
+        apply_matrix(state, op.kernel(n_qubits), op.qubits, n_qubits, out=scratch)
         state, scratch = scratch, state
     return state
 

@@ -2,7 +2,8 @@
 
 Everything this library memoizes is a pure value of its key -- bind,
 fusion, superoperator, trajectory and stabilizer plans, their
-per-weight-vector segments, folded and transpiled circuits -- so a
+per-weight-vector segments, constant gates' kernels, folded and
+transpiled circuits -- so a
 cache changes how fast an answer arrives, never what it is, and every
 cache can be bounded.  Three pieces:
 

@@ -31,7 +31,7 @@ from repro.noise import (
 )
 from repro.qnn import paper_model
 from repro.sim import statevector as sv
-from repro.sim.gates import gate_matrix
+from repro.sim.gates import GATES, gate_matrix
 from repro.sim.statevector import (
     BindPlan,
     apply_grouped_1q,
@@ -41,6 +41,10 @@ from repro.sim.statevector import (
     bind_circuit,
     bind_circuit_reference,
     bind_plan_for,
+    constant_gate_matrix,
+    constant_kernel,
+    gate_kernel,
+    generator_kernel,
     run_ops,
     run_ops_reference,
     sample_counts,
@@ -93,9 +97,122 @@ def test_apply_matrix_matches_reference(name, params, qubits):
                             (WIDE_N, WIDE_BATCH, WIDE_N - 4)):
         state = _random_state(rng, batch, n)
         on = tuple(q + shift for q in qubits)
-        fast = apply_matrix(state, matrix, on, n)
         ref = apply_matrix_reference(state, matrix, on, n)
+        fast = apply_matrix(state, matrix, on, n)
         assert np.abs(fast - ref).max() < EXACT, (n, on)
+        # The same gate through its kernel, then back through its inverse.
+        kernel = gate_kernel(matrix, on, n)
+        fast = apply_matrix(state, kernel, on, n)
+        assert np.abs(fast - ref).max() < EXACT, (n, on, kernel.kind)
+        back = apply_matrix(fast, kernel.adjoint(), on, n)
+        assert np.abs(back - state).max() < EXACT, (n, on, kernel.kind)
+
+
+def _spread_qubits(rng, n, k):
+    """k distinct qubits including the top one, so wide layouts are hit."""
+    rest = rng.choice(n - 1, size=k - 1, replace=False)
+    return tuple(int(q) for q in rng.permutation([n - 1, *rest]))
+
+
+@pytest.mark.parametrize("n", [4, WIDE_N])
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_every_gate_kernel_inverse_and_gradient_route(name, n):
+    """Each gate's shared and per-row kernels, their inverses, and its
+    generator kernel (u3/cu3's ``dmatrix`` route is checked through the
+    adjoint in tests/test_gradients.py)."""
+    rng = np.random.default_rng([sorted(GATES).index(name), n])
+    gate = GATES[name]
+    qubits = _spread_qubits(rng, n, gate.num_qubits)
+    batch = 6
+    state = _random_state(rng, batch, n)
+    shared = tuple(rng.uniform(-3, 3, gate.num_params))
+    per_row = tuple(rng.uniform(-3, 3, (gate.num_params, batch)))
+    for params in (shared, per_row):
+        matrix = gate.matrix(params)
+        if matrix.ndim == 2 and params is per_row:
+            matrix = np.repeat(matrix[None], batch, axis=0)
+        kernel = gate_kernel(matrix, qubits, n)
+        ref = apply_matrix_reference(state, matrix, qubits, n)
+        out = apply_matrix(state, kernel, qubits, n)
+        assert np.abs(out - ref).max() < EXACT, kernel.kind
+        back = apply_matrix(out, kernel.adjoint(), qubits, n)
+        assert np.abs(back - state).max() < EXACT, kernel.kind
+        # A per-row kernel also sweeps stacked row blocks (ket + bra).
+        pair = np.concatenate([state, out])
+        both = apply_matrix(pair, kernel, qubits, n)
+        assert np.abs(both[:batch] - ref).max() < EXACT
+        second = apply_matrix_reference(out, matrix, qubits, n)
+        assert np.abs(both[batch:] - second).max() < EXACT
+        generator = generator_kernel(name, qubits, n)
+        if generator is None:
+            assert name in ("u3", "cu3") or not gate.num_params
+            continue
+        # -iG on the post-gate state is twice dU/dtheta on the pre-gate one.
+        dpsi = apply_matrix_reference(state, gate.dmatrix(params, 0), qubits, n)
+        assert np.abs(apply_matrix(out, generator, qubits, n) - 2 * dpsi).max() < EXACT
+
+
+def test_kernel_classes_follow_gate_structure():
+    kinds = {
+        name: gate_kernel(gate_matrix(name, params), qubits, 4).kind
+        for name, params, qubits in [
+            ("rz", (0.3,), (1,)), ("cz", (), (0, 3)), ("u1", (0.2,), (2,)),
+            ("x", (), (2,)), ("y", (), (0,)), ("cx", (), (3, 1)),
+            ("swap", (), (0, 2)), ("sx", (), (1,)), ("cu3", (1, 2, 3), (1, 2)),
+        ]
+    }
+    assert kinds == {
+        "rz": "diagonal", "cz": "diagonal", "u1": "diagonal",
+        "x": "permutation", "y": "permutation", "cx": "permutation",
+        "swap": "permutation", "sx": "dense", "cu3": "dense",
+    }
+    # Wide dense gates keep the raw route; diagonal and permutation stay
+    # up to the full-width operand cap, past which every kernel is raw.
+    assert gate_kernel(gate_matrix("sx"), (1,), WIDE_N).kind == "raw"
+    assert gate_kernel(gate_matrix("cx"), (0, 9), WIDE_N).kind == "permutation"
+    assert gate_kernel(gate_matrix("z"), (0,), sv._KERNEL_MAX_QUBITS + 1).kind == "raw"
+    # Per-row stacks: diagonal when every row is, else raw.
+    rows = np.stack([gate_matrix("rz", (a,)) for a in (0.1, 0.2, 0.3)])
+    assert gate_kernel(rows, (0,), 4).kind == "diagonal"
+    mixed = np.stack([gate_matrix("id"), gate_matrix("x"), gate_matrix("z")])
+    assert gate_kernel(mixed, (0,), 4).kind == "raw"
+    # Constant kernels are shared process-wide.
+    assert constant_kernel(gate_matrix("sx"), (2,), 4) is constant_kernel(
+        gate_matrix("sx").copy(), (2,), 4
+    )
+
+
+def test_shared_constants_are_read_only():
+    arrays = [gate_matrix(name) for name, g in GATES.items() if not g.num_params]
+    arrays += [
+        constant_gate_matrix("rz", (0.3,)), constant_gate_matrix("cu3", (1, 2, 3)),
+        z_signs(3),
+    ]
+    for name, params, qubits in [("rz", (0.4,), (1,)), ("cx", (), (0, 2)),
+                                 ("y", (), (3,)), ("sx", (), (0,))]:
+        kernel = constant_kernel(gate_matrix(name, params), qubits, 4)
+        arrays += [getattr(kernel, attr) for attr in ("phases", "index", "columns")
+                   if getattr(kernel, attr, None) is not None]
+        arrays += [kernel.matrix]
+    arrays += [generator_kernel("rx", (1,), 4).index,
+               generator_kernel("rx", (1,), 4).phases]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = 0.5
+
+
+def test_apply_matrix_rejects_overlapping_out():
+    rng = np.random.default_rng(3)
+    state = _random_state(rng, 4, 4)
+    sx = gate_matrix("sx")
+    for matrix in (sx, gate_kernel(sx, (1,), 4)):
+        with pytest.raises(ValueError, match="overlap"):
+            apply_matrix(state, matrix, (1,), 4, out=state)
+        with pytest.raises(ValueError, match="overlap"):
+            apply_matrix(state[:2], matrix, (1,), 4, out=state[1:3])
+    pair = np.concatenate([state, state])
+    out = np.empty_like(pair)
+    apply_matrix(pair[:4], sx, (1,), 4, out=out[4:])  # disjoint rows: fine
 
 
 def test_apply_matrix_out_buffer_semantics():

@@ -4,17 +4,34 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, ParamExpr
+from repro.circuits.parameters import WEIGHT
 from repro.compiler import transpile
+from repro.compiler.passes import CompiledCircuit
 from repro.core.gradients import (
     ParameterShiftEngine,
     adjoint_backward,
+    adjoint_backward_reference,
     finite_difference_gradients,
     forward_with_tape,
 )
-from repro.noise import get_device
+from repro.noise import NoiseModel, PauliError, get_device, readout_matrix
+from repro.noise.sampler import ErrorGateSampler
+from repro.noise.trajectory import (
+    mcwf_adjoint_backward,
+    mcwf_forward_with_tape,
+    stacked_noisy_backward,
+    stacked_noisy_forward_with_tape,
+)
 from repro.qnn import paper_model
+from repro.sim.gates import GATES
+from repro.sim.statevector import apply_matrix_reference, z_signs, zero_state
 
 RNG = np.random.default_rng(77)
+EXACT = 1e-10
+
+
+def _close(a, b, tol=EXACT):
+    return np.allclose(a, b, rtol=0.0, atol=tol)
 
 
 def _check_adjoint(circuit, n_weights, n_inputs, batch=3, atol=1e-6):
@@ -24,6 +41,8 @@ def _check_adjoint(circuit, n_weights, n_inputs, batch=3, atol=1e-6):
     _, tape = forward_with_tape(circuit, weights, inputs,
                                 n_weights=n_weights, n_inputs=n_inputs)
     w_grad, x_grad = adjoint_backward(tape, upstream)
+    w_ref, x_ref = adjoint_backward_reference(tape, upstream)
+    assert _close(w_grad, w_ref) and _close(x_grad, x_ref)
 
     def loss_weights(w):
         exp, _ = forward_with_tape(circuit, w, inputs)
@@ -83,6 +102,158 @@ def test_adjoint_shape_validation():
                                 n_weights=1, n_inputs=0)
     with pytest.raises(ValueError):
         adjoint_backward(tape, np.ones((1, 5)))
+
+
+def _spread_qubits(rng, n, k):
+    """k distinct qubits including the top one, so wide layouts are hit."""
+    rest = rng.choice(n - 1, size=k - 1, replace=False)
+    return tuple(int(q) for q in rng.permutation([n - 1, *rest]))
+
+
+def _every_gate_circuit(n, n_inputs=3):
+    """Every gate in GATES; each parameterized one once per parameter kind.
+
+    The kinds: a shared weight, a per-row input, a weight-plus-input sum
+    (multi-term), and weight 0 again (repeated).  An input-encoded ``ry``
+    on every qubit opens the circuit, so no gate sees a basis state.
+    """
+    rng = np.random.default_rng(n)
+    circuit = Circuit(n)
+    for q in range(n):
+        circuit.add("ry", q, ParamExpr.input(q % n_inputs, 0.9, 0.3))
+    n_weights = 1
+    for kind in ("shared", "per-row", "multi-term", "repeated"):
+        for name in sorted(GATES):
+            gate = GATES[name]
+            if not gate.num_params and kind != "shared":
+                continue
+            params = []
+            for _ in range(gate.num_params):
+                x = int(rng.integers(n_inputs))
+                if kind == "shared":
+                    params.append(ParamExpr.weight(n_weights, 0.8, 0.1))
+                    n_weights += 1
+                elif kind == "per-row":
+                    params.append(ParamExpr.input(x, -1.1, 0.2))
+                elif kind == "multi-term":
+                    params.append(ParamExpr.weight(n_weights, 0.6)
+                                  + ParamExpr.input(x, 0.5))
+                    n_weights += 1
+                else:
+                    params.append(ParamExpr.weight(0, -1.3, 0.4))
+            circuit.add(name, _spread_qubits(rng, n, gate.num_qubits), *params)
+    return circuit, n_weights, n_inputs
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_adjoint_every_gate_every_parameter_kind(n):
+    circuit, n_weights, n_inputs = _every_gate_circuit(n)
+    _check_adjoint(circuit, n_weights, n_inputs)
+
+
+def _replay_gradients(ops, n, upstream, n_weights, n_inputs):
+    """Oracle gradients of ``sum(upstream * <Z>)`` through any op list.
+
+    Keeps every pre-op ket from a forward replay instead of un-applying
+    ops, and differentiates every parameter through its ``dmatrix``, so
+    it holds for the non-unitary MCWF jump ops too.
+    """
+    rows = upstream.shape[0]
+    kets = [zero_state(n, rows)]
+    for op in ops:
+        kets.append(apply_matrix_reference(kets[-1], op.matrix, op.qubits, n))
+    bra = (upstream @ z_signs(n)) * kets[-1]
+    w_grad, x_grad = np.zeros(n_weights), np.zeros((rows, n_inputs))
+    for op, ket in zip(reversed(ops), reversed(kets[:-1])):
+        for which, expr in op.grad_params:
+            dpsi = apply_matrix_reference(ket, op.dmatrix(which), op.qubits, n)
+            g = 2.0 * np.real(np.einsum("bi,bi->b", bra.conj(), dpsi))
+            for kind, index, coeff in expr.terms:
+                if kind == WEIGHT:
+                    w_grad[index] += coeff * g.sum()
+                else:
+                    x_grad[:, index] += coeff * g
+        adjoint = op.matrix.conj().swapaxes(-1, -2)
+        bra = apply_matrix_reference(bra, adjoint, op.qubits, n)
+    return kets[-1], w_grad, x_grad
+
+
+def _noise_model(n, relaxation):
+    """Strong Pauli errors after every gate (so stacked rows draw mixed
+    Paulis), coherent over-rotations and, optionally, exact relaxation."""
+    error = PauliError(0.08, 0.06, 0.07)
+    return NoiseModel(
+        n,
+        {(name, q): error for name, g in GATES.items() if g.num_qubits == 1
+         for q in range(n)},
+        {(a, b): error for a in range(n) for b in range(a + 1, n)},
+        np.stack([readout_matrix(0.0, 0.0)] * n),
+        coherent={q: (0.03, -0.02) for q in range(n)},
+        relaxation={q: (30.0, 40.0) for q in range(n)} if relaxation else {},
+        relaxation_durations=(0.5, 1.0),
+    )
+
+
+def _blocks():
+    santiago = get_device("santiago")
+    qnn = paper_model(4, 1, 1, 16, 4)
+    yield transpile(qnn.blocks[0], santiago, 2), qnn.n_weights, 16
+    melbourne = get_device("melbourne")
+    qnn = paper_model(10, 1, 1, 36, 10)
+    yield transpile(qnn.blocks[0], melbourne, 2), qnn.n_weights, 36
+    circuit, n_weights, n_inputs = _every_gate_circuit(4)
+    yield (CompiledCircuit(circuit, (0, 1, 2, 3), {q: q for q in range(4)},
+                           (0, 1, 2, 3), "none"), n_weights, n_inputs)
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["santiago", "melbourne"])
+def test_adjoint_on_sampled_noisy_block(block):
+    """The paper-default step (one realization): a freshly sampled noisy
+    circuit per step, differentiated by the kernel adjoint."""
+    compiled, n_weights, n_inputs = list(_blocks())[block]
+    model = _noise_model(max(compiled.physical_qubits) + 1, relaxation=False)
+    noisy, stats = ErrorGateSampler(model, 1.0).sample(
+        compiled.circuit, compiled.physical_qubits, np.random.default_rng(3)
+    )
+    assert stats.n_inserted > 0
+    _check_adjoint(noisy, n_weights, n_inputs, batch=2)
+
+
+@pytest.mark.parametrize("engine", ["stacked", "mcwf"])
+@pytest.mark.parametrize("block", [0, 1, 2], ids=["santiago", "melbourne",
+                                                  "every-gate"])
+def test_noisy_tapes_match_replay_oracle(block, engine):
+    """Stacked R=3 gate-insertion and MCWF tapes against the oracle.
+
+    Both backward sweeps run the kernel adjoint with generator
+    gradients over the realized ops (sampled Pauli stacks, coherent
+    rotations and, under MCWF, the recorded jump operators); the oracle
+    replays the same ops through the reference kernel.
+    """
+    compiled, n_weights, n_inputs = list(_blocks())[block]
+    n, batch, realizations = compiled.circuit.n_qubits, 3, 3
+    rng = np.random.default_rng(block)
+    weights = rng.uniform(-1, 1, n_weights)
+    inputs = rng.uniform(-1, 1, (batch, n_inputs))
+    upstream = rng.normal(0, 1, (batch, n))
+    model = _noise_model(max(compiled.physical_qubits) + 1, engine == "mcwf")
+    sampler = ErrorGateSampler(model, 1.0, allow_exact=engine == "mcwf")
+    forward, backward = {
+        "stacked": (stacked_noisy_forward_with_tape, stacked_noisy_backward),
+        "mcwf": (mcwf_forward_with_tape, mcwf_adjoint_backward),
+    }[engine]
+    _exp, tape, _n = forward(compiled, sampler, weights, inputs, realizations,
+                             rng=5, n_weights=n_weights, n_inputs=n_inputs)
+    if engine == "mcwf":
+        assert tape.jump_ops, "no jump recorded"
+    w_grad, x_grad = backward(tape, upstream, realizations)
+    stacked = np.tile(upstream / realizations, (realizations, 1))
+    state, w_ref, x_ref = _replay_gradients(
+        tape.ops, n, stacked, n_weights, n_inputs
+    )
+    x_ref = x_ref.reshape(realizations, batch, -1).sum(axis=0)
+    assert _close(tape.state, state)
+    assert _close(w_grad, w_ref) and _close(x_grad, x_ref)
 
 
 # -- parameter shift -------------------------------------------------------------
