@@ -176,7 +176,7 @@ def _site_channel(gate, phys: "tuple[int, ...]", noise_model) -> "np.ndarray | N
     the gate's own support.  Depends only on the (scaled) noise model,
     never on bound parameters, so it is computed once per plan.
     """
-    from repro.noise.model import VIRTUAL_GATES
+    from repro.noise.model import UNDRIVEN_GATES, VIRTUAL_GATES
     from repro.noise.trajectory import _coherent_unitary
 
     channel: "np.ndarray | None" = None
@@ -195,7 +195,7 @@ def _site_channel(gate, phys: "tuple[int, ...]", noise_model) -> "np.ndarray | N
                 continue
             one = embed_superop(kraus_superop(kraus), (local_q,), gate.qubits)
             channel = one if channel is None else np.matmul(one, channel)
-    if gate.name not in ("rz", "id"):
+    if gate.name not in UNDRIVEN_GATES:
         for local_q, phys_q in zip(gate.qubits, phys):
             coherent = noise_model.coherent_for(phys_q)
             if coherent is None:

@@ -22,9 +22,10 @@ The same compiled block can execute on several backends:
   (MCWF) unraveling, the sampled backend that evaluates exact
   relaxation channels.
 * :class:`MCWFTrainExecutor` -- noise-injection *training* on the
-  quantum-jump unraveling: sampled relaxation jumps with non-unitary
-  no-jump evolution, differentiable via the checkpointed adjoint
-  (``TrainConfig(engine="mcwf")``) -- the stochastic-wavefunction
+  quantum-jump unraveling: a :class:`GateInsertionExecutor` whose
+  sampler also admits exact relaxation channels, realized as sampled
+  jumps with non-unitary no-jump evolution in the same stacked sweep and
+  adjoint (``TrainConfig(engine="mcwf")``) -- the stochastic-wavefunction
   counterpart of :class:`DensityTrainExecutor` with no density-matrix
   width bound.
 * :class:`StabilizerEvalExecutor` -- Clifford-tableau trajectories
@@ -51,11 +52,9 @@ from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.core.gradients import QuantumTape, adjoint_backward, forward_with_tape
 from repro.noise.density_backend import run_noisy_density
 from repro.noise.readout import apply_readout_to_expectations
-from repro.noise.sampler import ErrorGateSampler
+from repro.noise.sampler import ErrorGateSampler, InsertionStats
 from repro.noise.trajectory import (
     _check_counts,
-    mcwf_adjoint_backward,
-    mcwf_forward_with_tape,
     run_noisy_trajectories,
     stacked_noisy_backward,
     stacked_noisy_forward_with_tape,
@@ -293,21 +292,24 @@ def _emulate_readout(
 class _Sharded:
     """An executor whose worker pool lives on its :attr:`lease`.
 
-    ``n_workers`` and ``shard_backend`` are the lease's settings, so
-    changing them respawns the pool on the next sharded run (see
+    ``n_workers`` and ``shard_backend`` are the lease's settings,
+    validated on assignment like the constructors' arguments; changing
+    them respawns the pool on the next sharded run (see
     :class:`~repro.runtime.supervisor.PoolLease`, which also owns
     spawning, reuse across calls, discarding after failures and the
     collection-time leak guard).
     """
 
-    n_workers = property(
-        lambda self: self.lease.n_workers,
-        lambda self, value: setattr(self.lease, "n_workers", value),
-    )
-    shard_backend = property(
-        lambda self: self.lease.backend,
-        lambda self, value: setattr(self.lease, "backend", value),
-    )
+    def _set_n_workers(self, value: int) -> None:
+        check_shard_args(value, None, self.lease.backend)
+        self.lease.n_workers = value
+
+    def _set_shard_backend(self, value: str) -> None:
+        check_shard_args(self.lease.n_workers, None, value)
+        self.lease.backend = value
+
+    n_workers = property(lambda self: self.lease.n_workers, _set_n_workers)
+    shard_backend = property(lambda self: self.lease.backend, _set_shard_backend)
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
@@ -334,6 +336,7 @@ class GateInsertionExecutor(_Sharded):
     ``(n_realizations * batch, 2**n)`` statevector sweep -- the training
     batch axis composed with the stacked-trajectory axis (see
     :func:`~repro.noise.trajectory.stacked_noisy_forward_with_tape`).
+    A single realization samples and binds one noisy circuit instead.
 
     ``n_workers > 0`` bands that stacked sweep (one fixed row band per
     realization) over an executor-held persistent *thread* pool, so a
@@ -345,6 +348,9 @@ class GateInsertionExecutor(_Sharded):
     """
 
     differentiable = True
+    #: Whether the sampler admits exact relaxation channels, which the
+    #: stacked sweep unravels as sampled quantum jumps.
+    allow_exact = False
 
     def __init__(
         self,
@@ -363,7 +369,9 @@ class GateInsertionExecutor(_Sharded):
         self.readout = readout
         self.rng = as_rng(rng)
         self.n_realizations = n_realizations
-        self.sampler = ErrorGateSampler(noise_model, noise_factor)
+        self.sampler = ErrorGateSampler(
+            noise_model, noise_factor, allow_exact=self.allow_exact
+        )
         self.last_insertion_stats = None
 
     def forward(
@@ -373,20 +381,7 @@ class GateInsertionExecutor(_Sharded):
         inputs: np.ndarray,
     ) -> "tuple[np.ndarray, BlockCache]":
         n_weights, n_inputs = _param_counts(weights, inputs)
-        if self.n_realizations > 1:
-            expectations, tape, n_inserted = stacked_noisy_forward_with_tape(
-                compiled, self.sampler, weights, inputs,
-                self.n_realizations, self.rng,
-                n_weights=n_weights,
-                n_inputs=n_inputs,
-                pool=self.lease,
-            )
-            from repro.noise.sampler import InsertionStats
-
-            self.last_insertion_stats = InsertionStats(
-                len(compiled.circuit.gates) * self.n_realizations, n_inserted
-            )
-        else:
+        if self.n_realizations == 1 and not self.allow_exact:
             noisy_circuit, stats = self.sampler.sample(
                 compiled.circuit, compiled.physical_qubits, self.rng
             )
@@ -397,6 +392,17 @@ class GateInsertionExecutor(_Sharded):
                 inputs,
                 n_weights=n_weights,
                 n_inputs=n_inputs,
+            )
+        else:
+            expectations, tape, n_inserted = stacked_noisy_forward_with_tape(
+                compiled, self.sampler, weights, inputs,
+                self.n_realizations, self.rng,
+                n_weights=n_weights,
+                n_inputs=n_inputs,
+                pool=self.lease,
+            )
+            self.last_insertion_stats = InsertionStats(
+                len(compiled.circuit.gates) * self.n_realizations, n_inserted
             )
         logical = _gather_logical(expectations, compiled.measure_qubits)
         scales = None
@@ -416,9 +422,7 @@ class GateInsertionExecutor(_Sharded):
         grad = _scatter_logical(
             grad_logical, cache.measure_qubits, cache.tape.circuit.n_qubits
         )
-        if cache.n_realizations > 1:
-            return stacked_noisy_backward(cache.tape, grad, cache.n_realizations)
-        return adjoint_backward(cache.tape, grad)
+        return stacked_noisy_backward(cache.tape, grad, cache.n_realizations)
 
 
 class DensityTrainExecutor:
@@ -545,7 +549,7 @@ class DensityEvalExecutor:
         raise NotImplementedError("density evaluation is inference-only")
 
 
-class MCWFTrainExecutor(_Sharded):
+class MCWFTrainExecutor(GateInsertionExecutor):
     """Quantum-jump (MCWF) noise-injection training backend.
 
     The stochastic-wavefunction counterpart of
@@ -553,81 +557,20 @@ class MCWFTrainExecutor(_Sharded):
     ``n_realizations``) concrete quantum-jump trajectories of the *full*
     noise model -- Pauli insertions, exact relaxation Kraus jumps with
     non-unitary no-jump evolution and per-row renormalization, coherent
-    miscalibration -- and backward runs the checkpointed adjoint sweep
-    (:func:`repro.noise.trajectory.mcwf_adjoint_backward`), exact for
-    the realized trajectory's frozen linear map.  Because it is
-    statevector-bound rather than density-bound, it is the training
+    miscalibration -- and backward runs the adjoint sweep, which
+    restores the ket at each jump from the tape's checkpoints; it is
+    exact for the realized trajectory's frozen linear map.  Because it
+    is statevector-bound rather than density-bound, it is the training
     backend for *wide* blocks whose noise model carries exact channels.
-    Readout applies as the shared affine emulation.
 
-    ``n_workers > 0`` holds a persistent thread pool and row-bands the
-    stacked sweep over it -- but only on models *without* jump sites
-    (each jump's probabilities depend on the evolved state mid-sweep,
-    so a jump-carrying sweep stays a single serial pass and the pool is
-    not consulted; results are unchanged either way).
+    Everything else is :class:`GateInsertionExecutor`'s stacked sweep,
+    even at one realization.  ``n_workers > 0`` row-bands it only on
+    models *without* jump sites: each jump's probabilities depend on
+    the evolved state mid-sweep, so a jump-carrying sweep stays a single
+    serial pass (results are unchanged either way).
     """
 
-    differentiable = True
-
-    def __init__(
-        self,
-        noise_model: "NoiseModel",
-        noise_factor: float = 1.0,
-        readout: bool = True,
-        rng: "int | np.random.Generator | None" = None,
-        n_realizations: int = 1,
-        n_workers: int = 0,
-    ):
-        if n_realizations < 1:
-            raise ValueError("need at least one noise realization")
-        self.lease = PoolLease(n_workers)
-        self.noise_model = noise_model
-        self.noise_factor = noise_factor
-        self.readout = readout
-        self.rng = as_rng(rng)
-        self.n_realizations = n_realizations
-        self.sampler = ErrorGateSampler(
-            noise_model, noise_factor, allow_exact=True
-        )
-        self.last_insertion_stats = None
-
-    def forward(
-        self,
-        compiled: "CompiledCircuit",
-        weights: np.ndarray,
-        inputs: np.ndarray,
-    ) -> "tuple[np.ndarray, BlockCache]":
-        from repro.noise.sampler import InsertionStats
-
-        n_weights, n_inputs = _param_counts(weights, inputs)
-        expectations, tape, n_inserted = mcwf_forward_with_tape(
-            compiled, self.sampler, weights, inputs,
-            self.n_realizations, self.rng,
-            n_weights=n_weights, n_inputs=n_inputs,
-            pool=self.lease,
-        )
-        self.last_insertion_stats = InsertionStats(
-            len(compiled.circuit.gates) * self.n_realizations, n_inserted
-        )
-        logical = _gather_logical(expectations, compiled.measure_qubits)
-        scales = None
-        if self.readout:
-            logical, scales = _emulate_readout(
-                compiled, self.noise_model, logical
-            )
-        return logical, BlockCache(
-            tape, compiled.measure_qubits, scales, self.n_realizations
-        )
-
-    def backward(
-        self, cache: BlockCache, grad_logical: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        if cache.readout_scales is not None:
-            grad_logical = grad_logical * cache.readout_scales[None, :]
-        grad = _scatter_logical(
-            grad_logical, cache.measure_qubits, cache.tape.circuit.n_qubits
-        )
-        return mcwf_adjoint_backward(cache.tape, grad, cache.n_realizations)
+    allow_exact = True
 
 
 class TrajectoryEvalExecutor(_Sharded):

@@ -22,10 +22,14 @@ This module provides the equivalent from scratch:
   contraction (a ``vdot`` when only weights depend on the angle).  u3
   and cu3 contract bra and ket once into the op's reduced ``d x d``
   transition operator and read each parameter off it with its
-  ``dmatrix`` times ``U^dag``.  :func:`adjoint_step` is that per-op
-  step; the MCWF backward
-  (:func:`repro.noise.trajectory.mcwf_adjoint_backward`) calls it for
-  every op but the non-unitary jumps.
+  ``dmatrix`` times ``U^dag``.
+
+  The same sweep differentiates every statevector training tape:
+  noiseless, sampled gate insertion and quantum jumps
+  (:func:`repro.noise.trajectory.stacked_noisy_forward_with_tape`).  A
+  jump operator is non-unitary, so at a tape's ``jump_ops`` the bra goes
+  through the operator's adjoint while the ket is restored from the
+  tape's checkpoints instead of un-applied.
 
 * :class:`ParameterShiftEngine` -- the hardware-executable two-term rule
   ``dE/dt = (E(t + pi/2) - E(t - pi/2)) / 2`` used for the paper's
@@ -39,7 +43,8 @@ other in ``tests/test_gradients.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,13 +65,22 @@ from repro.sim.statevector import (
 
 @dataclass
 class QuantumTape:
-    """Everything saved by a forward pass that backward needs."""
+    """Everything saved by a forward pass that backward needs.
+
+    A forward that realizes quantum jumps also records their op indices
+    (``jump_ops``) and the state before every
+    :data:`~repro.noise.trajectory._JUMP_CHECKPOINT_STRIDE`-th jump
+    (``checkpoints``, keyed by op index); both stay empty on unitary
+    tapes.
+    """
 
     circuit: Circuit
     ops: "list[BoundOp]"
     state: np.ndarray  # final statevector (batch, dim)
     n_weights: int
     n_inputs: int
+    checkpoints: "dict[int, np.ndarray]" = field(default_factory=dict)
+    jump_ops: "frozenset[int]" = frozenset()
 
     @property
     def batch(self) -> int:
@@ -113,7 +127,8 @@ def adjoint_backward(
     Parameters
     ----------
     tape:
-        Output of :func:`forward_with_tape`.
+        Output of :func:`forward_with_tape` or of a noisy training
+        forward (sampled insertions and jumps are constant ops).
     grad_expectations:
         ``(batch, n_qubits)`` upstream gradients dL/dE_q (qubits indexed
         in the tape circuit's own ordering).
@@ -125,62 +140,70 @@ def adjoint_backward(
         per-sample.
     """
     n = tape.circuit.n_qubits
-    batch = tape.batch
+    rows = tape.batch
     grad_expectations = np.asarray(grad_expectations, dtype=float)
-    if grad_expectations.shape != (batch, n):
+    if grad_expectations.shape != (rows, n):
         raise ValueError(
-            f"grad shape {grad_expectations.shape} != ({batch}, {n})"
+            f"grad shape {grad_expectations.shape} != ({rows}, {n})"
         )
-    pair, scratch = adjoint_pair(tape.state, grad_expectations, n)
+    # |psi> and O_eff|psi>, with O_eff = sum_q g_q Z_q the per-row
+    # effective diagonal observable, share one (2 * rows, dim) buffer, so
+    # one kernel call un-applies both; the scratch buffer makes the sweep
+    # allocation-free.
+    pair = np.empty((2 * rows, tape.state.shape[1]), dtype=complex)
+    pair[:rows] = tape.state
+    np.multiply(grad_expectations @ z_signs(n), tape.state, out=pair[rows:])
+    scratch = np.empty_like(pair)
     weight_grad = np.zeros(tape.n_weights)
-    input_grad = np.zeros((batch, tape.n_inputs))
-    for op in reversed(tape.ops):
-        pair, scratch = adjoint_step(
-            op, pair, scratch, n, weight_grad, input_grad
-        )
+    input_grad = np.zeros((rows, tape.n_inputs))
+    ops, jump_ops, restore = tape.ops, tape.jump_ops, _jump_kets(tape)
+    for k in range(len(ops) - 1, -1, -1):
+        op = ops[k]
+        inverse = op.kernel(n).adjoint()
+        if k in jump_ops:
+            # Non-unitary jump: adjoint the bra, restore the ket.
+            apply_matrix(pair[rows:], inverse, op.qubits, n, out=scratch[rows:])
+            scratch[:rows] = restore(k)
+        else:
+            # Gradients read off the post-gate psi, then one kernel call
+            # un-applies the pair.
+            if op.grad_params:
+                _op_gradients(op, pair[:rows], pair[rows:], scratch[:rows],
+                              n, weight_grad, input_grad)
+            apply_matrix(pair, inverse, op.qubits, n, out=scratch)
+        pair, scratch = scratch, pair
     return weight_grad, input_grad
 
 
-def adjoint_pair(
-    state: np.ndarray, grad_expectations: np.ndarray, n_qubits: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The adjoint sweep's stacked ``(psi, bra)`` buffer and its scratch.
+def _jump_kets(tape: QuantumTape) -> "Callable[[int], np.ndarray]":
+    """``restore(k)``: the ket immediately before jump op ``k``.
 
-    ``|psi>`` and ``O_eff|psi>``, with ``O_eff = sum_q g_q Z_q`` the
-    per-row effective diagonal observable, live in one ``(2 * rows,
-    dim)`` buffer, so every op without differentiable parameters
-    un-applies both with one kernel call; the scratch buffer makes the
-    sweep allocation-free.
+    Stored checkpoints return directly.  Any other jump's state is
+    re-derived by replaying the recorded ops from the nearest checkpoint
+    below it, caching the pre-op state of every jump in that window,
+    which the reverse sweep consumes next.  Each window thus replays
+    once.
     """
-    rows = state.shape[0]
-    pair = np.empty((2 * rows, state.shape[1]), dtype=complex)
-    pair[:rows] = state
-    np.multiply(grad_expectations @ z_signs(n_qubits), state, out=pair[rows:])
-    return pair, np.empty_like(pair)
+    n = tape.circuit.n_qubits
+    stored = sorted(tape.checkpoints)
+    window: "dict[int, np.ndarray]" = {}
 
+    def restore(k: int) -> np.ndarray:
+        state = tape.checkpoints.get(k)
+        if state is None:
+            state = window.pop(k, None)
+        if state is not None:
+            return state
+        j = stored[bisect.bisect_right(stored, k) - 1]
+        state = tape.checkpoints[j]
+        for i in range(j, k):
+            if i != j and i in tape.jump_ops:
+                window[i] = state
+            op = tape.ops[i]
+            state = apply_matrix(state, op.kernel(n), op.qubits, n)
+        return state
 
-def adjoint_step(
-    op: BoundOp,
-    pair: np.ndarray,
-    scratch: np.ndarray,
-    n_qubits: int,
-    weight_grad: np.ndarray,
-    input_grad: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Un-apply ``op`` from the stacked ``(psi, bra)`` pair.
-
-    The op's parameter gradients ``2 Re <bra|dU|psi_before>`` are read
-    first, off the post-gate ``psi`` the pair holds
-    (:func:`_op_gradients`); one kernel call then un-applies the whole
-    pair.  Returns the new ``(pair, scratch)``.
-    """
-    if op.grad_params:
-        rows = pair.shape[0] // 2
-        _op_gradients(op, pair[:rows], pair[rows:], scratch[:rows], n_qubits,
-                      weight_grad, input_grad)
-    inverse = op.kernel(n_qubits).adjoint()
-    apply_matrix(pair, inverse, op.qubits, n_qubits, out=scratch)
-    return scratch, pair
+    return restore
 
 
 def _op_gradients(op, psi, bra, work, n, weight_grad, input_grad) -> None:

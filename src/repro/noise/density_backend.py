@@ -156,7 +156,7 @@ def run_noisy_density_reference(
     separate unitary -- the pre-compiled-engine implementation, retained
     for the equivalence suite and perf-harness baselines.
     """
-    from repro.noise.model import VIRTUAL_GATES
+    from repro.noise.model import UNDRIVEN_GATES, VIRTUAL_GATES
 
     n = _check_width(compiled)
     scaled = noise_model.scaled(noise_factor) if noise_factor != 1.0 else noise_model
@@ -179,7 +179,7 @@ def run_noisy_density_reference(
                 kraus = scaled.relaxation_kraus_for(phys_q, len(op.qubits))
                 if kraus is not None:
                     rho = apply_kraus_to_density(rho, kraus, (local_q,), n)
-        if op.gate.name not in ("rz", "id"):
+        if op.gate.name not in UNDRIVEN_GATES:
             for local_q, phys_q in zip(op.qubits, phys):
                 coherent = scaled.coherent_for(phys_q)
                 if coherent is not None:

@@ -21,6 +21,11 @@ import numpy as np
 #: RZ is implemented virtually (frame change) on IBMQ hardware: error-free.
 VIRTUAL_GATES = frozenset({"rz"})
 
+#: Gates played without a drive pulse -- the virtual ``rz`` and the idle
+#: ``id`` -- so no coherent control (miscalibration) error follows them.
+#: Relaxation still acts during ``id``, hence the separate set.
+UNDRIVEN_GATES = frozenset({"rz", "id"})
+
 #: Channel-kind names shared by :meth:`NoiseModel.channel_kinds` and the
 #: engine registry's capability declarations
 #: (:mod:`repro.core.engine`) -- the vocabulary in which an execution

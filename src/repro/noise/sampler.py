@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit, Gate
 from repro.circuits.parameters import ParamExpr
-from repro.noise.model import NoiseModel
+from repro.noise.model import UNDRIVEN_GATES, NoiseModel
 from repro.utils.rng import as_rng
 
 _PAULI_NAMES = (None, "x", "y", "z")
@@ -125,7 +125,7 @@ class ErrorGateSampler:
                     gates.append(Gate(name, (local_q,)))
                     inserted += 1
             # Deterministic coherent miscalibration (hardware models only).
-            if gate.name not in ("rz", "id"):
+            if gate.name not in UNDRIVEN_GATES:
                 for local_q, phys_q in zip(gate.qubits, phys_qubits):
                     coherent = self._scaled.coherent_for(phys_q)
                     if coherent is not None:
@@ -176,7 +176,7 @@ class ErrorGateSampler:
                 )
                 if choices.any():
                     post.append(("pauli", local_q, choices))
-            if gate.name not in ("rz", "id"):
+            if gate.name not in UNDRIVEN_GATES:
                 for local_q, phys_q in zip(gate.qubits, phys_qubits):
                     coherent = self._scaled.coherent_for(phys_q)
                     if coherent is not None:
@@ -215,7 +215,7 @@ class ErrorGateSampler:
                     continue
                 cum = np.cumsum(error.probabilities())[:3]
                 pauli_sites.append((index, local_q, cum))
-            if gate.name not in ("rz", "id"):
+            if gate.name not in UNDRIVEN_GATES:
                 for local_q, phys_q in zip(gate.qubits, phys_qubits):
                     coherent = self._scaled.coherent_for(phys_q)
                     if coherent is not None:

@@ -55,10 +55,23 @@ The naive implementation binds and sweeps one circuit per trajectory --
   output is bit-identical to serial execution for a fixed seed.
 
 The segment plans, the quantum-jump site table (shared by jump-mode
-plans and the MCWF training sweep) and the pickled process payload live
+plans and the training sweep) and the pickled process payload live
 in the circuit's :func:`~repro.utils.cache.circuit_cache`, keyed by
 (noise model, factor, layout); process workers keep rebuilt plans in
 :data:`_WORKER_PLAN_CACHE`, keyed by the payload digest.
+
+Training sweep
+--------------
+Noise-injected training has one sweep
+(:func:`stacked_noisy_forward_with_tape` / :func:`stacked_noisy_backward`):
+``n_realizations`` error realizations of the training batch stack into
+one ``(n_realizations * batch, 2**n)`` statevector, and every gate is
+followed by its sampled Pauli insertions, its quantum-jump sites (exact
+relaxation channels, realized from the running state) and its coherent
+rotations.  Gate insertion and the quantum-jump (MCWF) trainer differ
+only in whether the sampler admits exact channels; both tapes go
+through the one adjoint sweep,
+:func:`repro.core.gradients.adjoint_backward`.
 
 Shot sampling uses one batched ``Generator.multinomial`` call over 2-D
 pvals instead of a per-sample Python loop.  The per-trajectory reference
@@ -140,39 +153,6 @@ _DEFAULT_SHARD_SIZE = 16
 def _coherent_unitary(ey: float, ez: float) -> np.ndarray:
     """RZ(ez) @ RY(ey): the deterministic post-gate miscalibration."""
     return gate_matrix("rz", (ez,)) @ gate_matrix("ry", (ey,))
-
-
-def _expand_events(post: "list[tuple]", batch: int) -> list:
-    """Materialize one gate site's sampled error events as matrices.
-
-    Returns ``[(local_qubit, matrix), ...]``: Pauli events become
-    batched ``(n_realizations * batch, 2, 2)`` stacks
-    (realization-major, matching the stacked-state layout), coherent
-    miscalibrations stay shared 2x2 constants.  Training-tape path only
-    (:func:`stacked_noisy_ops`): the inference sweep moved to the
-    segment plan, which draws all sites at once and fuses coherent
-    rotations into its constant segments (:func:`_segment_chunk`).
-    """
-    expanded = []
-    for kind, local_q, payload in post:
-        if kind == "pauli":
-            expanded.append((local_q, np.repeat(_PAULI_STACK[payload], batch, axis=0)))
-        else:
-            expanded.append((local_q, _coherent_unitary(*payload)))
-    return expanded
-
-
-def _count_inserted(post: "list[tuple]") -> int:
-    """Non-identity Pauli insertions in one gate site's events.
-
-    Training-path bookkeeping (insertion stats) only -- the inference
-    sweep never pays for it.
-    """
-    return sum(
-        int(np.count_nonzero(payload))
-        for kind, _q, payload in post
-        if kind == "pauli"
-    )
 
 
 #: Fused static trajectory segments retained per plan, keyed on weights.
@@ -640,6 +620,14 @@ def stacked_noisy_ops(
     differentiable parameters on the error sites, *backpropagates* -- as
     one fused ``(n_realizations * batch, 2**n)`` statevector sweep.
 
+    Each gate is followed by its Pauli insertions, then its quantum-jump
+    sites, then its coherent miscalibration rotations: the density
+    reference's channel order.  Jump sites (exact relaxation channels,
+    from the cached :func:`_jump_table`, empty for Pauli-only models)
+    depend on the running state, so they stay table entries
+    ``(gate, local_q, kraus, effects)`` in the list, for
+    :func:`stacked_noisy_forward_with_tape` to realize.
+
     Returns ``(ops, n_inserted)`` with ``n_inserted`` the total number of
     non-identity Pauli insertions across all realizations.
     """
@@ -650,14 +638,64 @@ def stacked_noisy_ops(
     events = sampler.sample_batched(
         compiled.circuit, compiled.physical_qubits, n_realizations, rng
     )
+    jumps: "dict[int, list[tuple]]" = {}
+    for site in _jump_table(compiled, sampler):
+        jumps.setdefault(site[0], []).append(site)
     stacked: list = []
     n_inserted = 0
-    for op, post in zip(ops, events):
+    for i, (op, post) in enumerate(zip(ops, events)):
         stacked.append(_tiled_op(op, n_realizations, batch))
-        n_inserted += _count_inserted(post)
-        for local_q, errors in _expand_events(post, batch):
-            stacked.append(_error_op(local_q, errors))
+        # sample_batched lists a gate's Pauli events before its coherent
+        # ones; the jump sites go in between.
+        for kind, local_q, payload in post:
+            if kind == "pauli":
+                n_inserted += int(np.count_nonzero(payload))
+                stacked.append(_error_op(
+                    local_q, np.repeat(_PAULI_STACK[payload], batch, axis=0)
+                ))
+        stacked.extend(jumps.get(i, ()))
+        for kind, local_q, payload in post:
+            if kind == "coherent":
+                stacked.append(_error_op(local_q, _coherent_unitary(*payload)))
     return stacked, n_inserted
+
+
+#: Store a training checkpoint at every Nth jump site.  The backward
+#: sweep recovers the skipped pre-jump states by replaying the recorded
+#: ops of one window from its stored checkpoint (each window replays
+#: once), bounding tape memory at ``n_jumps / stride`` stacked states
+#: instead of one per jump -- the difference between a few hundred KB
+#: and hundreds of MB on wide blocks with relaxation on every gate.
+_JUMP_CHECKPOINT_STRIDE = 8
+
+
+def _run_jumps(ops: list, n_qubits: int, rows: int, rng: np.random.Generator):
+    """One serial sweep that realizes every jump site from the running state.
+
+    Each site draws one uniform per row (in stream order) and becomes its
+    sampled, renormalized ``(rows, 2, 2)`` jump operator, written back
+    into ``ops`` as a constant op.  Returns ``(state, checkpoints,
+    jump_ops)``: the pre-site state is kept at every
+    :data:`_JUMP_CHECKPOINT_STRIDE`-th jump, for the adjoint sweep to
+    restore the ket at the non-unitary jumps.
+    """
+    state = zero_state(n_qubits, rows)
+    scratch = np.empty_like(state)
+    checkpoints: "dict[int, np.ndarray]" = {}
+    jump_ops: "set[int]" = set()
+    for k, op in enumerate(ops):
+        if isinstance(op, tuple):
+            _gate, local_q, kraus, effects = op
+            if len(jump_ops) % _JUMP_CHECKPOINT_STRIDE == 0:
+                checkpoints[k] = state.copy()
+            jump_ops.add(k)
+            mats = _sample_jump_matrices(
+                state, kraus, effects, local_q, rng.random(rows)
+            )
+            op = ops[k] = _error_op(local_q, mats)
+        apply_matrix(state, op.kernel(n_qubits), op.qubits, n_qubits, out=scratch)
+        state, scratch = scratch, state
+    return state, checkpoints, frozenset(jump_ops)
 
 
 def _sweep_band(ops, n_qubits: int, lo: int, hi: int, state, scratch) -> None:
@@ -729,25 +767,40 @@ def stacked_noisy_forward_with_tape(
     depends on the worker count, so results are bitwise identical
     across worker counts.  The sampled events are identical to the
     serial sweep's -- the rng is consumed before any banding decision.
+
+    Models with exact relaxation channels add quantum-jump sites
+    (:func:`stacked_noisy_ops`).  Their jump probabilities depend on the
+    evolved state mid-sweep and their uniforms come off ``rng`` in
+    stream order, so such a sweep is one serial pass (:func:`_run_jumps`)
+    and ``pool`` is not consulted.  The tape records the realized jump
+    operators as constant ops, together with the jump indices and
+    checkpoints the adjoint needs: gradients are exact for the realized
+    trajectory's frozen linear map, jump choices and renormalization
+    included.
     """
     from repro.core.gradients import QuantumTape
     from repro.sim.statevector import run_ops
 
+    rng = as_rng(rng)
     if inputs is not None:
         inputs = np.asarray(inputs, dtype=float)
         batch = inputs.shape[0]
     else:
         batch = 1
     circuit = compiled.circuit
+    rows = n_realizations * batch
     ops, n_inserted = stacked_noisy_ops(
         compiled, sampler, weights, inputs, batch, n_realizations, rng
     )
-    if pool is not None and pool.n_workers > 0 and n_realizations > 1:
-        state = run_ops_banded(
-            ops, circuit.n_qubits, n_realizations * batch, batch, pool
+    checkpoints, jump_ops = {}, frozenset()
+    if _jump_table(compiled, sampler):
+        state, checkpoints, jump_ops = _run_jumps(
+            ops, circuit.n_qubits, rows, rng
         )
+    elif pool is not None and pool.n_workers > 0 and n_realizations > 1:
+        state = run_ops_banded(ops, circuit.n_qubits, rows, batch, pool)
     else:
-        state = run_ops(ops, circuit.n_qubits, n_realizations * batch)
+        state = run_ops(ops, circuit.n_qubits, rows)
     table = circuit.parameter_table
     tape = QuantumTape(
         circuit,
@@ -755,6 +808,8 @@ def stacked_noisy_forward_with_tape(
         state,
         n_weights if n_weights is not None else table.num_weights,
         n_inputs if n_inputs is not None else table.num_inputs,
+        checkpoints,
+        jump_ops,
     )
     probs = np.abs(state) ** 2
     stacked_exp = probs @ z_signs(circuit.n_qubits).T
@@ -780,232 +835,6 @@ def stacked_noisy_backward(
     batch = grad_expectations.shape[0]
     stacked_grad = np.tile(grad_expectations / n_realizations, (n_realizations, 1))
     weight_grad, input_grad = adjoint_backward(tape, stacked_grad)
-    input_grad = input_grad.reshape(n_realizations, batch, -1).sum(axis=0)
-    return weight_grad, input_grad
-
-
-#: Store a training checkpoint at every Nth jump site.  The backward
-#: sweep recovers the skipped pre-jump states by replaying the recorded
-#: ops of one window from its stored checkpoint (each window replays
-#: once), bounding tape memory at ``n_jumps / stride`` stacked states
-#: instead of one per jump -- the difference between a few hundred KB
-#: and hundreds of MB on wide blocks with relaxation on every gate.
-_JUMP_CHECKPOINT_STRIDE = 8
-
-
-@dataclass
-class MCWFTape:
-    """Everything an MCWF forward saves for the checkpointed adjoint.
-
-    ``ops`` is the realized trajectory's full linear map: base gates,
-    sampled Pauli insertions, coherent rotations and the renormalized
-    jump operators, in application order.  Jump operators are
-    *non-unitary*, so their adjoint is not their inverse and the
-    backward sweep cannot un-apply them; ``jump_ops`` marks their op
-    indices and ``checkpoints`` stores the pre-site state at every
-    :data:`_JUMP_CHECKPOINT_STRIDE`-th jump -- the sweep restores
-    stored states directly and re-derives the ones in between by
-    replaying the recorded window (everything else is unitary and
-    inverts as usual).
-    """
-
-    circuit: object
-    ops: list
-    checkpoints: "dict[int, np.ndarray]"
-    jump_ops: "set[int]"
-    state: np.ndarray
-    n_weights: int
-    n_inputs: int
-
-
-def mcwf_forward_with_tape(
-    compiled: "CompiledCircuit",
-    sampler: ErrorGateSampler,
-    weights: "np.ndarray | None",
-    inputs: "np.ndarray | None",
-    n_realizations: int = 1,
-    rng: "int | np.random.Generator | None" = None,
-    n_weights: "int | None" = None,
-    n_inputs: "int | None" = None,
-    pool=None,
-) -> "tuple[np.ndarray, MCWFTape, int]":
-    """Quantum-jump noisy forward over stacked realizations, with tape.
-
-    The training-side MCWF sweep: Pauli error choices are pre-drawn per
-    site (state-independent, as in :func:`stacked_noisy_ops`), while
-    exact-relaxation jump operators are sampled *during* the sweep from
-    the running state's per-row jump probabilities and recorded as
-    renormalized ``(rows, 2, 2)`` constant ops.  Returns
-    ``(expectations, tape, n_inserted)`` with expectations the
-    per-sample mean over realizations.
-
-    Gradient semantics match the gate-insertion backend: the sampled
-    realization -- including each jump's choice and renormalization
-    scale -- is held constant, and the backward pass
-    (:func:`mcwf_adjoint_backward`) is exact for that frozen linear map
-    (verified against finite differences under a frozen jump sampler).
-
-    The jump sites come from the circuit's cached table
-    (:func:`_jump_table`), so per-step callers like
-    :class:`~repro.core.executors.MCWFTrainExecutor` build it once per
-    block.
-
-    A model with *no* jump sites is state-independent end to end: its
-    sweep is exactly :func:`stacked_noisy_forward_with_tape`'s (same
-    draws, same op order), so it runs there -- row-banded when ``pool``
-    (a thread lease) has workers.  Jump-carrying sweeps stay a single
-    serial pass: each jump's probabilities depend on the evolved state
-    mid-sweep and its draws consume the rng in stream order.
-    """
-    circuit = compiled.circuit
-    jump_sites = _jump_table(compiled, sampler)
-    if not jump_sites:
-        expectations, tape, n_inserted = stacked_noisy_forward_with_tape(
-            compiled, sampler, weights, inputs, n_realizations, rng,
-            n_weights, n_inputs, pool,
-        )
-        return expectations, MCWFTape(
-            circuit, tape.ops, {}, set(), tape.state,
-            tape.n_weights, tape.n_inputs,
-        ), n_inserted
-    rng = as_rng(rng)
-    if inputs is not None:
-        inputs = np.asarray(inputs, dtype=float)
-        batch = inputs.shape[0]
-    else:
-        batch = 1
-    n = circuit.n_qubits
-    rows = n_realizations * batch
-    base_ops = bind_circuit(circuit, weights, inputs, batch)
-    events = sampler.sample_batched(
-        circuit, compiled.physical_qubits, n_realizations, rng
-    )
-    jump_by_gate: "dict[int, list[tuple[int, np.ndarray, np.ndarray]]]" = {}
-    for _gi, local_q, kraus, effects in jump_sites:
-        jump_by_gate.setdefault(_gi, []).append((local_q, kraus, effects))
-
-    state = zero_state(n, rows)
-    scratch = np.empty_like(state)
-    ops: list = []
-    checkpoints: "dict[int, np.ndarray]" = {}
-    jump_ops: "set[int]" = set()
-    n_inserted = 0
-    n_jumps = 0
-
-    def apply_op(op):
-        nonlocal state, scratch
-        apply_matrix(state, op.kernel(n), op.qubits, n, out=scratch)
-        state, scratch = scratch, state
-        ops.append(op)
-
-    for i, (op, post) in enumerate(zip(base_ops, events)):
-        apply_op(_tiled_op(op, n_realizations, batch))
-        # Event order mirrors the density reference's channel order:
-        # Pauli insertions, then relaxation jumps, then coherent
-        # miscalibration (sample_batched lists pauli before coherent).
-        pauli = [e for e in post if e[0] == "pauli"]
-        n_inserted += _count_inserted(pauli)
-        for local_q, errors in _expand_events(pauli, batch):
-            apply_op(_error_op(local_q, errors))
-        for local_q, kraus, effects in jump_by_gate.get(i, ()):
-            if n_jumps % _JUMP_CHECKPOINT_STRIDE == 0:
-                checkpoints[len(ops)] = state.copy()
-            jump_ops.add(len(ops))
-            n_jumps += 1
-            mats = _sample_jump_matrices(
-                state, kraus, effects, local_q, rng.random(rows)
-            )
-            apply_op(_error_op(local_q, mats))
-        coherent = [e for e in post if e[0] == "coherent"]
-        for local_q, matrix in _expand_events(coherent, batch):
-            apply_op(_error_op(local_q, matrix))
-
-    table = circuit.parameter_table
-    tape = MCWFTape(
-        circuit,
-        ops,
-        checkpoints,
-        jump_ops,
-        state,
-        n_weights if n_weights is not None else table.num_weights,
-        n_inputs if n_inputs is not None else table.num_inputs,
-    )
-    probs = np.abs(state) ** 2
-    stacked_exp = probs @ z_signs(n).T
-    expectations = stacked_exp.reshape(n_realizations, batch, -1).mean(axis=0)
-    return expectations, tape, n_inserted
-
-
-def mcwf_adjoint_backward(
-    tape: MCWFTape,
-    grad_expectations: np.ndarray,
-    n_realizations: int = 1,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Adjoint backward through a quantum-jump tape.
-
-    The covector propagates through *any* linear op as ``A^dag`` (no
-    unitarity needed), so the bra sweep is the standard adjoint one.
-    The ket cannot be un-applied through the non-unitary jump operators,
-    so at each jump index the pre-site state is restored instead --
-    directly from the sparse stored checkpoints, or by replaying the
-    recorded ops of the enclosing checkpoint window once (caching every
-    jump state inside it); all remaining ops are unitary and invert as
-    usual.  Upstream gradients are per-sample ``(batch, n_qubits)`` of
-    the realization-averaged expectations, mirroring
-    :func:`stacked_noisy_backward`'s contract.
-    """
-    import bisect
-
-    from repro.core.gradients import adjoint_pair, adjoint_step
-
-    n = tape.circuit.n_qubits
-    grad_expectations = np.asarray(grad_expectations, dtype=float)
-    batch = grad_expectations.shape[0]
-    stacked_grad = np.tile(
-        grad_expectations / n_realizations, (n_realizations, 1)
-    )
-    rows = tape.state.shape[0]
-    pair, scratch = adjoint_pair(tape.state, stacked_grad, n)
-    weight_grad = np.zeros(tape.n_weights)
-    input_grad = np.zeros((rows, tape.n_inputs))
-
-    stored = sorted(tape.checkpoints)
-    window: "dict[int, np.ndarray]" = {}
-
-    def restore(k: int) -> np.ndarray:
-        """The state immediately before jump op ``k``."""
-        state = tape.checkpoints.get(k)
-        if state is None:
-            state = window.pop(k, None)
-        if state is not None:
-            return state
-        # Replay the window from the nearest stored checkpoint at or
-        # below k, caching the pre-op state of every jump in between
-        # (consumed as the reverse sweep descends through them).
-        j = stored[bisect.bisect_right(stored, k) - 1]
-        state = tape.checkpoints[j]
-        for i in range(j, k):
-            if i != j and i in tape.jump_ops:
-                window[i] = state
-            op_i = tape.ops[i]
-            state = apply_matrix(state, op_i.kernel(n), op_i.qubits, n)
-        return state
-
-    for k in range(len(tape.ops) - 1, -1, -1):
-        op = tape.ops[k]
-        if k in tape.jump_ops:
-            # Non-unitary jump: restore the ket, adjoint the bra.
-            apply_matrix(
-                pair[rows:], op.kernel(n).adjoint(), op.qubits, n,
-                out=scratch[rows:],
-            )
-            scratch[:rows] = restore(k)
-            pair, scratch = scratch, pair
-            continue
-        pair, scratch = adjoint_step(
-            op, pair, scratch, n, weight_grad, input_grad
-        )
-
     input_grad = input_grad.reshape(n_realizations, batch, -1).sum(axis=0)
     return weight_grad, input_grad
 
@@ -1204,7 +1033,7 @@ def mcwf_probabilities_reference(
     the fused jump-mode sweep is benchmarked and statistically checked
     against (channel order matches the density reference exactly).
     """
-    from repro.noise.model import VIRTUAL_GATES
+    from repro.noise.model import UNDRIVEN_GATES, VIRTUAL_GATES
 
     rng = as_rng(rng)
     sampler = ErrorGateSampler(noise_model, noise_factor, allow_exact=True)
@@ -1245,7 +1074,7 @@ def mcwf_probabilities_reference(
                         state[row] = candidates[pick][row] / np.sqrt(
                             max(norms[pick, row], 1e-300)
                         )
-            if op.gate.name not in ("rz", "id"):
+            if op.gate.name not in UNDRIVEN_GATES:
                 for local_q, phys_q in zip(op.qubits, phys):
                     coherent = scaled.coherent_for(phys_q)
                     if coherent is not None:

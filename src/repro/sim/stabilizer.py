@@ -13,18 +13,12 @@ generators H, S (and Sdg), the Paulis, SX, CX, CZ and SWAP.  Measurement
 implements the standard deterministic/random split, collapsing the
 state in place.
 
-Two tableau classes share one set of gate kernels:
-
-* :class:`StabilizerState` -- a single ``(2n, n)`` tableau, as before.
-* :class:`BatchedStabilizerState` -- a ``(trajectories, 2n, n)`` stack
-  of independent tableaus.  Gates are vectorized XOR/AND passes over
-  the whole trajectory axis, and per-trajectory Pauli noise insertions
-  are sign-flip masks (:meth:`BatchedStabilizerState.apply_pauli_choices`),
-  so an entire noisy trajectory sweep is one sequence of GIL-releasing
-  boolean ufunc passes.
-
-The kernels index columns through an ellipsis (``x[..., q]``), so the
-same function body serves both the 2-D and the 3-D layout.
+:class:`BatchedStabilizerState` is a ``(trajectories, 2n, n)`` stack of
+independent tableaus; a single state is a stack of one.  Gates are
+vectorized XOR/AND passes over the whole trajectory axis, and
+per-trajectory Pauli noise insertions are sign-flip masks
+(:meth:`BatchedStabilizerState.apply_pauli_choices`), so an entire noisy
+trajectory sweep is one sequence of GIL-releasing boolean ufunc passes.
 """
 
 from __future__ import annotations
@@ -45,10 +39,10 @@ class NonCliffordCircuitError(ValueError):
 
 # -- shared gate kernels ------------------------------------------------------
 #
-# Each kernel mutates (x, z, r) in place and broadcasts over any leading
-# axes: the single-state tableau passes (2n, n)/(2n,) arrays, the batched
-# one (B, 2n, n)/(B, 2n).  Column reads that feed later writes are copied
-# first so views never alias their own update.
+# Each kernel mutates the (B, 2n, n)/(B, 2n) stack (x, z, r) in place,
+# indexing columns through an ellipsis (``x[..., q]``).  Column reads that
+# feed later writes are copied first so views never alias their own
+# update.
 
 
 def _k_h(x, z, r, q: int) -> None:
@@ -178,8 +172,8 @@ def _batch_z_expectations(x, z, r) -> np.ndarray:
     the CHP rowsum recursion runs all ``B * n`` (trajectory, qubit)
     scratch rows at once: iteration ``i`` multiplies stabilizer row
     ``n+i`` into every scratch row whose destabilizer ``i`` has X
-    support on that qubit, which is exactly the per-qubit loop of the
-    single-state ``expectation_z`` -- vectorized over both axes.
+    support on that qubit -- the textbook per-qubit rowsum loop,
+    vectorized over both axes.
     """
     batch, _, n = x.shape
     random_q = x[:, n:, :].any(axis=1)  # (B, n): any stabilizer X support
@@ -206,130 +200,6 @@ def _batch_z_expectations(x, z, r) -> np.ndarray:
     out = np.where(phase == 2, -1.0, 1.0)
     out[random_q] = 0.0
     return out
-
-
-class StabilizerState:
-    """An n-qubit stabilizer state, initialized to |0...0>.
-
-    ``rng`` seeds the generator used by random-outcome measurements when
-    :meth:`measure` is not handed one explicitly; it is held for the
-    lifetime of the state (like the statevector executors hold theirs),
-    so repeated measurements draw from one reproducible stream.
-    """
-
-    def __init__(self, n_qubits: int, rng: "int | np.random.Generator | None" = None):
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        self.n = n_qubits
-        rows = 2 * n_qubits
-        self.x = np.zeros((rows, n_qubits), dtype=bool)
-        self.z = np.zeros((rows, n_qubits), dtype=bool)
-        self.r = np.zeros(rows, dtype=bool)
-        # Destabilizer i = X_i, stabilizer n+i = Z_i.
-        idx = np.arange(n_qubits)
-        self.x[idx, idx] = True
-        self.z[n_qubits + idx, idx] = True
-        self._rng = as_rng(rng)
-
-    def copy(self) -> "StabilizerState":
-        out = StabilizerState(self.n)
-        out.x = self.x.copy()
-        out.z = self.z.copy()
-        out.r = self.r.copy()
-        out._rng = self._rng  # copies share the measurement stream
-        return out
-
-    # -- gates -----------------------------------------------------------------
-
-    def apply(self, name: str, qubits: "tuple[int, ...] | int") -> "StabilizerState":
-        """Apply a named Clifford gate; returns self for chaining."""
-        _apply_gate(self.x, self.z, self.r, self.n, name, qubits)
-        return self
-
-    # -- row arithmetic -----------------------------------------------------------
-
-    def _rowsum_into(
-        self, xh, zh, rh: bool, i: int, check: bool = True
-    ) -> "tuple[np.ndarray, np.ndarray, bool]":
-        """Multiply generator row i into the scratch row (xh, zh, rh)."""
-        phase = 2 * int(rh) + 2 * int(self.r[i]) + int(
-            _pauli_phase(self.x[i], self.z[i], xh, zh).sum()
-        )
-        phase %= 4
-        if check and phase not in (0, 2):  # pragma: no cover - tableau invariant
-            raise RuntimeError("tableau phase invariant violated")
-        return xh ^ self.x[i], zh ^ self.z[i], phase == 2
-
-    def _rowsum(self, h: int, i: int) -> None:
-        # A destabilizer row can anticommute with the pivot it absorbs
-        # (odd phase); its sign bit is never read, so -- as in canonical
-        # CHP -- only stabilizer rows enforce the even-phase invariant.
-        self.x[h], self.z[h], self.r[h] = self._rowsum_into(
-            self.x[h].copy(), self.z[h].copy(), bool(self.r[h]), i,
-            check=h >= self.n,
-        )
-
-    # -- measurement ----------------------------------------------------------------
-
-    def expectation_z(self, qubit: int) -> float:
-        """<Z_q>: +/-1 when deterministic, 0.0 when the outcome is random."""
-        n = self.n
-        if self.x[n:, qubit].any():
-            return 0.0
-        xh = np.zeros(n, dtype=bool)
-        zh = np.zeros(n, dtype=bool)
-        rh = False
-        for i in range(n):
-            if self.x[i, qubit]:
-                xh, zh, rh = self._rowsum_into(xh, zh, rh, i + n)
-        return -1.0 if rh else 1.0
-
-    def z_expectations(self) -> np.ndarray:
-        """All per-qubit <Z> values (exact: +/-1 or 0), in one pass."""
-        return _batch_z_expectations(self.x[None], self.z[None], self.r[None])[0]
-
-    def measure(
-        self, qubit: int, rng: "int | np.random.Generator | None" = None
-    ) -> int:
-        """Measure Z on one qubit, collapsing the state; returns 0 or 1.
-
-        Random outcomes draw from ``rng`` when given, else from the
-        generator held since construction -- never from a fresh
-        nondeterministic generator per call.
-        """
-        n = self.n
-        stab_rows = np.nonzero(self.x[n:, qubit])[0]
-        if stab_rows.size:
-            generator = self._rng if rng is None else as_rng(rng)
-            p = int(stab_rows[0]) + n
-            for i in range(2 * n):
-                if i != p and self.x[i, qubit]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p].copy()
-            self.z[p - n] = self.z[p].copy()
-            self.r[p - n] = self.r[p]
-            self.x[p] = False
-            self.z[p] = False
-            self.z[p, qubit] = True
-            outcome = int(generator.integers(0, 2))
-            self.r[p] = bool(outcome)
-            return outcome
-        expectation = self.expectation_z(qubit)
-        return 0 if expectation > 0 else 1
-
-    def run_circuit(self, circuit) -> "StabilizerState":
-        """Apply every gate of a (Clifford-only) :class:`Circuit`."""
-        for gate in circuit.gates:
-            if gate.name not in CLIFFORD_GATES:
-                raise ValueError(
-                    f"gate {gate.name!r} is not Clifford; "
-                    "use the statevector simulator"
-                )
-            self.apply(gate.name, gate.qubits)
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StabilizerState({self.n} qubits)"
 
 
 class BatchedStabilizerState:

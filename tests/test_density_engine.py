@@ -603,7 +603,7 @@ def test_training_with_density_engine_is_deterministic():
             model, x, y, x, y,
             TrainConfig(epochs=2, batch_size=8, engine="density", seed=0),
         )
-        assert isinstance(model._train_executor, GateInsertionExecutor)
+        assert type(model._train_executor) is GateInsertionExecutor
         return result
 
     first, second = run(), run()

@@ -363,4 +363,4 @@ def test_zero_duration_relaxation_stays_pauli_representable():
         QuantumNATConfig.full(0.5),
         rng=0,
     )
-    assert isinstance(model._train_executor, GateInsertionExecutor)
+    assert type(model._train_executor) is GateInsertionExecutor

@@ -17,8 +17,6 @@ from repro.core.gradients import (
 from repro.noise import NoiseModel, PauliError, get_device, readout_matrix
 from repro.noise.sampler import ErrorGateSampler
 from repro.noise.trajectory import (
-    mcwf_adjoint_backward,
-    mcwf_forward_with_tape,
     stacked_noisy_backward,
     stacked_noisy_forward_with_tape,
 )
@@ -225,7 +223,7 @@ def test_adjoint_on_sampled_noisy_block(block):
 def test_noisy_tapes_match_replay_oracle(block, engine):
     """Stacked R=3 gate-insertion and MCWF tapes against the oracle.
 
-    Both backward sweeps run the kernel adjoint with generator
+    The stacked sweep's backward runs the kernel adjoint with generator
     gradients over the realized ops (sampled Pauli stacks, coherent
     rotations and, under MCWF, the recorded jump operators); the oracle
     replays the same ops through the reference kernel.
@@ -236,17 +234,16 @@ def test_noisy_tapes_match_replay_oracle(block, engine):
     weights = rng.uniform(-1, 1, n_weights)
     inputs = rng.uniform(-1, 1, (batch, n_inputs))
     upstream = rng.normal(0, 1, (batch, n))
-    model = _noise_model(max(compiled.physical_qubits) + 1, engine == "mcwf")
-    sampler = ErrorGateSampler(model, 1.0, allow_exact=engine == "mcwf")
-    forward, backward = {
-        "stacked": (stacked_noisy_forward_with_tape, stacked_noisy_backward),
-        "mcwf": (mcwf_forward_with_tape, mcwf_adjoint_backward),
-    }[engine]
-    _exp, tape, _n = forward(compiled, sampler, weights, inputs, realizations,
-                             rng=5, n_weights=n_weights, n_inputs=n_inputs)
-    if engine == "mcwf":
+    mcwf = engine == "mcwf"
+    model = _noise_model(max(compiled.physical_qubits) + 1, mcwf)
+    sampler = ErrorGateSampler(model, 1.0, allow_exact=mcwf)
+    _exp, tape, _n = stacked_noisy_forward_with_tape(
+        compiled, sampler, weights, inputs, realizations,
+        rng=5, n_weights=n_weights, n_inputs=n_inputs,
+    )
+    if mcwf:
         assert tape.jump_ops, "no jump recorded"
-    w_grad, x_grad = backward(tape, upstream, realizations)
+    w_grad, x_grad = stacked_noisy_backward(tape, upstream, realizations)
     stacked = np.tile(upstream / realizations, (realizations, 1))
     state, w_ref, x_ref = _replay_gradients(
         tape.ops, n, stacked, n_weights, n_inputs

@@ -10,8 +10,10 @@ no-jump evolution and per-row renormalization.  This suite pins
 * exact agreement with the Pauli unraveling when no stochastic or
   relaxation sites exist (deterministic coherent-only models),
 * bit-identical sharded execution and the shot-sampling tail,
-* frozen-trajectory gradient exactness of the checkpointed adjoint
-  (finite differences under a frozen jump sampler),
+* frozen-trajectory gradient exactness of the adjoint through jump
+  checkpoints (finite differences under a frozen jump sampler),
+* bit-identity of the MCWF and gate-insertion trainers when the model
+  has no jump sites,
 * end-to-end training through ``TrainConfig(engine="mcwf")``,
 * the persistent worker pool held by ``TrajectoryEvalExecutor``.
 """
@@ -22,7 +24,11 @@ import pytest
 import repro.noise.trajectory as trajectory_module
 from repro.circuits import Circuit
 from repro.compiler import transpile
-from repro.core.executors import MCWFTrainExecutor, TrajectoryEvalExecutor
+from repro.core.executors import (
+    GateInsertionExecutor,
+    MCWFTrainExecutor,
+    TrajectoryEvalExecutor,
+)
 from repro.core.pipeline import QuantumNATConfig, QuantumNATModel
 from repro.core.training import TrainConfig, train
 from repro.noise import (
@@ -34,10 +40,10 @@ from repro.noise import (
 )
 from repro.noise.sampler import ErrorGateSampler
 from repro.noise.trajectory import (
-    mcwf_adjoint_backward,
-    mcwf_forward_with_tape,
     mcwf_probabilities_reference,
     run_noisy_trajectories,
+    stacked_noisy_backward,
+    stacked_noisy_forward_with_tape,
     trajectory_probabilities,
 )
 from repro.qnn import paper_model
@@ -214,7 +220,7 @@ def test_unravel_validation(device):
 
 
 def test_mcwf_adjoint_matches_fd_under_frozen_jumps(device, monkeypatch):
-    """The checkpointed adjoint is exact for the frozen trajectory map.
+    """The adjoint through jump checkpoints is exact for the frozen map.
 
     Jump sampling is monkeypatched to a deterministic non-unitary
     constant, making the whole forward a fixed linear map in the
@@ -242,18 +248,18 @@ def test_mcwf_adjoint_matches_fd_under_frozen_jumps(device, monkeypatch):
     n_measure = compiled.circuit.n_qubits
 
     def loss(w, x):
-        exp, _tape, _n = mcwf_forward_with_tape(
+        exp, _tape, _n = stacked_noisy_forward_with_tape(
             compiled, sampler, w, x, 1, rng=7,
             n_weights=w.size, n_inputs=x.shape[1],
         )
         return exp.sum()
 
-    _exp, tape, _n = mcwf_forward_with_tape(
+    _exp, tape, _n = stacked_noisy_forward_with_tape(
         compiled, sampler, weights, inputs, 1, rng=7,
         n_weights=weights.size, n_inputs=inputs.shape[1],
     )
     assert tape.checkpoints, "no jump sites recorded"
-    w_grad, x_grad = mcwf_adjoint_backward(
+    w_grad, x_grad = stacked_noisy_backward(
         tape, np.ones((3, n_measure)), 1
     )
 
@@ -289,6 +295,45 @@ def test_mcwf_executor_forward_backward_contract(device):
     assert w_grad.shape == (weights.size,)
     assert x_grad.shape == inputs.shape
     assert np.isfinite(w_grad).all() and np.abs(w_grad).max() > 0
+
+
+@pytest.mark.parametrize("noise,n_realizations", [
+    ("noise_model", 1), ("noise_model", 3), ("hardware_model", 3),
+])
+def test_mcwf_executor_is_gate_insertion_without_jumps(
+    device, noise, n_realizations
+):
+    """Without exact channels the two trainers give the same bits.
+
+    Both run the stacked sweep and the one adjoint (gate insertion at a
+    single realization binds one sampled circuit instead, which is
+    exact on a Pauli-only model): three steps agree in logits, weight
+    and input gradients and post-step RNG state.
+    """
+    qnn = paper_model(4, 1, 1, 16, 4)
+    compiled = transpile(qnn.blocks[0], device, 2)
+    rng = np.random.default_rng(2)
+    weights = qnn.init_weights(rng)
+    inputs = rng.normal(0, 1, (4, 16))
+    upstream = rng.normal(0, 1, (4, len(compiled.measure_qubits)))
+    runs = []
+    for executor_cls in (GateInsertionExecutor, MCWFTrainExecutor):
+        executor = executor_cls(
+            getattr(device, noise), noise_factor=10.0, rng=3,
+            n_realizations=n_realizations,
+        )
+        steps, inserted = [], 0
+        for _ in range(3):
+            logical, cache = executor.forward(compiled, weights, inputs)
+            steps.append((logical, *executor.backward(cache, upstream)))
+            inserted += executor.last_insertion_stats.n_inserted
+        assert inserted > 0, "no error inserted: the comparison is vacuous"
+        runs.append((steps, executor.rng.bit_generator.state))
+    (insertion, insertion_rng), (mcwf, mcwf_rng) = runs
+    for expected, got in zip(insertion, mcwf):
+        for a, b in zip(expected, got):  # logits, weight and input grads
+            assert np.array_equal(a, b)
+    assert insertion_rng == mcwf_rng
 
 
 def test_mcwf_trains_end_to_end_via_train_config(device):

@@ -14,6 +14,8 @@ changing a single bit of output:
   on both backends, supervised or not;
 * row-banded stacked training sweeps (GateInsertion / MCWF executors)
   over executor-held persistent pool leases;
+* the sharding setters of every sharded executor, validated like the
+  constructors' arguments;
 * the training factories forwarding ``n_workers``.
 """
 
@@ -24,7 +26,12 @@ from repro import get_device, paper_model
 from repro.circuits import Circuit
 from repro.compiler import transpile
 from repro.core.engine import engine_spec, engine_specs
-from repro.core.executors import GateInsertionExecutor, MCWFTrainExecutor
+from repro.core.executors import (
+    GateInsertionExecutor,
+    MCWFTrainExecutor,
+    StabilizerEvalExecutor,
+    TrajectoryEvalExecutor,
+)
 from repro.core.injection import GATE_INSERTION, InjectionConfig
 from repro.noise import NoiseModel, PauliError, readout_matrix
 from repro.noise import trajectory as traj_mod
@@ -415,6 +422,28 @@ def test_mcwf_banded_pauli_only_matches_serial(block):
         {q: (50.0, 60.0) for q in range(device.n_qubits)}, (0.035, 0.30)
     )
     assert np.array_equal(run(0, relax), run(2, relax))
+
+
+@pytest.mark.parametrize("executor_cls", [
+    GateInsertionExecutor, MCWFTrainExecutor,
+    TrajectoryEvalExecutor, StabilizerEvalExecutor,
+])
+def test_sharding_setters_validate_like_constructors(executor_cls):
+    """Assigning n_workers / shard_backend runs the constructors' check.
+
+    An unchecked backend name used to reach the lease, which spawned a
+    process pool for anything but "thread"; a negative worker count ran
+    silently.
+    """
+    ex = executor_cls(get_device("santiago").noise_model)
+    with pytest.raises(ValueError, match="shard_backend"):
+        ex.shard_backend = "gpu"
+    with pytest.raises(ValueError, match="n_workers"):
+        ex.n_workers = -1
+    assert (ex.lease.n_workers, ex.lease.backend) == (0, "thread")
+    ex.n_workers, ex.shard_backend = 2, "process"
+    assert (ex.lease.n_workers, ex.lease.backend) == (2, "process")
+    ex.close()
 
 
 def test_executor_pool_is_persistent_until_closed(block):

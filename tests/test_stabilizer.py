@@ -1,4 +1,9 @@
-"""Stabilizer simulator: agreement with the statevector engine."""
+"""Stabilizer simulator: agreement with the statevector engine.
+
+A single stabilizer state is a one-trajectory
+:class:`~repro.sim.stabilizer.BatchedStabilizerState`; row 0 of its
+``(1, n)`` expectations is the state's.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit
-from repro.sim.stabilizer import CLIFFORD_GATES, StabilizerState
+from repro.sim.stabilizer import CLIFFORD_GATES, BatchedStabilizerState
 from repro.sim.statevector import run_circuit, z_expectations
 
 ONE_QUBIT = ["h", "s", "sdg", "x", "y", "z", "sx", "sxdg", "id"]
@@ -27,71 +32,79 @@ def _random_clifford_circuit(n_qubits: int, n_gates: int, seed: int) -> Circuit:
     return circuit
 
 
+def _state(n_qubits: int) -> BatchedStabilizerState:
+    return BatchedStabilizerState(n_qubits, 1)
+
+
+def _z(state: BatchedStabilizerState, qubit: int) -> float:
+    return float(state.z_expectations()[0, qubit])
+
+
 # -- construction -------------------------------------------------------------
 
 
 def test_initial_state_is_all_zero():
-    state = StabilizerState(3)
-    assert np.allclose(state.z_expectations(), [1.0, 1.0, 1.0])
+    state = _state(3)
+    assert np.allclose(state.z_expectations()[0], [1.0, 1.0, 1.0])
 
 
 def test_needs_positive_width():
     with pytest.raises(ValueError, match="at least one"):
-        StabilizerState(0)
+        _state(0)
 
 
 def test_bad_qubit_raises():
     with pytest.raises(ValueError, match="out of range"):
-        StabilizerState(2).apply("h", 5)
+        _state(2).apply("h", 5)
 
 
 def test_non_clifford_gate_rejected():
     with pytest.raises(ValueError, match="not a supported Clifford"):
-        StabilizerState(1).apply("t", 0)
+        _state(1).apply("t", 0)
 
 
 def test_run_circuit_rejects_non_clifford():
     circuit = Circuit(1).add("ry", 0, 0.3)
     with pytest.raises(ValueError, match="not Clifford"):
-        StabilizerState(1).run_circuit(circuit)
+        _state(1).run_circuit(circuit)
 
 
 # -- single-gate semantics ------------------------------------------------------
 
 
 def test_x_flips_expectation():
-    state = StabilizerState(1).apply("x", 0)
-    assert state.expectation_z(0) == -1.0
+    state = _state(1).apply("x", 0)
+    assert _z(state, 0) == -1.0
 
 
 def test_h_makes_outcome_random():
-    state = StabilizerState(1).apply("h", 0)
-    assert state.expectation_z(0) == 0.0
+    state = _state(1).apply("h", 0)
+    assert _z(state, 0) == 0.0
 
 
 def test_hh_is_identity():
-    state = StabilizerState(1).apply("h", 0).apply("h", 0)
-    assert state.expectation_z(0) == 1.0
+    state = _state(1).apply("h", 0).apply("h", 0)
+    assert _z(state, 0) == 1.0
 
 
 def test_sx_squares_to_x():
-    state = StabilizerState(1).apply("sx", 0).apply("sx", 0)
-    assert state.expectation_z(0) == -1.0
+    state = _state(1).apply("sx", 0).apply("sx", 0)
+    assert _z(state, 0) == -1.0
 
 
 def test_sxdg_inverts_sx():
-    state = StabilizerState(1).apply("sx", 0).apply("sxdg", 0)
-    assert state.expectation_z(0) == 1.0
+    state = _state(1).apply("sx", 0).apply("sxdg", 0)
+    assert _z(state, 0) == 1.0
 
 
 def test_cx_copies_excitation():
-    state = StabilizerState(2).apply("x", 0).apply("cx", (0, 1))
-    assert np.allclose(state.z_expectations(), [-1.0, -1.0])
+    state = _state(2).apply("x", 0).apply("cx", (0, 1))
+    assert np.allclose(state.z_expectations()[0], [-1.0, -1.0])
 
 
 def test_swap_moves_excitation():
-    state = StabilizerState(2).apply("x", 0).apply("swap", (0, 1))
-    assert np.allclose(state.z_expectations(), [1.0, -1.0])
+    state = _state(2).apply("x", 0).apply("swap", (0, 1))
+    assert np.allclose(state.z_expectations()[0], [1.0, -1.0])
 
 
 # -- agreement with the statevector simulator --------------------------------------
@@ -100,10 +113,10 @@ def test_swap_moves_excitation():
 @pytest.mark.parametrize("seed", range(8))
 def test_random_clifford_matches_statevector(seed):
     circuit = _random_clifford_circuit(3, 25, seed)
-    tableau = StabilizerState(3).run_circuit(circuit)
+    tableau = _state(3).run_circuit(circuit)
     state, _ = run_circuit(circuit, batch=1)
     expected = z_expectations(state, 3)[0]
-    measured = tableau.z_expectations()
+    measured = tableau.z_expectations()[0]
     # Statevector gives continuous values; stabilizer states only ever
     # produce -1, 0 (maximally mixed marginal) or +1.
     assert np.allclose(measured, np.round(expected, 9), atol=1e-9)
@@ -113,37 +126,37 @@ def test_random_clifford_matches_statevector(seed):
 @settings(max_examples=25, deadline=None)
 def test_random_clifford_matches_statevector_property(seed):
     circuit = _random_clifford_circuit(2, 15, seed)
-    tableau = StabilizerState(2).run_circuit(circuit)
+    tableau = _state(2).run_circuit(circuit)
     state, _ = run_circuit(circuit, batch=1)
     expected = z_expectations(state, 2)[0]
-    assert np.allclose(tableau.z_expectations(), expected, atol=1e-9)
+    assert np.allclose(tableau.z_expectations()[0], expected, atol=1e-9)
 
 
 # -- measurement ---------------------------------------------------------------------
 
 
 def test_deterministic_measurement():
-    state = StabilizerState(1).apply("x", 0)
-    assert state.measure(0, rng=0) == 1
-    assert state.measure(0, rng=1) == 1  # still collapsed
+    state = _state(1).apply("x", 0)
+    assert state.measure(0, rng=0)[0] == 1
+    assert state.measure(0, rng=1)[0] == 1  # still collapsed
 
 
 def test_random_measurement_collapses():
     rng = np.random.default_rng(0)
-    state = StabilizerState(1).apply("h", 0)
-    first = state.measure(0, rng)
+    state = _state(1).apply("h", 0)
+    first = state.measure(0, rng)[0]
     # After collapse the outcome is pinned.
     for _ in range(5):
-        assert state.measure(0, rng) == first
+        assert state.measure(0, rng)[0] == first
 
 
 def test_bell_state_correlations():
     rng = np.random.default_rng(42)
     outcomes = []
     for _ in range(20):
-        state = StabilizerState(2).apply("h", 0).apply("cx", (0, 1))
-        a = state.measure(0, rng)
-        b = state.measure(1, rng)
+        state = _state(2).apply("h", 0).apply("cx", (0, 1))
+        a = state.measure(0, rng)[0]
+        b = state.measure(1, rng)[0]
         assert a == b  # perfectly correlated
         outcomes.append(a)
     assert 0 < sum(outcomes) < 20  # both outcomes occur
@@ -154,17 +167,17 @@ def test_measurement_statistics_uniform_for_plus_state():
     ones = 0
     n = 400
     for _ in range(n):
-        state = StabilizerState(1).apply("h", 0)
-        ones += state.measure(0, rng)
+        state = _state(1).apply("h", 0)
+        ones += state.measure(0, rng)[0]
     assert 0.4 < ones / n < 0.6
 
 
 def test_ghz_parity():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        state = StabilizerState(3).apply("h", 0)
+        state = _state(3).apply("h", 0)
         state.apply("cx", (0, 1)).apply("cx", (1, 2))
-        bits = [state.measure(q, rng) for q in range(3)]
+        bits = [state.measure(q, rng)[0] for q in range(3)]
         assert len(set(bits)) == 1  # all agree in a GHZ state
 
 
@@ -173,17 +186,17 @@ def test_ghz_parity():
 
 def test_wide_circuit_runs_fast():
     n = 64  # far beyond any statevector
-    state = StabilizerState(n)
+    state = _state(n)
     for q in range(n):
         state.apply("h", q)
     for q in range(n - 1):
         state.apply("cx", (q, q + 1))
-    assert np.allclose(state.z_expectations(), 0.0)
+    assert np.allclose(state.z_expectations()[0], 0.0)
 
 
 def test_copy_is_independent():
-    state = StabilizerState(2).apply("h", 0)
+    state = _state(2).apply("h", 0)
     clone = state.copy()
     clone.apply("x", 1)
-    assert state.expectation_z(1) == 1.0
-    assert clone.expectation_z(1) == -1.0
+    assert _z(state, 1) == 1.0
+    assert _z(clone, 1) == -1.0

@@ -1,9 +1,9 @@
-"""Batched stabilizer engine: trajectory stacks vs single tableau,
-statevector, and the executor's sampled-shots path.
+"""Batched stabilizer engine: trajectory stacks vs one-trajectory
+tableaus, statevector, and the executor's sampled-shots path.
 
-The batched tableau (``BatchedStabilizerState``) must be row-for-row
-equivalent to running independent ``StabilizerState`` instances, which
-in turn must agree with the statevector simulator on every Clifford
+Every row of a batched tableau (``BatchedStabilizerState``) must equal
+an independent one-trajectory state run through the same circuit, and
+both must agree with the statevector simulator on every Clifford
 circuit; the Clifford admission screen (``clifford_ops``) and the
 engine-level executor ride on top.
 """
@@ -19,7 +19,6 @@ from repro.noise.model import NoiseModel
 from repro.sim.stabilizer import (
     BatchedStabilizerState,
     NonCliffordCircuitError,
-    StabilizerState,
     clifford_ops,
 )
 from repro.sim.statevector import run_circuit, z_expectations
@@ -80,12 +79,12 @@ def test_copy_is_independent():
 def test_batch_rows_match_single_and_statevector(n_qubits):
     circuit = _random_clifford_circuit(n_qubits, 8 * n_qubits, n_qubits)
     batched = BatchedStabilizerState(n_qubits, 4).run_circuit(circuit)
-    single = StabilizerState(n_qubits).run_circuit(circuit)
+    single = BatchedStabilizerState(n_qubits, 1).run_circuit(circuit)
     state, _ = run_circuit(circuit, batch=1)
     expected = z_expectations(state, n_qubits)[0]
     got = batched.z_expectations()
     for row in got:
-        assert np.allclose(row, single.z_expectations(), atol=1e-12)
+        assert np.allclose(row, single.z_expectations()[0], atol=1e-12)
         assert np.allclose(row, np.round(expected, 9), atol=1e-9)
 
 
@@ -115,11 +114,11 @@ def test_apply_pauli_choices_matches_explicit_gates():
         batched = BatchedStabilizerState(3, 4).run_circuit(circuit)
         batched.apply_pauli_choices(qubit, np.array([0, 1, 2, 3]))
         for row, choice in enumerate([0, 1, 2, 3]):
-            single = StabilizerState(3).run_circuit(circuit)
+            single = BatchedStabilizerState(3, 1).run_circuit(circuit)
             if names[choice] is not None:
                 single.apply(names[choice], qubit)
             assert np.allclose(
-                batched.z_expectations()[row], single.z_expectations()
+                batched.z_expectations()[row], single.z_expectations()[0]
             ), f"choice {choice} on qubit {qubit}"
 
 
@@ -167,7 +166,8 @@ def test_batched_measure_matches_single_states():
     circuit = _random_clifford_circuit(4, 30, 13)
     batched = BatchedStabilizerState(4, 8, rng=5).run_circuit(circuit)
     singles = [
-        StabilizerState(4, rng=100 + i).run_circuit(circuit) for i in range(8)
+        BatchedStabilizerState(4, 1, rng=100 + i).run_circuit(circuit)
+        for i in range(8)
     ]
     bits = batched.measure(2)
     # Post-measurement the collapsed marginal must agree row by row with
