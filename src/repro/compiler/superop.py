@@ -7,12 +7,13 @@ more round trips for the Pauli channel and another for the coherent
 miscalibration rotation, each paying two transpose+contract passes over
 the density.  This pass precompiles all of that away:
 
-* **Per-site superoperators**: every bound gate is combined with its
-  Pauli channel(s), its exact thermal-relaxation (amplitude + phase
-  damping) channel(s) when the model carries T1/T2
-  (:meth:`repro.noise.model.NoiseModel.relaxation_kraus_for`), and its
-  coherent miscalibration into a single ``(4**k, 4**k)`` superoperator
-  on the gate's support (k <= 2), in the
+* **Per-site superoperators**: every bound gate is combined with the
+  channels that follow it -- its Pauli channel(s), its exact
+  thermal-relaxation (amplitude + phase damping) channel(s) when the
+  model carries T1/T2, and its coherent miscalibration, read in that
+  order from the block's noise-site table
+  (:func:`repro.noise.sampler.noise_sites`) -- into a single
+  ``(4**k, 4**k)`` superoperator on the gate's support (k <= 2), in the
   :func:`~repro.sim.density.unitary_superop` index convention.  Channel
   factors depend only on the noise model, so they are built once per
   plan; gate factors follow the bind-plan classification (constant /
@@ -61,8 +62,8 @@ _EYE2 = np.eye(2, dtype=complex)
 #: Fused static superop segments retained per plan, keyed on weight bytes.
 _SUPEROP_CACHE_SIZE = 4
 
-#: Noise-keyed plans retained per circuit and kind (superoperator,
-#: trajectory and stabilizer plans, jump tables, shard payloads): one
+#: Noise-keyed plans retained per circuit and kind (noise-site tables,
+#: superoperator, trajectory and stabilizer plans, shard payloads): one
 #: entry per distinct (noise model, factor, layout).
 _PLAN_CACHE_SIZE = 8
 
@@ -166,43 +167,33 @@ def fuse_superops(ops: "list[SuperOp]", max_qubits: int = 2) -> "list[SuperOp]":
     return fused
 
 
-def _site_channel(gate, phys: "tuple[int, ...]", noise_model) -> "np.ndarray | None":
+def _site_channel(gate, sites) -> "np.ndarray | None":
     """The constant noise superoperator following one gate site, or None.
 
-    Composes -- in the reference backend's application order -- the Pauli
-    channel on each operand qubit, the exact thermal-relaxation channel
-    on each operand (when the model carries T1/T2), then the coherent
-    miscalibration rotation on each driven operand, all embedded onto
-    the gate's own support.  Depends only on the (scaled) noise model,
+    Composes the gate's :func:`~repro.noise.sampler.noise_sites` entries
+    in their channel order -- the Pauli channel on each operand, the
+    exact thermal-relaxation channel on each operand, then the coherent
+    miscalibration rotation on each driven operand -- all embedded onto
+    the gate's own support.  A Pauli site with zero total is the
+    identity and is skipped.  Depends only on the (scaled) noise model,
     never on bound parameters, so it is computed once per plan.
     """
-    from repro.noise.model import UNDRIVEN_GATES, VIRTUAL_GATES
+    from repro.noise.model import CHANNEL_COHERENT, CHANNEL_PAULI
     from repro.noise.trajectory import _coherent_unitary
 
     channel: "np.ndarray | None" = None
-    for local_q, (_phys_q, error) in zip(
-        gate.qubits, noise_model.gate_errors(gate.name, phys)
-    ):
-        if error.total <= 0:
-            continue
-        one = kraus_superop(pauli_channel(error.px, error.py, error.pz))
+    for kind, local_q, payload in sites:
+        if kind == CHANNEL_PAULI:
+            error = payload[0]
+            if error.total <= 0:
+                continue
+            one = kraus_superop(pauli_channel(error.px, error.py, error.pz))
+        elif kind == CHANNEL_COHERENT:
+            one = unitary_superop(_coherent_unitary(*payload))
+        else:  # relaxation: the Kraus stack
+            one = kraus_superop(payload[0])
         one = embed_superop(one, (local_q,), gate.qubits)
         channel = one if channel is None else np.matmul(one, channel)
-    if gate.name not in VIRTUAL_GATES:
-        for local_q, phys_q in zip(gate.qubits, phys):
-            kraus = noise_model.relaxation_kraus_for(phys_q, len(gate.qubits))
-            if kraus is None:
-                continue
-            one = embed_superop(kraus_superop(kraus), (local_q,), gate.qubits)
-            channel = one if channel is None else np.matmul(one, channel)
-    if gate.name not in UNDRIVEN_GATES:
-        for local_q, phys_q in zip(gate.qubits, phys):
-            coherent = noise_model.coherent_for(phys_q)
-            if coherent is None:
-                continue
-            one = unitary_superop(_coherent_unitary(*coherent))
-            one = embed_superop(one, (local_q,), gate.qubits)
-            channel = one if channel is None else np.matmul(one, channel)
     return channel
 
 
@@ -238,9 +229,9 @@ class SuperopPlan:
     """
 
     __slots__ = (
-        "bind_plan", "_channels", "_layout", "_cache", "_site_cache",
-        "_readout", "_train_layout", "_train_static_sites",
-        "_train_segments", "_train_site_cache",
+        "bind_plan", "_channels", "_layout", "_cache", "_readout",
+        "_train_layout", "_train_static_sites", "_train_segments",
+        "_train_site_cache",
     )
 
     def __init__(
@@ -249,26 +240,20 @@ class SuperopPlan:
         noise_model: "NoiseModel",
         noise_factor: float = 1.0,
     ):
+        from repro.compiler.fusion import static_dynamic_layout
+        from repro.noise.sampler import noise_sites
+
         circuit = compiled.circuit
         self.bind_plan = bind_plan_for(circuit)
-        scaled = (
-            noise_model.scaled(noise_factor)
-            if noise_factor != 1.0
-            else noise_model
+        table = noise_sites(
+            circuit, compiled.physical_qubits, noise_model, noise_factor
         )
         self._channels = [
-            _site_channel(
-                gate,
-                tuple(compiled.physical_qubits[q] for q in gate.qubits),
-                scaled,
-            )
-            for gate in circuit.gates
+            _site_channel(gate, sites) for gate, sites in zip(circuit.gates, table)
         ]
-        from repro.compiler.fusion import static_dynamic_layout
 
         self._layout = static_dynamic_layout(circuit)
         self._cache = Cache("superop.segments", _SUPEROP_CACHE_SIZE)
-        self._site_cache = Cache("superop.sites", _SUPEROP_CACHE_SIZE)
         # Readout is unscaled by the noise factor (paper convention), so
         # the stage is built from the original model.
         self._readout = _readout_superops(compiled, noise_model)
@@ -313,39 +298,6 @@ class SuperopPlan:
         if channel is not None:
             matrix = np.matmul(channel, matrix)
         return SuperOp(op.qubits, matrix)
-
-    def site_superops(
-        self,
-        weights: "np.ndarray | None" = None,
-        inputs: "np.ndarray | None" = None,
-        batch: "int | None" = None,
-    ) -> "list[tuple]":
-        """The *unfused* per-site stream: ``[(bound op, SuperOp), ...]``.
-
-        The training backend needs one superoperator per gate site (its
-        adjoint sweep stores pre-site densities and differentiates the
-        gate factor), so segment fusion does not apply -- but the static
-        sites' superops depend only on the weight vector and are cached
-        per weights here, like :meth:`superops`' fused segments; only
-        input-dependent encoder sites rebuild per call.
-        """
-        ops = self.bind_plan.bind(weights, inputs, batch)
-        static = self._site_cache.get_or_build(
-            weights_key(weights),
-            lambda: {
-                i: self.site_superop(ops[i], i)
-                for kind, start, end in self._layout
-                if kind == "static"
-                for i in range(start, end)
-            },
-        )
-        out: "list[tuple]" = []
-        for kind, start, end in self._layout:
-            if kind == "static":
-                out.extend((ops[i], static[i]) for i in range(start, end))
-            else:
-                out.append((ops[start], self.site_superop(ops[start], start)))
-        return out
 
     def training_stream(
         self,

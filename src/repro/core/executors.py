@@ -52,7 +52,7 @@ from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.core.gradients import QuantumTape, adjoint_backward, forward_with_tape
 from repro.noise.density_backend import run_noisy_density
 from repro.noise.readout import apply_readout_to_expectations
-from repro.noise.sampler import ErrorGateSampler, InsertionStats
+from repro.noise.sampler import ErrorGateSampler, InsertionStats, noise_sites
 from repro.noise.trajectory import (
     _check_counts,
     run_noisy_trajectories,
@@ -309,7 +309,10 @@ class _Sharded:
         self.lease.backend = value
 
     n_workers = property(lambda self: self.lease.n_workers, _set_n_workers)
-    shard_backend = property(lambda self: self.lease.backend, _set_shard_backend)
+    shard_backend = property(
+        lambda self: self.lease.backend,
+        lambda self, value: self._set_shard_backend(value),
+    )
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent)."""
@@ -341,6 +344,8 @@ class GateInsertionExecutor(_Sharded):
     ``n_workers > 0`` bands that stacked sweep (one fixed row band per
     realization) over an executor-held persistent *thread* pool, so a
     training loop pays pool spawn once instead of once per step.  The
+    bands write into one shared pair of state buffers, so
+    ``shard_backend`` accepts ``"thread"`` only.  The
     band layout never depends on the worker count: results are bitwise
     identical across worker counts, and match the ``n_workers = 0``
     serial sweep to float tolerance (the sampled error events are
@@ -373,6 +378,14 @@ class GateInsertionExecutor(_Sharded):
             noise_model, noise_factor, allow_exact=self.allow_exact
         )
         self.last_insertion_stats = None
+
+    def _set_shard_backend(self, value: str) -> None:
+        if value != "thread":
+            raise ValueError(
+                "shard_backend must be 'thread' for a training executor, "
+                f"got {value!r}: its row bands share one pair of state buffers"
+            )
+        super()._set_shard_backend(value)
 
     def forward(
         self,
@@ -678,30 +691,30 @@ def _stabilizer_program(compiled, sampler, rz_tolerance: float) -> tuple:
     """Compile one block into a flat tableau program (pure data, picklable).
 
     Entries are ``("g", name, qubits)`` tableau gates or ``("p", qubit,
-    cum)`` Pauli-noise sites (``cum`` the sampler's cumulative
-    thresholds), in sweep order: each gate's error sites follow the
-    gate, exactly as the statevector trajectory sweep schedules them.
-    Raises :class:`~repro.sim.stabilizer.NonCliffordCircuitError` when
-    the circuit fails the Clifford screen.
+    cum)`` Pauli-noise sites (``cum`` the cumulative boundaries of the
+    block's :func:`~repro.noise.sampler.noise_sites` table), in sweep
+    order: each gate's error sites that can fire follow the gate,
+    exactly as the statevector trajectory sweep schedules them.  The
+    executor admits neither coherent nor relaxation channels, so Pauli
+    sites are all the table holds.  Raises
+    :class:`~repro.sim.stabilizer.NonCliffordCircuitError` when the
+    circuit fails the Clifford screen.
     """
     from repro.sim.stabilizer import clifford_ops
 
     circuit = compiled.circuit
-    ops_by_gate = clifford_ops(circuit, rz_tolerance)
-    pauli_sites, _coherent = sampler.site_table(
-        circuit, compiled.physical_qubits
+    table = noise_sites(
+        circuit, compiled.physical_qubits,
+        sampler.noise_model, sampler.noise_factor,
     )
-    sites_by_gate: "dict[int, list[tuple[int, np.ndarray]]]" = {}
-    for gate_index, local_q, cum in pauli_sites:
-        sites_by_gate.setdefault(gate_index, []).append(
-            (int(local_q), np.asarray(cum, dtype=float))
-        )
     steps: "list[tuple]" = []
-    for i in range(len(circuit.gates)):
-        for name, qubits in ops_by_gate[i]:
-            steps.append(("g", name, tuple(qubits)))
-        for local_q, cum in sites_by_gate.get(i, ()):
-            steps.append(("p", local_q, cum))
+    for gate_ops, sites in zip(clifford_ops(circuit, rz_tolerance), table):
+        steps.extend(("g", name, tuple(qubits)) for name, qubits in gate_ops)
+        steps.extend(
+            ("p", int(local_q), payload[2])
+            for _kind, local_q, payload in sites
+            if payload[0].total > 0
+        )
     return tuple(steps)
 
 

@@ -8,7 +8,9 @@ on its operand qubits; readout confusion mixes the final joint
 probabilities.  Exact (no sampling), but cost grows as 4**n_qubits, so
 it is reserved for the <= ~8-qubit compact circuits.
 
-Two engines share the measurement tail:
+Two engines share the measurement tail
+(:func:`repro.noise.readout.measured_expectations`, which the trajectory
+engine ends in too):
 
 * the default ``"superop"`` engine runs the stream compiled by
   :mod:`repro.compiler.superop` -- each gate site's unitary, Pauli and
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
 from repro.noise.model import NoiseModel
-from repro.noise.readout import apply_readout_to_joint_probabilities
+from repro.noise.readout import measured_expectations
 # Shared cached miscalibration rotation: one lru_cache entry per (ey, ez)
 # pair process-wide, instead of rebuilding RZ @ RY per gate per call.
 from repro.noise.trajectory import _coherent_unitary
@@ -44,45 +46,9 @@ from repro.sim.density import (
     zero_density,
 )
 from repro.sim.kraus import pauli_channel
-from repro.sim.statevector import batched_multinomial, z_signs
-from repro.utils.rng import as_rng
 
 #: Above this compact width, refuse and let the caller use trajectories.
 MAX_DENSITY_QUBITS = 8
-
-
-def _measured_expectations(
-    probs: np.ndarray,
-    compiled: "CompiledCircuit",
-    noise_model: NoiseModel,
-    shots: "int | None",
-    rng: "int | np.random.Generator | None",
-    apply_readout: bool = True,
-) -> np.ndarray:
-    """Readout confusion + (optional) shot sampling, in logical order.
-
-    Shared tail of both density engines.  ``apply_readout=False`` skips
-    the probability-space confusion for callers whose operator stream
-    already compiled readout in as a terminal superop (the superop
-    engine).  The shots path threads the caller's RNG through
-    :func:`~repro.utils.rng.as_rng` -- matching the trajectory backend
-    -- so seeded callers get reproducible counts.
-    """
-    n = compiled.circuit.n_qubits
-    if apply_readout:
-        readout = np.stack(
-            [noise_model.readout_for(p) for p in compiled.physical_qubits]
-        )
-        probs = apply_readout_to_joint_probabilities(probs, readout)
-    if shots is None:
-        expectations = probs @ z_signs(n).T
-    else:
-        rng = as_rng(rng)
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum(axis=1, keepdims=True)
-        counts = batched_multinomial(rng, shots, probs)
-        expectations = (counts / shots) @ z_signs(n).T
-    return expectations[:, list(compiled.measure_qubits)]
 
 
 def _check_width(compiled: "CompiledCircuit") -> int:
@@ -133,7 +99,7 @@ def run_noisy_density(
         )
     probs = density_probabilities(rho)
     # Readout already ran as the stream's terminal measurement superop.
-    return _measured_expectations(
+    return measured_expectations(
         probs, compiled, noise_model, shots, rng, apply_readout=False
     )
 
@@ -187,4 +153,4 @@ def run_noisy_density_reference(
                         rho, _coherent_unitary(*coherent), (local_q,), n
                     )
     probs = density_probabilities(rho)
-    return _measured_expectations(probs, compiled, noise_model, shots, rng)
+    return measured_expectations(probs, compiled, noise_model, shots, rng)

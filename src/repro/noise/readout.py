@@ -16,7 +16,16 @@ which keeps it exactly differentiable for noise-injected training.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+from repro.sim.statevector import batched_multinomial, z_signs
+from repro.utils.rng import as_rng
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.compiler.passes import CompiledCircuit
+    from repro.noise.model import NoiseModel
 
 
 def readout_affine(matrix: np.ndarray) -> "tuple[float, float]":
@@ -84,6 +93,42 @@ def apply_readout_to_joint_probabilities(
         mixed[:, :, 1, :] = m[0, 1] * p_true0 + m[1, 1] * p_true1
         out = mixed.reshape(batch, dim)
     return out
+
+
+def measured_expectations(
+    probs: np.ndarray,
+    compiled: "CompiledCircuit",
+    noise_model: "NoiseModel",
+    shots: "int | None",
+    rng: "int | np.random.Generator | None",
+    apply_readout: bool = True,
+) -> np.ndarray:
+    """Readout confusion + (optional) shot sampling, in logical order.
+
+    The measurement tail of the density and trajectory engines: joint
+    ``probs`` over the compact circuit's basis states become per-qubit
+    <Z> of the measured qubits.  ``apply_readout=False`` skips the
+    probability-space confusion for callers whose operator stream
+    already compiled readout in as a terminal superop (the superop
+    density engine).  ``shots`` draws one batched multinomial off the
+    caller's stream (:func:`~repro.utils.rng.as_rng`), so seeded callers
+    get reproducible counts.
+    """
+    n = compiled.circuit.n_qubits
+    if apply_readout:
+        readout = np.stack(
+            [noise_model.readout_for(p) for p in compiled.physical_qubits]
+        )
+        probs = apply_readout_to_joint_probabilities(probs, readout)
+    if shots is None:
+        expectations = probs @ z_signs(n).T
+    else:
+        rng = as_rng(rng)
+        probs = np.clip(probs, 0.0, None)
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        counts = batched_multinomial(rng, shots, probs)
+        expectations = (counts / shots) @ z_signs(n).T
+    return expectations[:, list(compiled.measure_qubits)]
 
 
 def readout_povm_kraus(matrix: np.ndarray) -> "list[np.ndarray]":

@@ -4,6 +4,14 @@ During noise-injected training, a fresh set of Pauli error gates is
 sampled *every training step* from the device noise model: after each
 compiled gate, X / Y / Z gates are inserted on each operand qubit with the
 model's probabilities scaled by the noise factor ``T``.
+
+Which channels follow each gate, and in which order, is decided in one
+place, :func:`noise_sites`, whose per-block table every engine reads:
+the Pauli channel on each operand, then exact thermal relaxation
+(non-virtual gates), then coherent miscalibration (driven gates).  Only
+the reference oracles ``run_noisy_density_reference`` and
+``mcwf_probabilities_reference`` walk the model themselves, so the
+equivalence suites check the table against an independent derivation.
 """
 
 from __future__ import annotations
@@ -14,7 +22,16 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit, Gate
 from repro.circuits.parameters import ParamExpr
-from repro.noise.model import UNDRIVEN_GATES, NoiseModel
+from repro.compiler.superop import _PLAN_CACHE_SIZE
+from repro.noise.model import (
+    CHANNEL_COHERENT,
+    CHANNEL_PAULI,
+    CHANNEL_RELAXATION,
+    UNDRIVEN_GATES,
+    VIRTUAL_GATES,
+    NoiseModel,
+)
+from repro.utils.cache import circuit_cache
 from repro.utils.rng import as_rng
 
 _PAULI_NAMES = (None, "x", "y", "z")
@@ -32,7 +49,6 @@ def exact_channel_support_message() -> str:
     """
     try:  # pragma: no branch - import succeeds in any assembled install
         from repro.core.engine import engines_supporting
-        from repro.noise.model import CHANNEL_RELAXATION
 
         names = ", ".join(
             spec.name for spec in engines_supporting(CHANNEL_RELAXATION)
@@ -45,6 +61,72 @@ def exact_channel_support_message() -> str:
         f"represent; engines supporting exact channels: {names}. "
         "Alternatively build the Pauli-twirled model "
         "(noise_model_from_relaxation(..., exact_channels=False))"
+    )
+
+
+def noise_sites(
+    circuit: Circuit,
+    physical_qubits: "tuple[int, ...]",
+    noise_model: NoiseModel,
+    noise_factor: float,
+) -> "tuple[tuple[tuple, ...], ...]":
+    """The noise channels that follow each gate of ``circuit``, in order.
+
+    Entry ``i`` holds gate ``i``'s sites ``(kind, local qubit, payload)``
+    in the order their channels act, ``kind`` a channel-kind name of
+    :mod:`repro.noise.model`:
+
+    * ``"pauli"`` on each operand the scaled model lists an error for,
+      zero-probability entries included (:meth:`ErrorGateSampler.sample`
+      draws for them); payload ``(error, probs, cum)``, the
+      :class:`~repro.noise.model.PauliError`, its (None, X, Y, Z)
+      vector and its cumulative (None, X, Y) boundaries;
+    * ``"relaxation"`` after non-virtual gates, on each operand with an
+      exact thermal-relaxation channel; payload ``(kraus, effects)``,
+      the ``(m, 2, 2)`` Kraus stack and its ``K^dag K`` effects;
+    * ``"coherent"`` after driven gates, on each miscalibrated operand;
+      payload ``(ey, ez)``: RY(ey), then RZ(ez).
+
+    ``physical_qubits[i]`` is the physical id of circuit qubit ``i``.
+    The table lives in the circuit's
+    :func:`~repro.utils.cache.circuit_cache` as ``noise.sites``, keyed by
+    (model, factor, layout), so a training loop builds it once per block.
+    """
+    physical_qubits = tuple(physical_qubits)
+
+    def build() -> "tuple[tuple[tuple, ...], ...]":
+        scaled = (
+            noise_model.scaled(noise_factor) if noise_factor != 1.0 else noise_model
+        )
+        table = []
+        for gate in circuit.gates:
+            phys = tuple(physical_qubits[q] for q in gate.qubits)
+            sites = []
+            for local_q, (_phys_q, error) in zip(
+                gate.qubits, scaled.gate_errors(gate.name, phys)
+            ):
+                probs = error.probabilities()
+                sites.append(
+                    (CHANNEL_PAULI, local_q, (error, probs, np.cumsum(probs)[:3]))
+                )
+            if gate.name not in VIRTUAL_GATES:
+                for local_q, phys_q in zip(gate.qubits, phys):
+                    kraus = scaled.relaxation_kraus_for(phys_q, len(gate.qubits))
+                    if kraus is None:
+                        continue
+                    stack = np.stack([np.asarray(k, dtype=complex) for k in kraus])
+                    effects = np.einsum("mij,mik->mjk", stack.conj(), stack)
+                    sites.append((CHANNEL_RELAXATION, local_q, (stack, effects)))
+            if gate.name not in UNDRIVEN_GATES:
+                for local_q, phys_q in zip(gate.qubits, phys):
+                    coherent = scaled.coherent_for(phys_q)
+                    if coherent is not None:
+                        sites.append((CHANNEL_COHERENT, local_q, coherent))
+            table.append(tuple(sites))
+        return tuple(table)
+
+    return circuit_cache(circuit, "noise.sites", _PLAN_CACHE_SIZE).get_or_build(
+        (noise_model, noise_factor, physical_qubits), build
     )
 
 
@@ -76,7 +158,7 @@ class ErrorGateSampler:
     allow_exact:
         Accept models carrying exact (non-Pauli) relaxation Kraus
         channels.  Only the quantum-jump (MCWF) consumers set this: they
-        sample jumps from the exact Kraus sets via :meth:`jump_table`,
+        sample jumps from the relaxation sites of :func:`noise_sites`,
         while plain Pauli insertion cannot represent such channels and
         refuses them with the registry-derived capability error.
     """
@@ -93,7 +175,6 @@ class ErrorGateSampler:
             raise ValueError(exact_channel_support_message())
         self.noise_model = noise_model
         self.noise_factor = noise_factor
-        self._scaled = noise_model.scaled(noise_factor) if noise_factor != 1.0 else noise_model
 
     def sample(
         self,
@@ -106,157 +187,31 @@ class ErrorGateSampler:
         ``physical_qubits[i]`` is the physical id of circuit qubit ``i``
         (the compiled circuit is compacted to its used qubits); noise
         probabilities are looked up by physical id but error gates are
-        emitted on circuit-local indices.
+        emitted on circuit-local indices.  Each Pauli site of
+        :func:`noise_sites` takes one ``rng.choice`` draw; coherent
+        sites become RY, RZ gates.  Relaxation sites have no gate form
+        and are left out.
         """
         rng = as_rng(rng)
-        phys = {i: physical_qubits[i] for i in range(circuit.n_qubits)}
+        table = noise_sites(
+            circuit, physical_qubits, self.noise_model, self.noise_factor
+        )
         gates: "list[Gate]" = []
         inserted = 0
-        for gate in circuit.gates:
+        for gate, sites in zip(circuit.gates, table):
             gates.append(gate)
-            phys_qubits = tuple(phys[q] for q in gate.qubits)
-            for local_q, (phys_q, error) in zip(
-                gate.qubits,
-                self._scaled.gate_errors(gate.name, phys_qubits),
-            ):
-                choice = rng.choice(4, p=error.probabilities())
-                name = _PAULI_NAMES[choice]
-                if name is not None:
-                    gates.append(Gate(name, (local_q,)))
-                    inserted += 1
-            # Deterministic coherent miscalibration (hardware models only).
-            if gate.name not in UNDRIVEN_GATES:
-                for local_q, phys_q in zip(gate.qubits, phys_qubits):
-                    coherent = self._scaled.coherent_for(phys_q)
-                    if coherent is not None:
-                        ey, ez = coherent
-                        gates.append(
-                            Gate("ry", (local_q,), (ParamExpr.constant(ey),))
-                        )
-                        gates.append(
-                            Gate("rz", (local_q,), (ParamExpr.constant(ez),))
-                        )
+            for kind, local_q, payload in sites:
+                if kind == CHANNEL_PAULI:
+                    choice = rng.choice(4, p=payload[1])
+                    if choice:
+                        gates.append(Gate(_PAULI_NAMES[choice], (local_q,)))
+                        inserted += 1
+                elif kind == CHANNEL_COHERENT:
+                    ey, ez = payload
+                    gates.append(Gate("ry", (local_q,), (ParamExpr.constant(ey),)))
+                    gates.append(Gate("rz", (local_q,), (ParamExpr.constant(ez),)))
         stats = InsertionStats(len(circuit.gates), inserted)
         return Circuit(circuit.n_qubits, gates), stats
-
-    def sample_batched(
-        self,
-        circuit: Circuit,
-        physical_qubits: "tuple[int, ...]",
-        n_trajectories: int,
-        rng: "int | np.random.Generator | None" = None,
-    ) -> "list[list[tuple]]":
-        """Per-gate error events for ``n_trajectories`` trajectories at once.
-
-        Instead of materializing ``n_trajectories`` separate circuits, this
-        draws every trajectory's Pauli choice for a given (gate, qubit)
-        site in a single vectorized call.  Returns one event list per gate
-        of ``circuit``, each event being either
-
-        * ``("pauli", local_qubit, choices)`` with ``choices`` a
-          ``(n_trajectories,)`` int array indexing (I, X, Y, Z) -- emitted
-          only when at least one trajectory drew a non-identity error; or
-        * ``("coherent", local_qubit, (ey, ez))`` for the deterministic
-          miscalibration rotations (identical across trajectories).
-
-        Event order matches :meth:`sample`'s gate-insertion order, so the
-        fused trajectory sweep applies exactly the same channel.
-        """
-        rng = as_rng(rng)
-        events: "list[list[tuple]]" = []
-        for gate in circuit.gates:
-            post: "list[tuple]" = []
-            phys_qubits = tuple(physical_qubits[q] for q in gate.qubits)
-            for local_q, (_phys_q, error) in zip(
-                gate.qubits,
-                self._scaled.gate_errors(gate.name, phys_qubits),
-            ):
-                choices = rng.choice(
-                    4, size=n_trajectories, p=error.probabilities()
-                )
-                if choices.any():
-                    post.append(("pauli", local_q, choices))
-            if gate.name not in UNDRIVEN_GATES:
-                for local_q, phys_q in zip(gate.qubits, phys_qubits):
-                    coherent = self._scaled.coherent_for(phys_q)
-                    if coherent is not None:
-                        post.append(("coherent", local_q, coherent))
-            events.append(post)
-        return events
-
-    def site_table(
-        self, circuit: Circuit, physical_qubits: "tuple[int, ...]"
-    ) -> "tuple[list[tuple[int, int, np.ndarray]], dict[int, list[tuple[int, tuple[float, float]]]]]":
-        """Static description of every possible error-insertion site.
-
-        Returns ``(pauli_sites, coherent_by_gate)``:
-
-        * ``pauli_sites`` lists ``(gate_index, local_qubit, cum)`` for
-          every (gate, operand) pair whose scaled Pauli total is
-          positive, with ``cum`` the cumulative (None, X, Y) probability
-          boundaries -- a uniform draw ``u`` maps to the Pauli choice
-          ``sum(u >= cum)``, the vectorized inverse-CDF equivalent of
-          :meth:`sample`'s per-site ``rng.choice``;
-        * ``coherent_by_gate`` maps a gate index to its deterministic
-          ``(local_qubit, (ey, ez))`` miscalibration rotations.
-
-        Site order matches :meth:`sample`'s insertion order, so sweeps
-        driven by this table apply exactly the same channel.  Zero-
-        probability entries are omitted: they can never produce an event.
-        """
-        pauli_sites: "list[tuple[int, int, np.ndarray]]" = []
-        coherent_by_gate: "dict[int, list[tuple[int, tuple[float, float]]]]" = {}
-        for index, gate in enumerate(circuit.gates):
-            phys_qubits = tuple(physical_qubits[q] for q in gate.qubits)
-            for local_q, (_phys_q, error) in zip(
-                gate.qubits, self._scaled.gate_errors(gate.name, phys_qubits)
-            ):
-                if error.total <= 0:
-                    continue
-                cum = np.cumsum(error.probabilities())[:3]
-                pauli_sites.append((index, local_q, cum))
-            if gate.name not in UNDRIVEN_GATES:
-                for local_q, phys_q in zip(gate.qubits, phys_qubits):
-                    coherent = self._scaled.coherent_for(phys_q)
-                    if coherent is not None:
-                        coherent_by_gate.setdefault(index, []).append(
-                            (local_q, coherent)
-                        )
-        return pauli_sites, coherent_by_gate
-
-    def jump_table(
-        self, circuit: Circuit, physical_qubits: "tuple[int, ...]"
-    ) -> "list[tuple[int, int, np.ndarray, np.ndarray]]":
-        """Every exact-channel jump site of the circuit, in channel order.
-
-        Returns ``[(gate_index, local_qubit, kraus, effects), ...]`` for
-        each (gate, operand) pair where the scaled model attaches an
-        exact thermal-relaxation Kraus set: ``kraus`` is the stacked
-        ``(m, 2, 2)`` operator set and ``effects`` the matching
-        ``K_i^dag K_i`` stack, whose expectation values are the jump
-        probabilities the MCWF unraveling samples from.  Site order
-        matches the density reference's channel-application order (the
-        Pauli channel of a gate acts first, then relaxation per operand
-        in ``gate.qubits`` order, then coherent miscalibration), so the
-        trajectory ensemble averages to exactly the compiled channel.
-        """
-        from repro.noise.model import VIRTUAL_GATES
-
-        sites: "list[tuple[int, int, np.ndarray, np.ndarray]]" = []
-        for index, gate in enumerate(circuit.gates):
-            if gate.name in VIRTUAL_GATES:
-                continue
-            for local_q in gate.qubits:
-                phys_q = physical_qubits[local_q]
-                kraus = self._scaled.relaxation_kraus_for(
-                    phys_q, len(gate.qubits)
-                )
-                if kraus is None:
-                    continue
-                stack = np.stack([np.asarray(k, dtype=complex) for k in kraus])
-                effects = np.einsum("mij,mik->mjk", stack.conj(), stack)
-                sites.append((index, local_q, stack, effects))
-        return sites
 
     def expected_overhead(
         self, circuit: Circuit, physical_qubits: "tuple[int, ...]"
@@ -264,10 +219,13 @@ class ErrorGateSampler:
         """Expected inserted-gate fraction (no sampling)."""
         if len(circuit.gates) == 0:
             return 0.0
-        expected = 0.0
-        phys = {i: physical_qubits[i] for i in range(circuit.n_qubits)}
-        for gate in circuit.gates:
-            phys_qubits = tuple(phys[q] for q in gate.qubits)
-            for _q, error in self._scaled.gate_errors(gate.name, phys_qubits):
-                expected += error.total
+        table = noise_sites(
+            circuit, physical_qubits, self.noise_model, self.noise_factor
+        )
+        expected = sum(
+            payload[0].total
+            for sites in table
+            for kind, _q, payload in sites
+            if kind == CHANNEL_PAULI
+        )
         return expected / len(circuit.gates)

@@ -20,6 +20,10 @@ The naive implementation binds and sweeps one circuit per trajectory --
 * binds the *base* circuit once (through the statevector bind cache) and
   stacks all trajectories into a single ``(trajectories * batch, 2**n)``
   statevector, so each base gate is one vectorized apply;
+* reads what follows each gate from the block's one noise-site table
+  (:func:`repro.noise.sampler.noise_sites`): Pauli sites that can fire
+  become stochastic insertion points, relaxation sites quantum-jump
+  points (``unravel="jump"``) and coherent sites constant rotations;
 * **pre-merges the constant segments between error sites**: gates where
   the noise model can never insert an event (zero Pauli total, no
   coherent miscalibration -- e.g. the virtual ``rz`` runs dominating a
@@ -29,7 +33,7 @@ The naive implementation binds and sweeps one circuit per trajectory --
   trajectory chunk, realization and ZNE fold;
 * draws every error site's Pauli choice for all trajectories in a
   *single* uniform draw per chunk (vectorized inverse-CDF over the
-  plan's precomputed cumulative-probability table, replacing one
+  table's cumulative (None, X, Y) boundaries, replacing one
   ``rng.choice`` call per site) and applies each sampled error as one
   2x2 per trajectory broadcast over its batch rows -- a site is skipped
   wherever every trajectory of a tile drew identity (the common case at
@@ -54,11 +58,13 @@ The naive implementation binds and sweeps one circuit per trajectory --
   streams never depend on the worker count, sharded and supervised
   output is bit-identical to serial execution for a fixed seed.
 
-The segment plans, the quantum-jump site table (shared by jump-mode
-plans and the training sweep) and the pickled process payload live
-in the circuit's :func:`~repro.utils.cache.circuit_cache`, keyed by
-(noise model, factor, layout); process workers keep rebuilt plans in
-:data:`_WORKER_PLAN_CACHE`, keyed by the payload digest.
+The segment plan and the pickled process payload live in the circuit's
+:func:`~repro.utils.cache.circuit_cache` next to the site table they are
+built from, keyed by (noise model, factor, layout); process workers
+keep rebuilt plans in :data:`_WORKER_PLAN_CACHE`, keyed by the payload
+digest.  Both unravelings share one plan: a model without exact
+channels has no relaxation sites, and the Pauli unraveling refuses a
+model that has them.
 
 Training sweep
 --------------
@@ -66,11 +72,12 @@ Noise-injected training has one sweep
 (:func:`stacked_noisy_forward_with_tape` / :func:`stacked_noisy_backward`):
 ``n_realizations`` error realizations of the training batch stack into
 one ``(n_realizations * batch, 2**n)`` statevector, and every gate is
-followed by its sampled Pauli insertions, its quantum-jump sites (exact
-relaxation channels, realized from the running state) and its coherent
-rotations.  Gate insertion and the quantum-jump (MCWF) trainer differ
-only in whether the sampler admits exact channels; both tapes go
-through the one adjoint sweep,
+followed by its sites from the same table, in channel order: sampled
+Pauli insertions (one ``rng.choice`` per site for all realizations),
+quantum-jump sites (exact relaxation channels, realized from the
+running state) and coherent rotations.  Gate insertion and the
+quantum-jump (MCWF) trainer differ only in whether the sampler admits
+exact channels; both tapes go through the one adjoint sweep,
 :func:`repro.core.gradients.adjoint_backward`.
 
 Shot sampling uses one batched ``Generator.multinomial`` call over 2-D
@@ -96,9 +103,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
 from repro.compiler.superop import _PLAN_CACHE_SIZE
-from repro.noise.model import NoiseModel
-from repro.noise.readout import apply_readout_to_joint_probabilities
-from repro.noise.sampler import ErrorGateSampler
+from repro.noise.model import CHANNEL_PAULI, CHANNEL_RELAXATION, NoiseModel
+from repro.noise.readout import measured_expectations
+from repro.noise.sampler import ErrorGateSampler, noise_sites
 from repro.runtime.supervisor import (
     ChunkTask,
     check_shard_args,
@@ -110,10 +117,8 @@ from repro.sim.gates import gate_matrix
 from repro.sim.statevector import (
     apply_grouped_1q,
     apply_matrix,
-    batched_multinomial,
     bind_circuit,
     bind_plan_for,
-    expectations_from_counts,
     z_signs,
     zero_state,
 )
@@ -126,9 +131,10 @@ _PAULI_STACK = np.stack(
 )
 
 #: Cap on a chunk's stacked entries per trajectory row: its ``2**n``
-#: amplitudes or, in jump mode, its pre-drawn uniforms (one per jump
-#: step), whichever is more.  Chunks trajectories so neither the
-#: chunk's statevector nor its uniform block exceeds ~2**22 entries.
+#: amplitudes or, on a block with jump sites, its pre-drawn uniforms
+#: (one per jump step), whichever is more.  Chunks trajectories so
+#: neither the chunk's statevector nor its uniform block exceeds ~2**22
+#: entries.
 _MAX_STACKED_ENTRIES = 1 << 22
 
 #: Cap on one tile's stacked state (complex entries).  A chunk sweeps its
@@ -162,14 +168,20 @@ _SEGMENT_FUSION_CACHE_SIZE = 4
 class _SegmentPlan:
     """Per-(circuit, noise model, factor) trajectory execution plan.
 
-    The gate stream is partitioned *at the stochastic error sites*: a
-    Pauli insertion point must interrupt any fused run (the sampled
-    error lands between the gate and whatever follows), but everything
-    else is constant within a (weights, inputs) binding and fuses
-    through the compiler's gate-fusion pass:
+    The gate stream is partitioned *at the stochastic error sites* of
+    the block's :func:`~repro.noise.sampler.noise_sites` table: a Pauli
+    insertion point must interrupt any fused run (the sampled error
+    lands between the gate and whatever follows), but everything else
+    is constant within a (weights, inputs) binding and fuses through the
+    compiler's gate-fusion pass:
 
     * a site gate itself merges into the run *preceding* its insertion
       point (the break falls after the gate, not around it);
+    * Pauli sites that can never fire (zero total) draw nothing and
+      break nothing;
+    * relaxation sites are quantum-jump points: their sampling depends
+      on the state, so they break the run like Pauli sites, and each
+      operator is chosen during the sweep off pre-drawn uniforms;
     * the deterministic coherent-miscalibration rotations that follow a
       site's Pauli insertion open the *next* run as constant ops
       (:func:`repro.compiler.fusion.constant_op`);
@@ -178,50 +190,34 @@ class _SegmentPlan:
 
     Fused static segments are cached per weight vector, so repeated
     calls -- every chunk, realization and ZNE fold of an evaluation
-    sweep -- reuse the merged matrices.  The plan also precomputes the
-    stacked cumulative-probability table driving the one-draw
+    sweep -- reuse the merged matrices.  The plan also stacks the Pauli
+    sites' cumulative boundaries into the table driving the one-draw
     vectorized Pauli sampling (:meth:`sample`).
     """
 
     __slots__ = (
-        "bind_plan", "site_cum", "site_rows", "jump_sites", "_layout",
-        "_cache",
+        "bind_plan", "site_cum", "site_rows", "n_jumps", "_layout", "_cache",
     )
 
     def __init__(
         self,
         compiled: "CompiledCircuit",
-        sampler: ErrorGateSampler,
-        jump: bool = False,
+        noise_model: NoiseModel,
+        noise_factor: float,
     ):
         circuit = compiled.circuit
         self.bind_plan = bind_plan_for(circuit)
-        pauli_sites, coherent_by_gate = sampler.site_table(
-            circuit, compiled.physical_qubits
+        table = noise_sites(
+            circuit, compiled.physical_qubits, noise_model, noise_factor
         )
-        if pauli_sites:
-            self.site_cum = np.stack([cum for _gi, _q, cum in pauli_sites])
-        else:
-            self.site_cum = np.zeros((0, 3))
+        cums: "list[np.ndarray]" = []
         site_rows: "dict[int, list[tuple[int, int]]]" = {}
-        for row, (gate_index, local_q, _cum) in enumerate(pauli_sites):
-            site_rows.setdefault(gate_index, []).append((row, local_q))
-        self.site_rows = site_rows
-        # Quantum-jump (MCWF) mode: the exact relaxation Kraus sets
-        # become per-site jump points whose sampling is state-dependent
-        # (probabilities are the effects' expectation values), so they
-        # interrupt fusion like Pauli sites do; their uniforms are
-        # pre-drawn, but each operator is chosen during the sweep.
-        self.jump_sites = _jump_table(compiled, sampler) if jump else []
-        jump_rows: "dict[int, list[int]]" = {}
-        for row, (gate_index, _q, _k, _e) in enumerate(self.jump_sites):
-            jump_rows.setdefault(gate_index, []).append(row)
         # Layout entries, in sweep order:
         #   ("static", tokens)  -- fusable run; tokens are ("g", index) or
         #                          ("c", local_q, (ey, ez)) constants
         #   ("dynamic", index)  -- input-dependent gate, re-bound per call
         #   ("site", index)     -- Pauli insertion point after gate `index`
-        #   ("jump", row)       -- MCWF jump point, row into `jump_sites`
+        #   ("jump", site)      -- MCWF jump point, a relaxation site
         layout: "list[tuple]" = []
         run: "list[tuple]" = []
 
@@ -231,21 +227,32 @@ class _SegmentPlan:
                 layout.append(("static", run))
                 run = []
 
-        for i, gate in enumerate(circuit.gates):
+        for i, (gate, sites) in enumerate(zip(circuit.gates, table)):
             if any(expr.depends_on_input for expr in gate.params):
                 flush()
                 layout.append(("dynamic", i))
             else:
                 run.append(("g", i))
-            if i in site_rows:
-                flush()
-                layout.append(("site", i))
-            for row in jump_rows.get(i, ()):
-                flush()
-                layout.append(("jump", row))
-            for local_q, angles in coherent_by_gate.get(i, ()):
-                run.append(("c", local_q, angles))
+            for site in sites:
+                kind, local_q, payload = site
+                if kind == CHANNEL_PAULI:
+                    if payload[0].total <= 0:
+                        continue
+                    if i not in site_rows:
+                        flush()
+                        layout.append(("site", i))
+                        site_rows[i] = []
+                    site_rows[i].append((len(cums), local_q))
+                    cums.append(payload[2])
+                elif kind == CHANNEL_RELAXATION:
+                    flush()
+                    layout.append(("jump", site))
+                else:
+                    run.append(("c", local_q, payload))
         flush()
+        self.site_cum = np.stack(cums) if cums else np.zeros((0, 3))
+        self.site_rows = site_rows
+        self.n_jumps = sum(kind == "jump" for kind, _payload in layout)
         self._layout = layout
         # weight bytes -> fused ops per static run, in layout order.
         self._cache = Cache("trajectory.segments", _SEGMENT_FUSION_CACHE_SIZE)
@@ -339,44 +346,6 @@ def _sample_jump_matrices(
     return kraus[choice] * scale[:, None, None]
 
 
-def _segment_plan_for(
-    compiled: "CompiledCircuit",
-    sampler: ErrorGateSampler,
-    jump: bool = False,
-) -> _SegmentPlan:
-    """The :class:`_SegmentPlan` for a compiled circuit + sampler.
-
-    Kept in the circuit's :func:`~repro.utils.cache.circuit_cache` under
-    (noise model, factor, physical qubits), like the superoperator plan.
-    Jump-mode (MCWF) plans are a cache of their own -- the same (model,
-    factor) pair compiles to a different layout when relaxation sites
-    are unraveled.
-    """
-    return circuit_cache(
-        compiled.circuit,
-        "mcwf.plan" if jump else "trajectory.plan",
-        _PLAN_CACHE_SIZE,
-    ).get_or_build(
-        (sampler.noise_model, sampler.noise_factor, compiled.physical_qubits),
-        lambda: _SegmentPlan(compiled, sampler, jump=jump),
-    )
-
-
-def _jump_table(compiled: "CompiledCircuit", sampler: ErrorGateSampler) -> list:
-    """The circuit's quantum-jump sites (Kraus + effect stacks).
-
-    :meth:`~repro.noise.sampler.ErrorGateSampler.jump_table` depends only
-    on the circuit, its layout and the scaled model, so the jump-mode
-    segment plan and every MCWF training step share one entry.
-    """
-    return circuit_cache(
-        compiled.circuit, "mcwf.jump_table", _PLAN_CACHE_SIZE
-    ).get_or_build(
-        (sampler.noise_model, sampler.noise_factor, compiled.physical_qubits),
-        lambda: sampler.jump_table(compiled.circuit, compiled.physical_qubits),
-    )
-
-
 def _segment_chunk(
     plan: _SegmentPlan,
     stream: "list[tuple]",
@@ -396,8 +365,8 @@ def _segment_chunk(
     The chunk builds its generator from ``seed`` (so a supervised retry
     replays the failed attempt's stream exactly) and draws all its
     random numbers first -- the Pauli choices,
-    then in jump mode one uniform per row for every ``("jump", ...)``
-    step as a single ``(jump steps, rows)`` block, the same numbers
+    then one uniform per row for every ``("jump", site)`` step as a
+    single ``(jump steps, rows)`` block, the same numbers
     per-step draws would yield -- and then sweeps the stream one *tile*
     of whole trajectories at a time, sized by :data:`_TILE_ENTRIES` so
     both ping-pong buffers stay in L2.  A site is skipped in a tile
@@ -418,8 +387,7 @@ def _segment_chunk(
     tile = max(1, min(n_traj, _TILE_ENTRIES // (batch * dim)))
     rng = np.random.default_rng(seed)
     choices = plan.sample(rng, n_traj)
-    # Every jump site is one ("jump", row) step of the stream.
-    n_jumps = len(plan.jump_sites)
+    n_jumps = plan.n_jumps
     uniforms = rng.random((n_jumps, n_traj * batch)) if n_jumps else None
     buffers = np.empty((2, tile * batch, dim), dtype=complex)
     total = np.zeros((batch, dim))
@@ -454,7 +422,7 @@ def _segment_chunk(
                 # Kraus set, renormalized per row, off the chunk's own
                 # pre-drawn uniforms, so chunk results stay independent
                 # of how chunks are distributed (sharded == serial).
-                _gi, local_q, kraus, effects = plan.jump_sites[payload]
+                _kind, local_q, (kraus, effects) = payload
                 mats = _sample_jump_matrices(
                     stacked, kraus, effects, local_q,
                     uniforms[jump, lo * batch:hi * batch],
@@ -491,7 +459,7 @@ class _ShardPayload:
     """Per-call constants a process-backend chunk task ships once.
 
     ``plan_blob`` is the pre-pickled ``(compiled circuit, noise model,
-    noise factor, jump)`` tuple -- serialized *once per call* in the
+    noise factor)`` tuple -- serialized *once per call* in the
     parent (re-pickling the payload per task then only memcpys the
     bytes) -- and ``plan_digest`` is its hash, the worker plan-cache
     key: it covers the circuit gates, the noise model and the factor,
@@ -514,12 +482,11 @@ def _shard_payload(
     weights: "np.ndarray | None",
     inputs: "np.ndarray | None",
     batch: int,
-    jump: bool,
 ) -> _ShardPayload:
     """A call's task payload around the circuit's cached plan blob.
 
     The blob and its digest depend only on (gates, layout, noise model,
-    factor, jump), so they live in the circuit's
+    factor), so they live in the circuit's
     :func:`~repro.utils.cache.circuit_cache` next to the plans, and a
     training loop's repeat calls skip re-pickling the circuit entirely.
     The circuit pickles bare: its derived plans are held by the cache,
@@ -528,15 +495,13 @@ def _shard_payload(
 
     def build() -> "tuple[bytes, str]":
         blob = pickle.dumps(
-            (compiled, noise_model, noise_factor, jump),
+            (compiled, noise_model, noise_factor),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         return blob, hashlib.sha1(blob).hexdigest()
 
     blob, digest = circuit_cache(
-        compiled.circuit,
-        "mcwf.payload" if jump else "trajectory.payload",
-        _PLAN_CACHE_SIZE,
+        compiled.circuit, "trajectory.payload", _PLAN_CACHE_SIZE
     ).get_or_build(
         (noise_model, noise_factor, compiled.physical_qubits), build
     )
@@ -561,9 +526,11 @@ def _process_chunk_worker(
     """
 
     def build() -> "tuple[_SegmentPlan, int]":
-        compiled, noise_model, noise_factor, jump = pickle.loads(payload.plan_blob)
-        sampler = ErrorGateSampler(noise_model, noise_factor, allow_exact=jump)
-        return _SegmentPlan(compiled, sampler, jump=jump), compiled.circuit.n_qubits
+        compiled, noise_model, noise_factor = pickle.loads(payload.plan_blob)
+        return (
+            _SegmentPlan(compiled, noise_model, noise_factor),
+            compiled.circuit.n_qubits,
+        )
 
     plan, n_qubits = _WORKER_PLAN_CACHE.get_or_build(payload.plan_digest, build)
     stream = plan.fused_stream(payload.weights, payload.inputs, payload.batch)
@@ -613,20 +580,21 @@ def stacked_noisy_ops(
 
     This composes the *training batch* axis with the *noise trajectory*
     axis: the base circuit is bound once (through the bind cache), every
-    error site's Pauli choice is drawn for all realizations in one
-    vectorized call, and the sampled errors become batched
+    Pauli site's choice is drawn for all realizations in one
+    ``rng.choice`` call, and the sampled errors become batched
     ``(n_realizations * batch, 2, 2)`` constant ops.  The returned list
     runs -- and, because every op is a regular :class:`BoundOp` with no
     differentiable parameters on the error sites, *backpropagates* -- as
     one fused ``(n_realizations * batch, 2**n)`` statevector sweep.
 
-    Each gate is followed by its Pauli insertions, then its quantum-jump
-    sites, then its coherent miscalibration rotations: the density
-    reference's channel order.  Jump sites (exact relaxation channels,
-    from the cached :func:`_jump_table`, empty for Pauli-only models)
-    depend on the running state, so they stay table entries
-    ``(gate, local_q, kraus, effects)`` in the list, for
-    :func:`stacked_noisy_forward_with_tape` to realize.
+    Each gate is followed by its sites from the block's
+    :func:`~repro.noise.sampler.noise_sites` table, in channel order:
+    Pauli insertions, then quantum-jump sites, then coherent
+    miscalibration rotations.  Jump sites (exact relaxation channels,
+    none on Pauli-only models) depend on the running state, so they stay
+    in the list as the table's ``("relaxation", local_q, (kraus,
+    effects))`` sites, for :func:`stacked_noisy_forward_with_tape` to
+    realize.
 
     Returns ``(ops, n_inserted)`` with ``n_inserted`` the total number of
     non-identity Pauli insertions across all realizations.
@@ -635,27 +603,26 @@ def stacked_noisy_ops(
     if inputs is not None:
         batch = np.asarray(inputs).shape[0]
     ops = bind_circuit(compiled.circuit, weights, inputs, batch)
-    events = sampler.sample_batched(
-        compiled.circuit, compiled.physical_qubits, n_realizations, rng
+    table = noise_sites(
+        compiled.circuit, compiled.physical_qubits,
+        sampler.noise_model, sampler.noise_factor,
     )
-    jumps: "dict[int, list[tuple]]" = {}
-    for site in _jump_table(compiled, sampler):
-        jumps.setdefault(site[0], []).append(site)
     stacked: list = []
     n_inserted = 0
-    for i, (op, post) in enumerate(zip(ops, events)):
+    for op, sites in zip(ops, table):
         stacked.append(_tiled_op(op, n_realizations, batch))
-        # sample_batched lists a gate's Pauli events before its coherent
-        # ones; the jump sites go in between.
-        for kind, local_q, payload in post:
-            if kind == "pauli":
-                n_inserted += int(np.count_nonzero(payload))
-                stacked.append(_error_op(
-                    local_q, np.repeat(_PAULI_STACK[payload], batch, axis=0)
-                ))
-        stacked.extend(jumps.get(i, ()))
-        for kind, local_q, payload in post:
-            if kind == "coherent":
+        for site in sites:
+            kind, local_q, payload = site
+            if kind == CHANNEL_PAULI:
+                choices = rng.choice(4, size=n_realizations, p=payload[1])
+                if choices.any():
+                    n_inserted += int(np.count_nonzero(choices))
+                    stacked.append(_error_op(
+                        local_q, np.repeat(_PAULI_STACK[choices], batch, axis=0)
+                    ))
+            elif kind == CHANNEL_RELAXATION:
+                stacked.append(site)
+            else:
                 stacked.append(_error_op(local_q, _coherent_unitary(*payload)))
     return stacked, n_inserted
 
@@ -685,7 +652,7 @@ def _run_jumps(ops: list, n_qubits: int, rows: int, rng: np.random.Generator):
     jump_ops: "set[int]" = set()
     for k, op in enumerate(ops):
         if isinstance(op, tuple):
-            _gate, local_q, kraus, effects = op
+            _kind, local_q, (kraus, effects) = op
             if len(jump_ops) % _JUMP_CHECKPOINT_STRIDE == 0:
                 checkpoints[k] = state.copy()
             jump_ops.add(k)
@@ -727,8 +694,14 @@ def run_ops_banded(ops, n_qubits: int, rows: int, band_rows: int, lease):
     tests); it may differ from the unbanded
     :func:`repro.sim.statevector.run_ops` sweep only where a kernel's
     BLAS blocking depends on the stack height (within float tolerance).
-    Thread leases only: bands share the two ping-pong buffers.
+    Thread leases only: bands share the two ping-pong buffers, which a
+    process worker would only see as a pickled copy.
     """
+    if lease.backend != "thread":
+        raise ValueError(
+            "row bands share one pair of state buffers and need a thread "
+            f"lease, got shard_backend {lease.backend!r}"
+        )
     state = zero_state(n_qubits, rows)
     scratch = np.empty_like(state)
     bounds = list(range(0, rows, band_rows)) + [rows]
@@ -793,7 +766,7 @@ def stacked_noisy_forward_with_tape(
         compiled, sampler, weights, inputs, batch, n_realizations, rng
     )
     checkpoints, jump_ops = {}, frozenset()
-    if _jump_table(compiled, sampler):
+    if any(isinstance(op, tuple) for op in ops):
         state, checkpoints, jump_ops = _run_jumps(
             ops, circuit.n_qubits, rows, rng
         )
@@ -909,18 +882,21 @@ def trajectory_probabilities(
             f"unravel must be 'pauli' or 'jump', got {unravel!r}"
         )
     _check_counts(n_trajectories)
-    jump = unravel == "jump"
+    # Only the jump unraveling admits a model with exact channels.
+    ErrorGateSampler(noise_model, noise_factor, allow_exact=unravel == "jump")
     rng = as_rng(rng)
-    sampler = ErrorGateSampler(noise_model, noise_factor, allow_exact=jump)
     if inputs is not None:
         batch = np.asarray(inputs).shape[0]
     n_qubits = compiled.circuit.n_qubits
     dim = 2**n_qubits
-    plan = _segment_plan_for(compiled, sampler, jump=jump)
-    stream = plan.fused_stream(weights, inputs, batch)
-    max_traj = max(
-        1, _MAX_STACKED_ENTRIES // (batch * max(dim, len(plan.jump_sites)))
+    plan = circuit_cache(
+        compiled.circuit, "trajectory.plan", _PLAN_CACHE_SIZE
+    ).get_or_build(
+        (noise_model, noise_factor, compiled.physical_qubits),
+        lambda: _SegmentPlan(compiled, noise_model, noise_factor),
     )
+    stream = plan.fused_stream(weights, inputs, batch)
+    max_traj = max(1, _MAX_STACKED_ENTRIES // (batch * max(dim, plan.n_jumps)))
     size = min(max_traj, int(shard_size or _DEFAULT_SHARD_SIZE))
     chunks = chunk_seeds(n_trajectories, size, rng)
     if pool is None:
@@ -935,7 +911,7 @@ def trajectory_probabilities(
         # -- every chunk keeps its own spawned stream and the flattening
         # restores global chunk order.
         payload = _shard_payload(
-            compiled, noise_model, noise_factor, weights, inputs, batch, jump
+            compiled, noise_model, noise_factor, weights, inputs, batch
         )
         bounds = _balanced_group_bounds(
             len(chunks), min(max(n_workers, 2), len(chunks))
@@ -1036,8 +1012,7 @@ def mcwf_probabilities_reference(
     from repro.noise.model import UNDRIVEN_GATES, VIRTUAL_GATES
 
     rng = as_rng(rng)
-    sampler = ErrorGateSampler(noise_model, noise_factor, allow_exact=True)
-    scaled = sampler._scaled
+    scaled = noise_model.scaled(noise_factor) if noise_factor != 1.0 else noise_model
     if inputs is not None:
         batch = np.asarray(inputs).shape[0]
     circuit = compiled.circuit
@@ -1127,16 +1102,4 @@ def run_noisy_trajectories(
         shard_backend=shard_backend, unravel=unravel, pool=pool,
         supervisor=supervisor,
     )
-    readout = np.stack(
-        [noise_model.readout_for(p) for p in compiled.physical_qubits]
-    )
-    probs = apply_readout_to_joint_probabilities(probs, readout)
-    n_compact = compiled.circuit.n_qubits
-    if shots is None:
-        expectations = probs @ z_signs(n_compact).T
-    else:
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        counts = batched_multinomial(rng, shots, probs)
-        expectations = expectations_from_counts(counts, n_compact)
-    return expectations[:, list(compiled.measure_qubits)]
+    return measured_expectations(probs, compiled, noise_model, shots, rng)

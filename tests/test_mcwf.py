@@ -8,7 +8,9 @@ no-jump evolution and per-row renormalization.  This suite pins
   channel under relaxation + readout (the property that makes it a
   legitimate noise-injection backend for the paper's training scheme),
 * exact agreement with the Pauli unraveling when no stochastic or
-  relaxation sites exist (deterministic coherent-only models),
+  relaxation sites exist (deterministic coherent-only models), and of
+  the jump sweep and the trainer with the per-trajectory reference
+  when every channel outcome is deterministic (channel order),
 * bit-identical sharded execution and the shot-sampling tail,
 * frozen-trajectory gradient exactness of the adjoint through jump
   checkpoints (finite differences under a frozen jump sampler),
@@ -24,6 +26,7 @@ import pytest
 import repro.noise.trajectory as trajectory_module
 from repro.circuits import Circuit
 from repro.compiler import transpile
+from repro.compiler.passes import CompiledCircuit
 from repro.core.executors import (
     GateInsertionExecutor,
     MCWFTrainExecutor,
@@ -47,6 +50,7 @@ from repro.noise.trajectory import (
     trajectory_probabilities,
 )
 from repro.qnn import paper_model
+from repro.sim.statevector import run_circuit, z_signs
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +172,48 @@ def test_mcwf_matches_pauli_unravel_on_deterministic_models(device):
         compiled, model, None, None, 1, 4, rng=5, unravel="pauli"
     )
     assert np.abs(jump - pauli).max() < 1e-14
+
+
+def test_mcwf_channel_order_matches_reference_exactly():
+    """Deterministic outcomes pin the order of a gate's channels.
+
+    Qubit 0 always takes a Z error and carries a large miscalibration,
+    whose RY does not commute with Z; qubit 1 relaxes but stays in |0>,
+    so every jump outcome is the same state.  The fused jump sweep and the
+    MCWF trainer must then equal the per-trajectory reference, whose own
+    walk applies Pauli, then relaxation, then coherent, to rounding.
+    """
+    model = NoiseModel(
+        2,
+        {("sx", 0): PauliError(0.0, 0.0, 1.0)},
+        {},
+        np.stack([readout_matrix(0.0, 0.0)] * 2),
+        coherent={0: (0.7, -0.4)},
+        relaxation={1: (40.0, 50.0)},
+        relaxation_durations=(0.05, 0.4),
+    )
+    circuit = Circuit(2)
+    for _ in range(3):
+        circuit.add("sx", 0).add("id", 1)
+    compiled = CompiledCircuit(
+        circuit=circuit, physical_qubits=(0, 1), layout={0: 0, 1: 1},
+        measure_qubits=(0, 1), device_name="test",
+    )
+    reference = mcwf_probabilities_reference(
+        compiled, model, None, None, 1, n_trajectories=3, rng=0
+    )
+    fused = trajectory_probabilities(
+        compiled, model, None, None, 1, 3, rng=0, unravel="jump"
+    )
+    assert np.abs(fused - reference).max() < 1e-12
+    trainer = MCWFTrainExecutor(model, readout=False, rng=0, n_realizations=2)
+    logits, _cache = trainer.forward(compiled, np.zeros(0), np.zeros((1, 0)))
+    assert np.abs(logits - reference @ z_signs(2).T).max() < 1e-12
+    swapped = Circuit(2)  # the miscalibration before the error
+    for _ in range(3):
+        swapped.add("sx", 0).add("ry", 0, 0.7).add("rz", 0, -0.4).add("z", 0)
+    state, _ = run_circuit(swapped)
+    assert np.abs(np.abs(state) ** 2 - reference).max() > 0.1
 
 
 def test_mcwf_sharded_is_bit_identical_to_serial(device):

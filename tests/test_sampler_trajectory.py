@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.compiler import transpile
+from repro.core.executors import GateInsertionExecutor
 from repro.noise import (
     ErrorGateSampler,
     NoiseModel,
@@ -14,7 +15,9 @@ from repro.noise import (
     run_noisy_density,
     run_noisy_trajectories,
 )
+from repro.noise.sampler import noise_sites
 from repro.qnn import paper_model
+from repro.utils import cache_stats
 
 
 def _toy_model(rate=0.2):
@@ -149,3 +152,68 @@ def test_noisier_device_degrades_expectations_more():
         noisy = run_noisy_density(compiled, device.noise_model, weights, inputs)
         distances[name] = np.abs(noisy - clean).mean()
     assert distances["yorktown"] > distances["santiago"]
+
+
+# -- the noise-site table ---------------------------------------------------
+
+
+def test_noise_sites_follow_channel_order_per_gate_kind():
+    """Pauli, then relaxation (non-virtual), then coherent (driven)."""
+    device = get_device("santiago")
+    model = device.hardware_model.with_relaxation(
+        {q: (50.0, 60.0) for q in range(device.n_qubits)}, (0.035, 0.30)
+    )
+    circuit = (
+        Circuit(2).add("rz", 0, 0.4).add("id", 0).add("sx", 1).add("cx", (0, 1))
+    )
+    table = noise_sites(circuit, (0, 1), model, 1.0)
+    kinds = [[(kind, q) for kind, q, _payload in sites] for sites in table]
+    assert kinds == [
+        [],
+        [("pauli", 0), ("relaxation", 0)],
+        [("pauli", 1), ("relaxation", 1), ("coherent", 1)],
+        [("pauli", 0), ("pauli", 1), ("relaxation", 0), ("relaxation", 1),
+         ("coherent", 0), ("coherent", 1)],
+    ]
+    (_k, _q, (error, probs, cum)), (_k, _q, (kraus, effects)) = table[1]
+    assert np.array_equal(probs, error.probabilities())
+    assert np.array_equal(cum, np.cumsum(probs)[:3])
+    assert np.allclose(effects.sum(axis=0), np.eye(2))
+    assert np.array_equal(effects, np.einsum("mij,mik->mjk", kraus.conj(), kraus))
+    assert table[2][2][2] == model.coherent_for(1)
+
+
+def test_zero_factor_sampler_keeps_and_draws_every_pauli_site():
+    device = get_device("santiago")
+    qnn = paper_model(4, 1, 2, 16, 4)
+    compiled = transpile(qnn.blocks[0], device, 2)
+    args = (compiled.circuit, compiled.physical_qubits)
+    pauli = [
+        payload
+        for sites in noise_sites(*args, device.noise_model, 0.0)
+        for kind, _q, payload in sites
+        if kind == "pauli"
+    ]
+    assert pauli and all(error.total == 0 for error, _p, _c in pauli)
+    rng = np.random.default_rng(5)
+    noisy, stats = ErrorGateSampler(device.noise_model, 0.0).sample(*args, rng)
+    assert stats.n_inserted == 0 and noisy.gates == compiled.circuit.gates
+    expected = np.random.default_rng(5)
+    for _error, probs, _cum in pauli:
+        expected.choice(4, p=probs)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_noise_site_table_is_built_once_per_block():
+    device = get_device("santiago")
+    qnn = paper_model(4, 1, 2, 16, 4)
+    compiled = transpile(qnn.blocks[0], device, 2)
+    weights = qnn.init_weights(0)
+    inputs = np.random.default_rng(1).normal(0, 1, (2, 16))
+    executor = GateInsertionExecutor(device.noise_model, rng=0)
+    before = cache_stats().get("noise.sites", {"hits": 0, "misses": 0})
+    for _ in range(3):
+        executor.forward(compiled, weights, inputs)
+    after = cache_stats()["noise.sites"]
+    assert after["misses"] - before["misses"] == 1
+    assert after["hits"] - before["hits"] >= 2

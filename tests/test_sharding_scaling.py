@@ -15,7 +15,8 @@ changing a single bit of output:
 * row-banded stacked training sweeps (GateInsertion / MCWF executors)
   over executor-held persistent pool leases;
 * the sharding setters of every sharded executor, validated like the
-  constructors' arguments;
+  constructors' arguments, and the training executors' thread-only
+  row bands;
 * the training factories forwarding ``n_workers``.
 """
 
@@ -35,7 +36,11 @@ from repro.core.executors import (
 from repro.core.injection import GATE_INSERTION, InjectionConfig
 from repro.noise import NoiseModel, PauliError, readout_matrix
 from repro.noise import trajectory as traj_mod
-from repro.noise.trajectory import _balanced_group_bounds, trajectory_probabilities
+from repro.noise.trajectory import (
+    _balanced_group_bounds,
+    run_ops_banded,
+    trajectory_probabilities,
+)
 from repro.runtime import (
     ChunkSupervisor,
     PoolLease,
@@ -230,7 +235,7 @@ def test_jump_uniform_block_counts_in_chunk_budget(block, monkeypatch):
     segment_chunk = traj_mod._segment_chunk
 
     def spy(plan, stream, n_q, batch, n_traj, rng):
-        sizes.append((len(plan.jump_sites), n_traj))
+        sizes.append((plan.n_jumps, n_traj))
         return segment_chunk(plan, stream, n_q, batch, n_traj, rng)
 
     monkeypatch.setattr(traj_mod, "_segment_chunk", spy)
@@ -433,7 +438,8 @@ def test_sharding_setters_validate_like_constructors(executor_cls):
 
     An unchecked backend name used to reach the lease, which spawned a
     process pool for anything but "thread"; a negative worker count ran
-    silently.
+    silently.  The training executors band one shared buffer pair, so
+    they take threads only.
     """
     ex = executor_cls(get_device("santiago").noise_model)
     with pytest.raises(ValueError, match="shard_backend"):
@@ -441,9 +447,40 @@ def test_sharding_setters_validate_like_constructors(executor_cls):
     with pytest.raises(ValueError, match="n_workers"):
         ex.n_workers = -1
     assert (ex.lease.n_workers, ex.lease.backend) == (0, "thread")
-    ex.n_workers, ex.shard_backend = 2, "process"
-    assert (ex.lease.n_workers, ex.lease.backend) == (2, "process")
+    ex.n_workers = 2
+    if issubclass(executor_cls, GateInsertionExecutor):
+        with pytest.raises(ValueError, match="shard_backend must be 'thread'"):
+            ex.shard_backend = "process"
+        assert (ex.lease.n_workers, ex.lease.backend) == (2, "thread")
+    else:
+        ex.shard_backend = "process"
+        assert (ex.lease.n_workers, ex.lease.backend) == (2, "process")
     ex.close()
+
+
+@pytest.mark.parametrize("executor_cls", [GateInsertionExecutor, MCWFTrainExecutor])
+def test_training_executors_refuse_process_bands(block, executor_cls):
+    """Process workers would band pickled copies of the shared buffers.
+
+    Both training executors used to accept ``shard_backend = "process"``
+    and then return wrong expectations from the banded sweep (max
+    |process - serial| = 1.79 on santiago's block at R = 4, 2 workers,
+    8 rows).  The setter now refuses it, and the banded sweep refuses a
+    process lease that reaches it another way, before any pool spawns.
+    """
+    device, compiled, weights, inputs = block
+    ex = executor_cls(device.noise_model, rng=0, n_realizations=4, n_workers=2)
+    with pytest.raises(ValueError, match="thread"):
+        ex.shard_backend = "process"
+    ex.lease.backend = "process"
+    with pytest.raises(ValueError, match="thread lease"):
+        ex.forward(compiled, weights, inputs)
+    assert ex.lease.pool is None
+    ex.close()
+    with PoolLease(2, "process") as lease:
+        with pytest.raises(ValueError, match="thread lease"):
+            run_ops_banded([], 2, 4, 2, lease)
+        assert lease.pool is None
 
 
 def test_executor_pool_is_persistent_until_closed(block):
