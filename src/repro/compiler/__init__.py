@@ -3,16 +3,19 @@
 Beyond the transpile pipeline, the package hosts two execution-oriented
 compilation passes:
 
-* **gate fusion** (:mod:`repro.compiler.fusion`): merges adjacent bound
-  gate runs into single matrices for tape-free statevector inference,
-  with per-weight-vector caching of the static segments;
+* **gate fusion** (:mod:`repro.compiler.fusion`), the one fusion pass
+  every fused stream goes through: ``fusion_layout`` cuts a gate stream
+  into runs, singletons and breaks, and ``fuse_runs`` merges each run
+  greedily into single matrices.  ``FusionPlan`` caches the fused runs
+  per weight vector for tape-free statevector inference and, with the
+  error sites as breaks, for the trajectory engine;
 * **superoperator compilation** (:mod:`repro.compiler.superop`): for the
   exact noisy density backend, precompiles each bound gate *together
   with* its Pauli error channel, its exact T1/T2 thermal-relaxation
   channel (general amplitude/phase-damping Kraus sets, when the noise
   model carries them) and its coherent miscalibration into one cached
-  ``(4**k, 4**k)`` superoperator per site, then fuses adjacent sites on
-  overlapping supports into segment operators -- channel composition is
+  ``(4**k, 4**k)`` superoperator per site, then fuses runs of sites
+  through the same pass into segment operators -- channel composition is
   plain matrix multiplication in superoperator form, so noise fuses as
   freely as unitaries.  Readout confusion compiles into the same stream
   as a terminal measurement (POVM) superop.  ``run_noisy_density``

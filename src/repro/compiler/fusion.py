@@ -1,34 +1,36 @@
-"""Inference-only gate fusion: merge adjacent gate runs into one matrix.
+"""Gate fusion: the one pass that merges adjacent gate runs into one matrix.
 
 A transpiled QNN block is dominated by long single-qubit basis-gate runs
-(``rz sx rz sx rz`` from every U3) punctuated by CXs.  For *inference*
-sweeps -- no gradient tape, no per-gate error insertion sites -- adjacent
-gates whose combined qubit support fits in ``max_qubits`` can be merged
-into a single matrix before the statevector sweep, cutting the number of
-gate applications by 3-5x.  The merged matrices are exact matrix
-products, so fused and unfused sweeps agree to machine precision.
+(``rz sx rz sx rz`` from every U3) punctuated by CXs.  Adjacent gates
+whose combined qubit support fits in ``max_qubits`` can be merged into a
+single matrix before a sweep, cutting the number of gate applications by
+3-5x.  The merged matrices are exact matrix products, so fused and
+unfused sweeps agree to machine precision.
 
-Fusion must NOT be used for:
+Every fused stream -- noiseless inference, the trajectory engine and the
+density engine's superoperators -- is built from the two pieces here:
 
-* differentiable forwards -- the adjoint backward pass needs the
-  per-gate tape (and per-parameter derivative matrices);
-* noisy sweeps *across error-insertion points* -- error gates are
-  sampled per original gate site, so a fused run may never swallow a
-  stochastic insertion point.  Runs that stop exactly at each site are
-  fine: the trajectory engine's segment plan
-  (:class:`repro.noise.trajectory._SegmentPlan`) partitions the gate
-  stream at Pauli sites and feeds each constant segment -- including
-  the deterministic coherent-miscalibration rotations, wrapped via
-  :func:`constant_op` -- through :func:`fuse_bound_ops`.
+* :func:`fusion_layout`, the one cut: which gates may merge (a
+  ``fusable`` predicate) and what follows each gate (``after``): a
+  constant op joins the open run, anything else -- a stochastic error
+  site, a quantum-jump site -- ends it and passes through;
+* :func:`fuse_runs`, the one greedy left-to-right merge, shared by
+  statevector ops (:func:`fuse_bound_ops`) and superoperators
+  (:func:`repro.compiler.superop.fuse_superops`).
 
-:class:`FusionPlan` adds a per-circuit cache layer for repeated
-inference over the same weights (evaluation loops, SPSA/parameter-shift
-objective calls): gate runs that depend only on weights and constants
-are fused once per weight vector (a small :class:`~repro.utils.cache
-.Cache` keyed on the weight bytes), while input-dependent encoder gates
--- whose matrices change with every batch -- pass through unfused.  The
-plan itself lives in the circuit's :func:`~repro.utils.cache
-.circuit_cache`, so it is rebuilt whenever the circuit's gates change.
+Fusion must NOT be used for differentiable forwards: the adjoint
+backward pass needs the per-gate tape (and per-parameter derivative
+matrices), so the training sweeps cut at every differentiable gate.
+
+:class:`FusionPlan` is the statevector consumer: gate runs that depend
+only on weights and constants are fused once per weight vector (a small
+:class:`~repro.utils.cache.Cache` keyed on the weight bytes), while
+input-dependent encoder gates -- whose matrices change with every batch
+-- pass through unfused.  With ``after`` it is the trajectory engine's
+segment plan (:class:`repro.noise.trajectory._SegmentPlan`), whose
+breaks are the noise model's error sites.  The noiseless plan lives in
+the circuit's :func:`~repro.utils.cache.circuit_cache`, so it is rebuilt
+whenever the circuit's gates change.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def constant_op(qubits: "tuple[int, ...]", matrix: np.ndarray) -> FusedOp:
 
     Lets callers splice fixed unitaries that are not circuit gates --
     e.g. the noise model's deterministic coherent-miscalibration
-    rotations -- into a run handed to :func:`fuse_bound_ops`.
+    rotations -- into a run: in a :func:`fusion_layout` ``after`` list
+    it joins the open run.
     """
     return FusedOp(tuple(qubits), matrix, 1)
 
@@ -104,102 +107,131 @@ def _embed(matrix: np.ndarray, qubits, support) -> np.ndarray:
     return np.kron(matrix, _EYE2)
 
 
-def _materialize(run: list, support: "tuple[int, ...]"):
-    """Collapse a gate run into one op on its combined support."""
-    if len(run) == 1:
-        # Preserve the original op: structured kernels (CX permutation,
-        # diagonal slicing) key on the untouched matrix object.
-        return run[0]
-    matrix = _embed(run[0].matrix, run[0].qubits, support)
-    for op in run[1:]:
-        # The later gate acts after, i.e. multiplies from the left.
-        matrix = _embed(op.matrix, op.qubits, support) @ matrix
-    return FusedOp(support, matrix, len(run))
-
-
-def fuse_bound_ops(ops: list, max_qubits: int = 2) -> list:
-    """Greedy left-to-right fusion of adjacent gate runs.
+def fuse_runs(ops: list, embed, make, max_qubits: int = 2) -> list:
+    """Greedy left-to-right fusion of adjacent runs: the one fusion loop.
 
     Consecutive ops whose combined qubit support has at most
-    ``max_qubits`` qubits are merged into a single :class:`FusedOp`
-    (single-op runs keep their original :class:`BoundOp`).  The output
-    list applies the exact same unitary as ``ops``.
+    ``max_qubits`` qubits merge into ``make(support, matrix, n_merged)``:
+    ``matrix`` multiplies each op's ``embed(matrix, qubits, support)``,
+    the later op from the left, and ``n_merged`` sums the ops' own
+    ``n_merged`` (1 for an op without one).  A run of one keeps its
+    original op -- structured kernels (CX permutation, diagonal slicing)
+    key on the untouched matrix -- and so does an op wider than
+    ``max_qubits``, which never merges.
 
-    ``max_qubits`` is capped at 2: :func:`_embed` only knows how to
-    expand onto 1- and 2-qubit supports (and wider fused matrices lose
-    to the engine's structured kernels anyway).
+    ``max_qubits`` is capped at 2: the embeddings (:func:`_embed`,
+    :func:`~repro.compiler.superop.embed_superop`) only expand onto 1-
+    and 2-qubit supports, and wider fused matrices lose to the engine's
+    structured kernels anyway.
     """
     if not 1 <= max_qubits <= 2:
         raise ValueError("max_qubits must be 1 or 2")
-    fused: list = []
-    run: list = []
-    support: "set[int]" = set()
+    runs: "list[tuple[list, set[int]]]" = []
     for op in ops:
         qubits = set(op.qubits)
-        if run and len(support | qubits) <= max_qubits:
-            run.append(op)
-            support |= qubits
-            continue
-        if run:
-            fused.append(_materialize(run, tuple(sorted(support))))
-        if len(qubits) > max_qubits:
-            fused.append(op)  # too wide to ever merge; pass through
-            run, support = [], set()
+        if runs and len(runs[-1][1] | qubits) <= max_qubits:
+            runs[-1][0].append(op)
+            runs[-1][1].update(qubits)
         else:
-            run, support = [op], qubits
-    if run:
-        fused.append(_materialize(run, tuple(sorted(support))))
+            runs.append(([op], qubits))
+    fused: list = []
+    for run, qubits in runs:
+        if len(run) == 1:
+            fused.append(run[0])
+            continue
+        support = tuple(sorted(qubits))
+        matrix = embed(run[0].matrix, run[0].qubits, support)
+        for op in run[1:]:
+            matrix = embed(op.matrix, op.qubits, support) @ matrix
+        n_merged = sum(getattr(op, "n_merged", 1) for op in run)
+        fused.append(make(support, matrix, n_merged))
     return fused
 
 
-#: Fused static segments retained per circuit, keyed on the weight bytes.
-_FUSION_CACHE_SIZE = 4
+def fuse_bound_ops(ops: list, max_qubits: int = 2) -> list:
+    """:func:`fuse_runs` over statevector ops: runs become :class:`FusedOp`.
 
-
-def static_dynamic_layout(circuit) -> "list[tuple]":
-    """Partition a circuit into fusable spans and per-call singletons.
-
-    Returns ``("static", start, end)`` spans (constant or weight-only
-    gates -- cacheable per weight vector) and ``("dynamic", i, i + 1)``
-    singletons (input-dependent encoder gates -- re-bound per call), in
-    circuit order.  Shared by :class:`FusionPlan` and the superoperator
-    plan (:class:`repro.compiler.superop.SuperopPlan`) so the two passes
-    can never disagree on what is cacheable.
+    Single-op runs keep their original :class:`BoundOp`; the output list
+    applies the exact same unitary as ``ops``.
     """
-    layout: "list[tuple]" = []
-    start = None
+    return fuse_runs(ops, _embed, FusedOp, max_qubits)
+
+
+def input_free(gate) -> bool:
+    """Whether no parameter of ``gate`` reads the input.
+
+    Such a gate's bound matrix is fixed for a weight vector, so runs of
+    them are fused once per weight vector; input-dependent encoder gates
+    are re-bound every call.
+    """
+    return not any(expr.depends_on_input for expr in gate.params)
+
+
+def fusion_layout(circuit, fusable, after=None) -> list:
+    """Cut a circuit's gate stream into runs, singletons and breaks.
+
+    The one cut every fused stream uses.  Returns, in sweep order:
+
+    * a ``list`` per run: the gate indices ``fusable(gate)`` admits, with
+      the constant :class:`FusedOp` entries of ``after`` that joined them;
+    * an ``int`` per gate ``fusable`` refuses, which stands alone;
+    * every other entry of ``after`` as it is, a break.
+
+    ``after[i]`` lists what follows gate ``i``, in order.  A constant
+    :class:`FusedOp` joins the open run (after a refused gate it opens
+    the next one); anything else ends the run and passes through, so a
+    break keeps its gate in the run before it.
+    """
+    layout: list = []
+    run: list = []
+
+    def cut(entry) -> None:
+        nonlocal run
+        if run:
+            layout.append(run)
+            run = []
+        layout.append(entry)
+
     for i, gate in enumerate(circuit.gates):
-        input_dep = any(expr.depends_on_input for expr in gate.params)
-        if input_dep:
-            if start is not None:
-                layout.append(("static", start, i))
-                start = None
-            layout.append(("dynamic", i, i + 1))
-        elif start is None:
-            start = i
-    if start is not None:
-        layout.append(("static", start, len(circuit.gates)))
+        if fusable(gate):
+            run.append(i)
+        else:
+            cut(i)
+        for entry in after[i] if after is not None else ():
+            if isinstance(entry, FusedOp):
+                run.append(entry)
+            else:
+                cut(entry)
+    if run:
+        layout.append(run)
     return layout
 
 
-class FusionPlan:
-    """Per-circuit fusion with caching of the weight-static structure.
+#: Fused runs retained per plan, keyed on the weight bytes.
+_FUSION_CACHE_SIZE = 4
 
-    The circuit's gates are partitioned once into *static* spans
-    (constant or weight-only parameters) and *dynamic* gates
-    (input-dependent encoder rotations).  :meth:`fused_ops` fuses each
-    static span and caches the result per weight vector; dynamic gates
-    are re-bound per call and emitted unfused, so the per-call work is
-    one bind (itself mostly cache hits) plus the encoder gates.
+
+class FusionPlan:
+    """Per-circuit fusion with caching of the weight-static runs.
+
+    The circuit is cut once by :func:`fusion_layout` at its
+    input-dependent encoder gates and at the breaks of ``after``.
+    :meth:`fused_ops` fuses every run and caches the result per weight
+    vector; encoder gates are re-bound per call and emitted unfused, so
+    the per-call work is one bind (itself mostly cache hits) plus the
+    encoder gates.
     """
 
     __slots__ = ("bind_plan", "_layout", "_cache")
 
-    def __init__(self, circuit):
+    #: Counter row of the per-weight-vector run cache.
+    _cache_name = "fusion.segments"
+
+    def __init__(self, circuit, after=None):
         self.bind_plan = bind_plan_for(circuit)
-        self._layout = static_dynamic_layout(circuit)
-        # weight bytes -> fused ops per static span, in layout order.
-        self._cache = Cache("fusion.segments", _FUSION_CACHE_SIZE)
+        self._layout = fusion_layout(circuit, input_free, after)
+        # weight bytes -> fused ops per run, in layout order.
+        self._cache = Cache(self._cache_name, _FUSION_CACHE_SIZE)
 
     def fused_ops(
         self,
@@ -207,22 +239,22 @@ class FusionPlan:
         inputs: "np.ndarray | None" = None,
         batch: "int | None" = None,
     ) -> list:
-        """Bind and fuse the circuit for one inference call."""
+        """Bind and fuse the circuit for one call: ops, plus any breaks."""
         ops = self.bind_plan.bind(weights, inputs, batch)
-        segments = iter(self._cache.get_or_build(
+        runs = iter(self._cache.get_or_build(
             weights_key(weights),
             lambda: [
-                fuse_bound_ops(ops[start:end])
-                for kind, start, end in self._layout
-                if kind == "static"
+                fuse_bound_ops([ops[t] if isinstance(t, int) else t for t in entry])
+                for entry in self._layout
+                if isinstance(entry, list)
             ],
         ))
         out: list = []
-        for kind, start, end in self._layout:
-            if kind == "static":
-                out.extend(next(segments))
+        for entry in self._layout:
+            if isinstance(entry, list):
+                out.extend(next(runs))
             else:
-                out.extend(ops[start:end])
+                out.append(ops[entry] if isinstance(entry, int) else entry)
         return out
 
 

@@ -24,16 +24,21 @@ the density.  This pass precompiles all of that away:
   appended to the stream, so the full realistic noise model -- gates,
   Pauli + relaxation channels, coherent errors *and* readout -- runs as
   one compiled operator stream.
-* **Segment fusion**: runs of per-site superoperators whose combined
-  support stays within two qubits are merged into fused segment
-  operators, mirroring :mod:`repro.compiler.fusion` -- a ~200-gate
-  transpiled QNN block collapses to a few dozen matrices.
+* **Segment fusion** through the compiler's one fusion pass
+  (:mod:`repro.compiler.fusion`): :func:`~repro.compiler.fusion
+  .fusion_layout` cuts the site stream and :func:`fuse_superops` (its
+  :func:`~repro.compiler.fusion.fuse_runs` over superoperators) merges
+  each run whose combined support stays within two qubits -- a
+  ~200-gate transpiled QNN block collapses to a few dozen matrices.
+  Inference cuts at input-dependent encoder sites; training cuts at
+  every site with a weight or input parameter.
 * **Caching**: a plan is built once per (noise model, noise factor,
   layout) and kept in the circuit's :func:`~repro.utils.cache
   .circuit_cache`, so it is rebuilt whenever the circuit's gates change;
-  fused static segments (constant or weight-only gates) are retained
-  per weight vector in a small :class:`~repro.utils.cache.Cache`, and
-  only input-dependent encoder sites are rebuilt per call, as batched
+  fused inference runs (constant or weight-only gates) are retained
+  per weight vector in a small :class:`~repro.utils.cache.Cache`,
+  fused training runs (constant gates) once per plan, and only
+  input-dependent encoder sites are rebuilt per call, as batched
   superoperators.
 
 The compiled stream applies through
@@ -52,6 +57,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
     from repro.noise.model import NoiseModel
+from repro.compiler.fusion import fuse_runs, fusion_layout, input_free
 from repro.sim.density import kraus_superop, superop_is_diagonal, unitary_superop
 from repro.sim.kraus import pauli_channel
 from repro.sim.statevector import bind_plan_for, weights_key
@@ -127,44 +133,14 @@ def embed_superop(superop: np.ndarray, qubits, support) -> np.ndarray:
     return np.ascontiguousarray(full.reshape(16, 16))
 
 
-def _materialize(run: "list[SuperOp]", support: "tuple[int, ...]") -> SuperOp:
-    """Collapse a superoperator run into one channel on its support."""
-    if len(run) == 1:
-        return run[0]
-    matrix = embed_superop(run[0].matrix, run[0].qubits, support)
-    for op in run[1:]:
-        # The later channel acts after, i.e. multiplies from the left.
-        matrix = np.matmul(embed_superop(op.matrix, op.qubits, support), matrix)
-    return SuperOp(support, matrix, sum(op.n_merged for op in run))
-
-
 def fuse_superops(ops: "list[SuperOp]", max_qubits: int = 2) -> "list[SuperOp]":
-    """Greedy left-to-right fusion of adjacent superoperator runs.
+    """:func:`~repro.compiler.fusion.fuse_runs` over superoperators.
 
-    The superoperator analogue of
-    :func:`repro.compiler.fusion.fuse_bound_ops`: consecutive channels
-    whose combined support stays within ``max_qubits`` merge into one
-    matrix.  Channel composition is plain matrix multiplication in
-    superoperator form, so noise channels fuse as freely as unitaries --
-    no Kraus-product explosion.
+    Channel composition is plain matrix multiplication in superoperator
+    form, so noise channels fuse as freely as unitaries -- no
+    Kraus-product explosion.
     """
-    if not 1 <= max_qubits <= 2:
-        raise ValueError("max_qubits must be 1 or 2")
-    fused: "list[SuperOp]" = []
-    run: "list[SuperOp]" = []
-    support: "set[int]" = set()
-    for op in ops:
-        qubits = set(op.qubits)
-        if run and len(support | qubits) <= max_qubits:
-            run.append(op)
-            support |= qubits
-            continue
-        if run:
-            fused.append(_materialize(run, tuple(sorted(support))))
-        run, support = [op], qubits
-    if run:
-        fused.append(_materialize(run, tuple(sorted(support))))
-    return fused
+    return fuse_runs(ops, embed_superop, SuperOp, max_qubits)
 
 
 def _site_channel(gate, sites) -> "np.ndarray | None":
@@ -220,18 +196,17 @@ def _readout_superops(compiled: "CompiledCircuit", noise_model) -> "list[SuperOp
 class SuperopPlan:
     """Compiled per-site superoperators for one (circuit, noise model).
 
-    Construction precomputes every gate site's noise channel, the
-    static/dynamic layout and the terminal readout stage;
-    :meth:`superops` binds the circuit (through the shared bind cache),
-    attaches the channels, and fuses static spans -- cached per weight
-    vector -- while input-dependent encoder sites pass through as
-    per-sample batched superoperators.
+    Construction precomputes every gate site's noise channel, the two
+    :func:`~repro.compiler.fusion.fusion_layout` cuts and the terminal
+    readout stage.  :meth:`superops` (inference) cuts at input-dependent
+    encoder sites, fusing the runs between them once per weight vector;
+    :meth:`training_stream` cuts at every site with a weight or input
+    parameter, fusing the constant runs between them once per plan.
     """
 
     __slots__ = (
         "bind_plan", "_channels", "_layout", "_cache", "_readout",
-        "_train_layout", "_train_static_sites", "_train_segments",
-        "_train_site_cache",
+        "_train_layout", "_train_segments", "_train_site_cache",
     )
 
     def __init__(
@@ -240,7 +215,6 @@ class SuperopPlan:
         noise_model: "NoiseModel",
         noise_factor: float = 1.0,
     ):
-        from repro.compiler.fusion import static_dynamic_layout
         from repro.noise.sampler import noise_sites
 
         circuit = compiled.circuit
@@ -251,34 +225,14 @@ class SuperopPlan:
         self._channels = [
             _site_channel(gate, sites) for gate, sites in zip(circuit.gates, table)
         ]
-
-        self._layout = static_dynamic_layout(circuit)
+        self._layout = fusion_layout(circuit, input_free)
         self._cache = Cache("superop.segments", _SUPEROP_CACHE_SIZE)
         # Readout is unscaled by the noise factor (paper convention), so
         # the stage is built from the original model.
         self._readout = _readout_superops(compiled, noise_model)
-        # Training-path layout: runs of *constant-parameter* sites (no
-        # gradient flows through them, their superops never change)
-        # interleaved with the differentiable sites the adjoint sweep
-        # stores pre-densities for.  Constant runs fuse into segment
-        # operators exactly once per plan -- see :meth:`training_stream`.
-        train_layout: "list[tuple]" = []
-        run: "list[int]" = []
-        static_sites: "set[int]" = set()
-        for i, gate in enumerate(circuit.gates):
-            if any(not expr.is_constant for expr in gate.params):
-                if run:
-                    train_layout.append(("const", run))
-                    run = []
-                train_layout.append(("site", i))
-                if not any(expr.depends_on_input for expr in gate.params):
-                    static_sites.add(i)
-            else:
-                run.append(i)
-        if run:
-            train_layout.append(("const", run))
-        self._train_layout = train_layout
-        self._train_static_sites = static_sites
+        self._train_layout = fusion_layout(
+            circuit, lambda gate: all(expr.is_constant for expr in gate.params)
+        )
         self._train_segments = Cache("superop.train_segments", 1)
         self._train_site_cache = Cache("superop.train_sites", _SUPEROP_CACHE_SIZE)
 
@@ -298,6 +252,14 @@ class SuperopPlan:
         if channel is not None:
             matrix = np.matmul(channel, matrix)
         return SuperOp(op.qubits, matrix)
+
+    def _fused_runs(self, layout: list, ops: list) -> "list[list[SuperOp]]":
+        """Each run of ``layout`` as fused site superoperators."""
+        return [
+            fuse_superops([self.site_superop(ops[i], i) for i in run])
+            for run in layout
+            if isinstance(run, list)
+        ]
 
     def training_stream(
         self,
@@ -320,30 +282,27 @@ class SuperopPlan:
         rebuild per call.
         """
         ops = self.bind_plan.bind(weights, inputs, batch)
+        layout = self._train_layout
         segments = iter(self._train_segments.get_or_build(
-            None,
-            lambda: [
-                fuse_superops([self.site_superop(ops[i], i) for i in indices])
-                for kind, indices in self._train_layout
-                if kind == "const"
-            ],
+            None, lambda: self._fused_runs(layout, ops)
         ))
         static = self._train_site_cache.get_or_build(
             weights_key(weights),
             lambda: {
                 i: self.site_superop(ops[i], i)
-                for i in self._train_static_sites
+                for i in layout
+                if isinstance(i, int) and input_free(ops[i].gate)
             },
         )
         out: "list[tuple]" = []
-        for kind, payload in self._train_layout:
-            if kind == "const":
+        for entry in layout:
+            if isinstance(entry, list):
                 out.extend(("segment", op) for op in next(segments))
             else:
-                superop = static.get(payload)
+                superop = static.get(entry)
                 if superop is None:
-                    superop = self.site_superop(ops[payload], payload)
-                out.append(("site", ops[payload], superop, payload))
+                    superop = self.site_superop(ops[entry], entry)
+                out.append(("site", ops[entry], superop, entry))
         return out
 
     def superops(
@@ -361,21 +320,14 @@ class SuperopPlan:
         """
         ops = self.bind_plan.bind(weights, inputs, batch)
         segments = iter(self._cache.get_or_build(
-            weights_key(weights),
-            lambda: [
-                fuse_superops(
-                    [self.site_superop(ops[i], i) for i in range(start, end)]
-                )
-                for kind, start, end in self._layout
-                if kind == "static"
-            ],
+            weights_key(weights), lambda: self._fused_runs(self._layout, ops)
         ))
         out: "list[SuperOp]" = []
-        for kind, start, _end in self._layout:
-            if kind == "static":
+        for entry in self._layout:
+            if isinstance(entry, list):
                 out.extend(next(segments))
             else:
-                out.append(self.site_superop(ops[start], start))
+                out.append(self.site_superop(ops[entry], entry))
         if include_readout:
             out.extend(self._readout)
         return out

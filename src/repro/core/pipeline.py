@@ -36,7 +36,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.compiler.passes import CompiledCircuit, transpile
-from repro.core.executors import InferenceExecutor, NoiselessExecutor
+from repro.core.executors import (
+    GateInsertionExecutor,
+    InferenceExecutor,
+    NoiselessExecutor,
+)
 from repro.core.gradients import QuantumTape, adjoint_backward_reference
 from repro.core.injection import (
     ANGLE_PERTURBATION,
@@ -446,6 +450,9 @@ class _ReferenceBlocks:
     the training executor's sampler and rng) is bound and swept alone
     through the reference kernels, and backward runs one reference
     adjoint per tape: the nested loops the batched engine replaces.
+    Only a :class:`GateInsertionExecutor` has a sampler, and sampled
+    error circuits have no form for exact channels, so gate insertion on
+    any other executor, or on a model with exact channels, is refused.
     """
 
     def __init__(self, model: QuantumNATModel):
@@ -453,6 +460,15 @@ class _ReferenceBlocks:
         self.executor = model._train_executor
         self.insertion = injection.strategy == GATE_INSERTION
         self.n_real = injection.n_realizations if self.insertion else 1
+        if self.insertion and (
+            not isinstance(self.executor, GateInsertionExecutor)
+            or self.executor.noise_model.has_exact_channels
+        ):
+            raise ValueError(
+                "the per-sample reference step samples Pauli error circuits: "
+                "it needs a GateInsertionExecutor on a model without exact "
+                f"channels, got {type(self.executor).__name__}"
+            )
 
     def forward(self, compiled, weights, inputs):
         executor = self.executor

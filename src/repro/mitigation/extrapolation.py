@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.compiler.passes import transpile
 from repro.core.pipeline import QuantumNATModel
+from repro.mitigation.zne import linear_zero
 from repro.utils.cache import Cache
 
 #: Transpiled derived blocks, keyed on (circuit, device, level).
@@ -34,12 +35,9 @@ def linear_extrapolate_to_zero(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ``ys`` may be 1-D or (len(xs), n_qubits); returns the intercept(s).
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or len(xs) < 2:
         raise ValueError("need at least two noise-scale points")
-    design = np.stack([xs, np.ones_like(xs)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return coef[1]
+    return linear_zero(xs, ys)
 
 
 @dataclass

@@ -25,12 +25,13 @@ The naive implementation binds and sweeps one circuit per trajectory --
   become stochastic insertion points, relaxation sites quantum-jump
   points (``unravel="jump"``) and coherent sites constant rotations;
 * **pre-merges the constant segments between error sites**: gates where
-  the noise model can never insert an event (zero Pauli total, no
-  coherent miscalibration -- e.g. the virtual ``rz`` runs dominating a
-  transpiled block) fuse into single matrices via the gate-fusion pass
-  (:class:`repro.compiler.fusion.FusionPlan` with the error sites pinned
-  unfused), computed once per (weights, inputs) and reused across every
-  trajectory chunk, realization and ZNE fold;
+  the noise model can never insert an event (zero Pauli total -- e.g.
+  the virtual ``rz`` runs dominating a transpiled block), together with
+  the constant coherent rotations, fuse into single matrices via the
+  gate-fusion pass (:class:`repro.compiler.fusion.FusionPlan` with the
+  error sites pinned unfused, as breaks of its ``after`` lists),
+  computed once per weight vector and reused across every trajectory
+  chunk, realization and ZNE fold;
 * draws every error site's Pauli choice for all trajectories in a
   *single* uniform draw per chunk (vectorized inverse-CDF over the
   table's cumulative (None, X, Y) boundaries, replacing one
@@ -102,6 +103,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
+from repro.compiler.fusion import FusionPlan, constant_op
 from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.noise.model import CHANNEL_PAULI, CHANNEL_RELAXATION, NoiseModel
 from repro.noise.readout import measured_expectations
@@ -118,7 +120,6 @@ from repro.sim.statevector import (
     apply_grouped_1q,
     apply_matrix,
     bind_circuit,
-    bind_plan_for,
     z_signs,
     zero_state,
 )
@@ -161,43 +162,38 @@ def _coherent_unitary(ey: float, ez: float) -> np.ndarray:
     return gate_matrix("rz", (ez,)) @ gate_matrix("ry", (ey,))
 
 
-#: Fused static trajectory segments retained per plan, keyed on weights.
-_SEGMENT_FUSION_CACHE_SIZE = 4
-
-
-class _SegmentPlan:
+class _SegmentPlan(FusionPlan):
     """Per-(circuit, noise model, factor) trajectory execution plan.
 
-    The gate stream is partitioned *at the stochastic error sites* of
-    the block's :func:`~repro.noise.sampler.noise_sites` table: a Pauli
-    insertion point must interrupt any fused run (the sampled error
-    lands between the gate and whatever follows), but everything else
-    is constant within a (weights, inputs) binding and fuses through the
-    compiler's gate-fusion pass:
+    A :class:`~repro.compiler.fusion.FusionPlan` whose ``after`` lists
+    come from the block's :func:`~repro.noise.sampler.noise_sites`
+    table, so the gate stream is cut *at the stochastic error sites*
+    and everything constant within a (weights, inputs) binding fuses:
 
-    * a site gate itself merges into the run *preceding* its insertion
-      point (the break falls after the gate, not around it);
-    * Pauli sites that can never fire (zero total) draw nothing and
-      break nothing;
-    * relaxation sites are quantum-jump points: their sampling depends
-      on the state, so they break the run like Pauli sites, and each
-      operator is chosen during the sweep off pre-drawn uniforms;
-    * the deterministic coherent-miscalibration rotations that follow a
-      site's Pauli insertion open the *next* run as constant ops
-      (:func:`repro.compiler.fusion.constant_op`);
+    * a gate's Pauli sites that can fire become one break ``("site",
+      i)``: the sampled error lands between the gate and whatever
+      follows, so the gate itself stays in the run before the break;
+      sites that can never fire (zero total) draw nothing and break
+      nothing;
+    * a relaxation site becomes the break ``("jump", site)``: jump
+      sampling depends on the state, and each operator is chosen during
+      the sweep off pre-drawn uniforms;
+    * a coherent site becomes a :func:`~repro.compiler.fusion
+      .constant_op` that joins the open run;
     * input-dependent encoder gates stay unfused singletons, re-bound
       per call.
 
-    Fused static segments are cached per weight vector, so repeated
-    calls -- every chunk, realization and ZNE fold of an evaluation
-    sweep -- reuse the merged matrices.  The plan also stacks the Pauli
-    sites' cumulative boundaries into the table driving the one-draw
-    vectorized Pauli sampling (:meth:`sample`).
+    :meth:`fused_ops` is then the sweep program -- plain ops plus break
+    tuples -- with its fused runs cached per weight vector, so every
+    chunk, realization and ZNE fold of an evaluation sweep reuses the
+    merged matrices.  The plan also stacks the Pauli sites' cumulative
+    boundaries into the table driving the one-draw vectorized Pauli
+    sampling (:meth:`sample`).
     """
 
-    __slots__ = (
-        "bind_plan", "site_cum", "site_rows", "n_jumps", "_layout", "_cache",
-    )
+    __slots__ = ("site_cum", "site_rows", "n_jumps")
+
+    _cache_name = "trajectory.segments"
 
     def __init__(
         self,
@@ -205,96 +201,37 @@ class _SegmentPlan:
         noise_model: NoiseModel,
         noise_factor: float,
     ):
-        circuit = compiled.circuit
-        self.bind_plan = bind_plan_for(circuit)
         table = noise_sites(
-            circuit, compiled.physical_qubits, noise_model, noise_factor
+            compiled.circuit, compiled.physical_qubits, noise_model, noise_factor
         )
         cums: "list[np.ndarray]" = []
         site_rows: "dict[int, list[tuple[int, int]]]" = {}
-        # Layout entries, in sweep order:
-        #   ("static", tokens)  -- fusable run; tokens are ("g", index) or
-        #                          ("c", local_q, (ey, ez)) constants
-        #   ("dynamic", index)  -- input-dependent gate, re-bound per call
-        #   ("site", index)     -- Pauli insertion point after gate `index`
-        #   ("jump", site)      -- MCWF jump point, a relaxation site
-        layout: "list[tuple]" = []
-        run: "list[tuple]" = []
-
-        def flush():
-            nonlocal run
-            if run:
-                layout.append(("static", run))
-                run = []
-
-        for i, (gate, sites) in enumerate(zip(circuit.gates, table)):
-            if any(expr.depends_on_input for expr in gate.params):
-                flush()
-                layout.append(("dynamic", i))
-            else:
-                run.append(("g", i))
+        after: "list[list]" = []
+        n_jumps = 0
+        for i, sites in enumerate(table):
+            steps: list = []
             for site in sites:
                 kind, local_q, payload = site
                 if kind == CHANNEL_PAULI:
                     if payload[0].total <= 0:
                         continue
                     if i not in site_rows:
-                        flush()
-                        layout.append(("site", i))
+                        steps.append(("site", i))
                         site_rows[i] = []
                     site_rows[i].append((len(cums), local_q))
                     cums.append(payload[2])
                 elif kind == CHANNEL_RELAXATION:
-                    flush()
-                    layout.append(("jump", site))
+                    steps.append(("jump", site))
+                    n_jumps += 1
                 else:
-                    run.append(("c", local_q, payload))
-        flush()
+                    steps.append(
+                        constant_op((local_q,), _coherent_unitary(*payload))
+                    )
+            after.append(steps)
+        super().__init__(compiled.circuit, after)
         self.site_cum = np.stack(cums) if cums else np.zeros((0, 3))
         self.site_rows = site_rows
-        self.n_jumps = sum(kind == "jump" for kind, _payload in layout)
-        self._layout = layout
-        # weight bytes -> fused ops per static run, in layout order.
-        self._cache = Cache("trajectory.segments", _SEGMENT_FUSION_CACHE_SIZE)
-
-    def _static_segments(self, ops: list, weights) -> "list[list]":
-        from repro.compiler.fusion import constant_op, fuse_bound_ops
-        from repro.sim.statevector import weights_key
-
-        def build() -> "list[list]":
-            segments = []
-            for kind, payload in self._layout:
-                if kind != "static":
-                    continue
-                raw = [
-                    ops[token[1]]
-                    if token[0] == "g"
-                    else constant_op((token[1],), _coherent_unitary(*token[2]))
-                    for token in payload
-                ]
-                segments.append(fuse_bound_ops(raw))
-            return segments
-
-        return self._cache.get_or_build(weights_key(weights), build)
-
-    def fused_stream(
-        self,
-        weights: "np.ndarray | None",
-        inputs: "np.ndarray | None",
-        batch: "int | None",
-    ) -> "list[tuple]":
-        """The sweep program: ("op", bound op) and ("site", gate) steps."""
-        ops = self.bind_plan.bind(weights, inputs, batch)
-        segments = iter(self._static_segments(ops, weights))
-        stream: "list[tuple]" = []
-        for kind, payload in self._layout:
-            if kind == "static":
-                stream.extend(("op", op) for op in next(segments))
-            elif kind == "dynamic":
-                stream.append(("op", ops[payload]))
-            else:  # "site" / "jump" pass through with their payload
-                stream.append((kind, payload))
-        return stream
+        self.n_jumps = n_jumps
 
     def sample(
         self, rng: np.random.Generator, n_traj: int
@@ -356,11 +293,11 @@ def _segment_chunk(
 ) -> np.ndarray:
     """Sum of joint probabilities over ``n_traj`` stacked trajectories.
 
-    Executes the plan's fused stream: ``("op", ...)`` steps apply merged
-    segment matrices (or per-call encoder gates); at each
-    ``("site", gate)`` step the chunk's pre-drawn Pauli choices become
-    per-trajectory error coefficients, applied operand-by-operand in
-    :meth:`ErrorGateSampler.sample`'s insertion order.
+    Executes the plan's fused stream: ops apply merged run matrices (or
+    per-call encoder gates); at each ``("site", i)`` break the chunk's
+    pre-drawn Pauli choices become per-trajectory error coefficients,
+    applied operand-by-operand in :meth:`ErrorGateSampler.sample`'s
+    insertion order.
 
     The chunk builds its generator from ``seed`` (so a supervised retry
     replays the failed attempt's stream exactly) and draws all its
@@ -398,25 +335,24 @@ def _segment_chunk(
         stacked.fill(0.0)
         stacked[:, 0] = 1.0
         jump = 0
-        for kind, payload in stream:
-            if kind == "op":
-                matrix = payload.matrix
-                if payload.batched and hi - lo > 1:
-                    if len(payload.qubits) == 1:
+        for step in stream:
+            if not isinstance(step, tuple):
+                matrix = step.matrix
+                if step.batched and hi - lo > 1:
+                    if len(step.qubits) == 1:
                         # Per-sample encoder matrices repeat across
                         # stacked trajectories: broadcast, never tile.
                         apply_grouped_1q(
-                            stacked, matrix, payload.qubits[0], n_qubits,
+                            stacked, matrix, step.qubits[0], n_qubits,
                             out=scratch, layout="cycle",
                         )
                         stacked, scratch = scratch, stacked
                         continue
                     matrix = np.tile(matrix, (hi - lo, 1, 1))
-                apply_matrix(
-                    stacked, matrix, payload.qubits, n_qubits, out=scratch
-                )
+                apply_matrix(stacked, matrix, step.qubits, n_qubits, out=scratch)
                 stacked, scratch = scratch, stacked
                 continue
+            kind, payload = step
             if kind == "jump":
                 # MCWF: state-dependent jump sampling from the exact
                 # Kraus set, renormalized per row, off the chunk's own
@@ -533,7 +469,7 @@ def _process_chunk_worker(
         )
 
     plan, n_qubits = _WORKER_PLAN_CACHE.get_or_build(payload.plan_digest, build)
-    stream = plan.fused_stream(payload.weights, payload.inputs, payload.batch)
+    stream = plan.fused_ops(payload.weights, payload.inputs, payload.batch)
     return [
         _segment_chunk(plan, stream, n_qubits, payload.batch, n_traj, seed)
         for n_traj, seed in group
@@ -895,7 +831,7 @@ def trajectory_probabilities(
         (noise_model, noise_factor, compiled.physical_qubits),
         lambda: _SegmentPlan(compiled, noise_model, noise_factor),
     )
-    stream = plan.fused_stream(weights, inputs, batch)
+    stream = plan.fused_ops(weights, inputs, batch)
     max_traj = max(1, _MAX_STACKED_ENTRIES // (batch * max(dim, plan.n_jumps)))
     size = min(max_traj, int(shard_size or _DEFAULT_SHARD_SIZE))
     chunks = chunk_seeds(n_trajectories, size, rng)

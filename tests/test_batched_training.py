@@ -7,11 +7,17 @@ axis with stacked noise realizations matches the retained nested
 per-realization / per-sample reference loops.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.compiler import transpile
-from repro.core.executors import GateInsertionExecutor
+from repro.core.executors import (
+    DensityTrainExecutor,
+    GateInsertionExecutor,
+    MCWFTrainExecutor,
+)
 from repro.core.gradients import adjoint_backward, forward_with_tape
 from repro.core.injection import GATE_INSERTION, InjectionConfig
 from repro.core.pipeline import QuantumNATConfig, QuantumNATModel
@@ -223,6 +229,35 @@ def test_train_config_engine_validation():
     with pytest.raises(ValueError):
         TrainConfig(engine="turbo")
     assert TrainConfig(engine="reference").engine == "reference"
+
+
+def test_reference_step_refuses_executors_it_cannot_sample():
+    """The per-sample reference step draws Pauli error circuits.  A density
+    trainer has no sampler, and an MCWF trainer's relaxation jumps have no
+    gate form: both are refused instead of crashing or dropping channels."""
+    device = get_device("santiago")
+    relaxing = device.hardware_model.with_relaxation(
+        {q: (50.0 + 10 * q, 60.0 + 8 * q) for q in range(device.n_qubits)},
+        (0.035, 0.30),
+    )
+    qnn = paper_model(4, 1, 1, 16, 4)
+    weights = qnn.init_weights(0)
+    x = np.random.default_rng(0).normal(0, 1, (4, 16))
+    y = np.arange(4)
+    model = QuantumNATModel(
+        qnn, replace(device, noise_model=relaxing), QuantumNATConfig.full(1.0, 5),
+        rng=0,
+    )
+    assert isinstance(model._train_executor, DensityTrainExecutor)
+    with pytest.raises(ValueError, match="DensityTrainExecutor"):
+        model.loss_and_gradients_reference(weights, x, y)
+    model._train_executor = MCWFTrainExecutor(relaxing, rng=3)
+    with pytest.raises(ValueError, match="MCWFTrainExecutor"):
+        model.loss_and_gradients_reference(weights, x, y)
+    # Without exact channels the MCWF trainer samples like gate insertion.
+    model._train_executor = MCWFTrainExecutor(device.hardware_model, rng=3)
+    loss, _acc, grad = model.loss_and_gradients_reference(weights, x, y)
+    assert np.isfinite(loss) and grad.shape == weights.shape
 
 
 def test_insertion_stats_recorded_for_stacked_path():

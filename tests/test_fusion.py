@@ -15,8 +15,11 @@ from repro.compiler.fusion import (
     FusedOp,
     FusionPlan,
     _FUSION_CACHE_SIZE,
+    constant_op,
     fuse_bound_ops,
+    fusion_layout,
     fusion_plan_for,
+    input_free,
 )
 from repro.core.executors import NoiselessExecutor
 from repro.noise import get_device
@@ -121,6 +124,23 @@ def test_fusion_passes_through_too_wide_ops():
     narrow = bind_circuit(Circuit(3).add("h", 0))
     fused = fuse_bound_ops([narrow[0], wide, narrow[0]])
     assert fused[1] is wide
+
+
+def test_fusion_layout_cuts_refused_gates_constants_and_breaks():
+    """The one cut: a gate ``fusable`` refuses stands alone, a constant op
+    joins the open run (after a refused gate it opens the next one), and
+    a break ends the run after its own gate."""
+    c = Circuit(2)
+    c.add("ry", 0, ParamExpr.input(0))
+    c.add("rz", 0, 0.3)
+    c.add("sx", 0)
+    c.add("cx", (0, 1))
+    const = constant_op((0,), np.eye(2, dtype=complex))
+    site = ("site", 2)
+    layout = fusion_layout(c, input_free, [[const], [], [site, const], []])
+    assert layout == [0, [const, 1, 2], site, [const, 3]]
+    assert fusion_layout(c, input_free) == [0, [1, 2, 3]]
+    assert fusion_layout(c, lambda gate: False) == [0, 1, 2, 3]
 
 
 def test_fusion_plan_caches_static_segments_per_weight_vector():

@@ -5,6 +5,8 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.compiler import transpile
+from repro.compiler.fusion import FusionPlan
+from repro.compiler.passes import CompiledCircuit
 from repro.core.executors import GateInsertionExecutor
 from repro.noise import (
     ErrorGateSampler,
@@ -16,6 +18,11 @@ from repro.noise import (
     run_noisy_trajectories,
 )
 from repro.noise.sampler import noise_sites
+from repro.noise.trajectory import (
+    _SegmentPlan,
+    trajectory_probabilities,
+    trajectory_probabilities_reference,
+)
 from repro.qnn import paper_model
 from repro.utils import cache_stats
 
@@ -217,3 +224,56 @@ def test_noise_site_table_is_built_once_per_block():
     after = cache_stats()["noise.sites"]
     assert after["misses"] - before["misses"] == 1
     assert after["hits"] - before["hits"] >= 2
+
+
+# -- the trajectory engine's cut of the fused stream -------------------------
+
+
+def test_segment_plan_at_zero_noise_is_the_noiseless_fusion_plan():
+    """With no error site that can fire, the trajectory plan cuts and
+    fuses the block exactly like the noiseless fusion plan."""
+    device = get_device("santiago")
+    qnn = paper_model(4, 1, 2, 16, 4)
+    compiled = transpile(qnn.blocks[0], device, 2)
+    noiseless = FusionPlan(compiled.circuit)
+    quiet = _SegmentPlan(compiled, device.noise_model, 0.0)
+    assert quiet._layout == noiseless._layout
+    assert quiet.site_cum.shape[0] == 0 and quiet.n_jumps == 0
+    weights = qnn.init_weights(0)
+    inputs = np.random.default_rng(0).normal(0, 1, (3, 16))
+    ops = quiet.fused_ops(weights, inputs)
+    expected = noiseless.fused_ops(weights, inputs)
+    assert len(ops) == len(expected)
+    for op, ref in zip(ops, expected):
+        assert op.qubits == ref.qubits and np.array_equal(op.matrix, ref.matrix)
+    assert _SegmentPlan(compiled, device.noise_model, 1.0)._layout != quiet._layout
+
+
+def test_pauli_unravel_channel_order_matches_reference_exactly():
+    """A certain Z after every sx, then a miscalibration whose RY does not
+    commute with Z: the fused Pauli sweep must apply each gate, its Pauli
+    error, then its coherent rotation, as the sampled reference circuits
+    do.  A break placed before its gate, or a coherent rotation placed
+    before the error, moves the result by ~0.1."""
+    model = NoiseModel(
+        1,
+        {("sx", 0): PauliError(0.0, 0.0, 1.0)},
+        {},
+        np.stack([readout_matrix(0.0, 0.0)]),
+        coherent={0: (0.7, -0.4)},
+    )
+    circuit = Circuit(1)
+    for _ in range(3):
+        circuit.add("sx", 0).add("rz", 0, 0.3)
+    compiled = CompiledCircuit(
+        circuit=circuit, physical_qubits=(0,), layout={0: 0},
+        measure_qubits=(0,), device_name="test",
+    )
+    fused = trajectory_probabilities(
+        compiled, model, None, None, 1, 3, rng=0, unravel="pauli"
+    )
+    reference = trajectory_probabilities_reference(
+        compiled, model, None, None, 1, 3, rng=0
+    )
+    assert np.abs(fused - reference).max() < 1e-12
+
