@@ -16,7 +16,11 @@ density engine's superoperators -- is built from the two pieces here:
   site, a quantum-jump site -- ends it and passes through;
 * :func:`fuse_runs`, the one greedy left-to-right merge, shared by
   statevector ops (:func:`fuse_bound_ops`) and superoperators
-  (:func:`repro.compiler.superop.fuse_superops`).
+  (:func:`repro.compiler.superop.fuse_superops`).  It materializes a
+  run by expanding each op onto the run's support and multiplying; the
+  expansion is one precomputed index gather (:func:`gather_embed`),
+  which copies the entries a ``np.kron`` or ``np.einsum`` with the
+  identity would place, without their multiplications.
 
 Fusion must NOT be used for differentiable forwards: the adjoint
 backward pass needs the per-gate tape (and per-parameter derivative
@@ -41,6 +45,7 @@ from repro.sim.statevector import bind_plan_for, gate_kernel, weights_key
 from repro.utils.cache import Cache, circuit_cache
 
 _EYE2 = np.eye(2, dtype=complex)
+_ZERO = np.zeros(1, dtype=complex)
 
 
 class FusedOp:
@@ -79,32 +84,58 @@ def constant_op(qubits: "tuple[int, ...]", matrix: np.ndarray) -> FusedOp:
     return FusedOp(tuple(qubits), matrix, 1)
 
 
-def _embed(matrix: np.ndarray, qubits, support) -> np.ndarray:
-    """Expand a gate matrix onto ``support`` (ascending qubit tuple).
+def gather_index(expand, n: int) -> np.ndarray:
+    """The gather that replays ``expand`` on any ``(n, n)`` matrix.
 
-    Follows the engine's index convention: ``qubits[0]`` is the least
-    significant bit of the gate matrix index.  Handles shared ``(d, d)``
-    and per-sample ``(batch, d, d)`` matrices.
+    ``expand`` embeds a matrix by copying its entries and filling zeros,
+    as the kron, einsum and transpose expansions that fusion needs do.
+    Run once on a probe holding ``1 .. n*n``, it shows where each entry
+    lands; index ``n*n`` reads an appended zero.
+    """
+    probe = np.arange(1.0, n * n + 1).reshape(n, n)
+    full = np.asarray(expand(probe)).real
+    return np.where(full == 0, n * n, full - 1).astype(np.intp)
+
+
+def gather_embed(gathers, matrix: np.ndarray, qubits, support) -> np.ndarray:
+    """Expand ``matrix`` from ``qubits`` onto the pair ``support``.
+
+    ``gathers`` holds the :func:`gather_index` of a 1-qubit matrix on the
+    low and on the high bit of the pair, and of a pair matrix in
+    reversed order.  Entries are copied, never multiplied, so the result
+    equals the expansion it replays under ``np.array_equal``, for shared
+    ``(d, d)`` and per-sample ``(batch, d, d)`` matrices alike.
     """
     if tuple(qubits) == tuple(support):
         return matrix
-    batched = matrix.ndim == 3
+    low, high, reversed_pair = gathers
     if len(qubits) == 2:
-        # Same pair, reversed order: swap the bit roles of both indices.
-        if batched:
-            m = matrix.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3)
-            return np.ascontiguousarray(m.reshape(-1, 4, 4))
-        return matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    (q,) = qubits
-    if batched:
-        if q == support[0]:  # gate on the low bit of the pair
-            full = np.einsum("kl,bij->bkilj", _EYE2, matrix)
-        else:  # gate on the high bit
-            full = np.einsum("bij,kl->bikjl", matrix, _EYE2)
-        return np.ascontiguousarray(full.reshape(-1, 4, 4))
-    if q == support[0]:
-        return np.kron(_EYE2, matrix)
-    return np.kron(matrix, _EYE2)
+        index = reversed_pair
+    else:
+        index = low if qubits[0] == support[0] else high
+    if matrix.ndim == 2:
+        return np.concatenate((matrix.ravel(), _ZERO))[index]
+    flat = matrix.reshape(len(matrix), -1)
+    zero = np.zeros((len(matrix), 1), dtype=complex)
+    return np.concatenate((flat, zero), axis=1)[:, index]
+
+
+#: Gate-matrix gathers, in the engine's index convention (``qubits[0]``
+#: is the least significant bit of the matrix index): a 1-qubit gate on
+#: the low bit is ``kron(I, m)``, on the high bit ``kron(m, I)``, and a
+#: reversed pair swaps the bit roles of both indices.
+_GATE_GATHERS = (
+    gather_index(lambda m: np.kron(_EYE2, m), 2),
+    gather_index(lambda m: np.kron(m, _EYE2), 2),
+    gather_index(
+        lambda m: m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4), 4
+    ),
+)
+
+
+def _embed(matrix: np.ndarray, qubits, support) -> np.ndarray:
+    """Expand a gate matrix onto ``support`` (ascending qubit tuple)."""
+    return gather_embed(_GATE_GATHERS, matrix, qubits, support)
 
 
 def fuse_runs(ops: list, embed, make, max_qubits: int = 2) -> list:

@@ -15,9 +15,9 @@ the density.  This pass precompiles all of that away:
   (:func:`repro.noise.sampler.noise_sites`) -- into a single
   ``(4**k, 4**k)`` superoperator on the gate's support (k <= 2), in the
   :func:`~repro.sim.density.unitary_superop` index convention.  Channel
-  factors depend only on the noise model, so they are built once per
-  plan; gate factors follow the bind-plan classification (constant /
-  weight-only / input-dependent).
+  factors depend only on the noise model, so each distinct one is built
+  once per plan; gate factors follow the bind-plan classification
+  (constant / weight-only / input-dependent).
 * **Readout as a terminal measurement superop**: each qubit's confusion
   matrix compiles into the POVM-style channel of
   :func:`repro.noise.readout.readout_povm_kraus`, fused pairwise and
@@ -34,12 +34,15 @@ the density.  This pass precompiles all of that away:
   every site with a weight or input parameter.
 * **Caching**: a plan is built once per (noise model, noise factor,
   layout) and kept in the circuit's :func:`~repro.utils.cache
-  .circuit_cache`, so it is rebuilt whenever the circuit's gates change;
-  fused inference runs (constant or weight-only gates) are retained
-  per weight vector in a small :class:`~repro.utils.cache.Cache`,
-  fused training runs (constant gates) once per plan, and only
-  input-dependent encoder sites are rebuilt per call, as batched
-  superoperators.
+  .circuit_cache`, so it is rebuilt whenever the circuit's gates change.
+  The plan builds each distinct site channel (keyed by the gate's
+  support and its sites' payloads) and each constant gate's site
+  superoperator once, so a new weight vector rebuilds only the sites of
+  gates with parameters before fusing.  Fused inference runs (constant
+  or weight-only gates) are retained per weight vector in a small
+  :class:`~repro.utils.cache.Cache`, fused training runs (constant
+  gates) once per plan, and only input-dependent encoder sites are
+  rebuilt per call, as batched superoperators.
 
 The compiled stream applies through
 :func:`repro.sim.density.apply_superop_to_density` (one transpose + one
@@ -57,7 +60,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
     from repro.noise.model import NoiseModel
-from repro.compiler.fusion import fuse_runs, fusion_layout, input_free
+from repro.compiler.fusion import (
+    fuse_runs,
+    fusion_layout,
+    gather_embed,
+    gather_index,
+    input_free,
+)
 from repro.sim.density import kraus_superop, superop_is_diagonal, unitary_superop
 from repro.sim.kraus import pauli_channel
 from repro.sim.statevector import bind_plan_for, weights_key
@@ -92,45 +101,35 @@ class SuperOp:
         self.n_merged = n_merged
 
 
+#: Superoperator gathers.  The ``(16, 16)`` tensor axes are [r1, r0, c1,
+#: c0] on each side; a 1-qubit superoperator touches (r0, c0) on the low
+#: bit or (r1, c1) on the high bit, with deltas on the untouched pair,
+#: and a reversed pair swaps the bit roles of the row and column indices
+#: on both sides.
+_SUPEROP_GATHERS = (
+    gather_index(lambda s: np.einsum(
+        "ae,cg,bdfh->abcdefgh", _EYE2, _EYE2, s.reshape((2,) * 4)
+    ).reshape(16, 16), 4),
+    gather_index(lambda s: np.einsum(
+        "bf,dh,aceg->abcdefgh", _EYE2, _EYE2, s.reshape((2,) * 4)
+    ).reshape(16, 16), 4),
+    gather_index(lambda s: s.reshape((2,) * 8).transpose(
+        1, 0, 3, 2, 5, 4, 7, 6
+    ).reshape(16, 16), 16),
+)
+
+
 def embed_superop(superop: np.ndarray, qubits, support) -> np.ndarray:
     """Expand a superoperator from ``qubits`` onto ``support``.
 
     Both are qubit tuples in the engine convention (first entry is the
     least significant bit of the operator index).  Handles the same-pair
     reversal and 1q-into-2q cases -- exactly the supports segment fusion
-    can produce -- for shared and per-sample (batched) matrices.
+    can produce -- for shared and per-sample (batched) matrices, each
+    as one precomputed gather (:func:`~repro.compiler.fusion
+    .gather_embed`).
     """
-    if tuple(qubits) == tuple(support):
-        return superop
-    batched = superop.ndim == 3
-    if len(qubits) == 2:
-        # Same pair, reversed order: swap the bit roles of the row and
-        # column indices on both sides of the superoperator.
-        if batched:
-            t = superop.reshape((-1,) + (2,) * 8)
-            t = t.transpose(0, 2, 1, 4, 3, 6, 5, 8, 7)
-            return np.ascontiguousarray(t.reshape(-1, 16, 16))
-        t = superop.reshape((2,) * 8)
-        return np.ascontiguousarray(
-            t.transpose(1, 0, 3, 2, 5, 4, 7, 6).reshape(16, 16)
-        )
-    (q,) = qubits
-    # The (16, 16) tensor axes are [r1, r0, c1, c0] on each side; a 1q
-    # superoperator touches (r0, c0) on the low bit or (r1, c1) on the
-    # high bit, with deltas on the untouched pair.
-    if batched:
-        t = superop.reshape((-1,) + (2,) * 4)
-        if q == support[0]:
-            full = np.einsum("ae,cg,zbdfh->zabcdefgh", _EYE2, _EYE2, t)
-        else:
-            full = np.einsum("bf,dh,zaceg->zabcdefgh", _EYE2, _EYE2, t)
-        return np.ascontiguousarray(full.reshape(-1, 16, 16))
-    t = superop.reshape((2,) * 4)
-    if q == support[0]:
-        full = np.einsum("ae,cg,bdfh->abcdefgh", _EYE2, _EYE2, t)
-    else:
-        full = np.einsum("bf,dh,aceg->abcdefgh", _EYE2, _EYE2, t)
-    return np.ascontiguousarray(full.reshape(16, 16))
+    return gather_embed(_SUPEROP_GATHERS, superop, qubits, support)
 
 
 def fuse_superops(ops: "list[SuperOp]", max_qubits: int = 2) -> "list[SuperOp]":
@@ -173,6 +172,27 @@ def _site_channel(gate, sites) -> "np.ndarray | None":
     return channel
 
 
+def _site_key(site) -> tuple:
+    """A noise site's identity: kind, operand and payload (the
+    ``PauliError``, the coherent ``(ey, ez)`` or the Kraus bytes)."""
+    from repro.noise.model import CHANNEL_PAULI, CHANNEL_RELAXATION
+
+    kind, local_q, payload = site
+    if kind == CHANNEL_PAULI:
+        payload = payload[0]
+    elif kind == CHANNEL_RELAXATION:
+        payload = payload[0].tobytes()
+    return kind, local_q, payload
+
+
+def _site_superop(op, channel: "np.ndarray | None") -> SuperOp:
+    """One bound gate's superoperator with its noise channel attached."""
+    matrix = unitary_superop(op.matrix)
+    if channel is not None:
+        matrix = np.matmul(channel, matrix)
+    return SuperOp(op.qubits, matrix)
+
+
 def _readout_superops(compiled: "CompiledCircuit", noise_model) -> "list[SuperOp]":
     """Per-qubit readout confusion as a fused terminal superop stage.
 
@@ -196,7 +216,9 @@ def _readout_superops(compiled: "CompiledCircuit", noise_model) -> "list[SuperOp
 class SuperopPlan:
     """Compiled per-site superoperators for one (circuit, noise model).
 
-    Construction precomputes every gate site's noise channel, the two
+    Construction precomputes every gate site's noise channel (each
+    distinct one built once, keyed by the gate's support and its sites'
+    payloads), every constant gate's site superoperator, the two
     :func:`~repro.compiler.fusion.fusion_layout` cuts and the terminal
     readout stage.  :meth:`superops` (inference) cuts at input-dependent
     encoder sites, fusing the runs between them once per weight vector;
@@ -205,8 +227,8 @@ class SuperopPlan:
     """
 
     __slots__ = (
-        "bind_plan", "_channels", "_layout", "_cache", "_readout",
-        "_train_layout", "_train_segments", "_train_site_cache",
+        "bind_plan", "_channels", "_constant_sites", "_layout", "_cache",
+        "_readout", "_train_layout", "_train_segments", "_train_site_cache",
     )
 
     def __init__(
@@ -222,9 +244,30 @@ class SuperopPlan:
         table = noise_sites(
             circuit, compiled.physical_qubits, noise_model, noise_factor
         )
-        self._channels = [
-            _site_channel(gate, sites) for gate, sites in zip(circuit.gates, table)
+        # Channels repeat across a block's gates, and so do constant
+        # gates with their channels: build each distinct one once.
+        built: dict = {}
+
+        def once(key, build):
+            if key not in built:
+                built[key] = build()
+            return built[key]
+
+        keys = [
+            (gate.qubits, tuple(map(_site_key, sites)))
+            for gate, sites in zip(circuit.gates, table)
         ]
+        self._channels = [
+            once(key, lambda: _site_channel(gate, sites))
+            for key, gate, sites in zip(keys, circuit.gates, table)
+        ]
+        self._constant_sites = {
+            i: once(
+                (op.gate.name, op.values, keys[i]),
+                lambda: _site_superop(op, self._channels[i]),
+            )
+            for i, op in self.bind_plan.constant_ops().items()
+        }
         self._layout = fusion_layout(circuit, input_free)
         self._cache = Cache("superop.segments", _SUPEROP_CACHE_SIZE)
         # Readout is unscaled by the noise factor (paper convention), so
@@ -246,12 +289,15 @@ class SuperopPlan:
         return self._channels[index]
 
     def site_superop(self, op, index: int) -> SuperOp:
-        """One bound gate's superoperator with its noise channel attached."""
-        matrix = unitary_superop(op.matrix)
-        channel = self._channels[index]
-        if channel is not None:
-            matrix = np.matmul(channel, matrix)
-        return SuperOp(op.qubits, matrix)
+        """Gate site ``index``'s superoperator: bound ``op``, then its channel.
+
+        A constant gate's is read from the plan, where it was built once;
+        only a gate with parameters is built per call.
+        """
+        superop = self._constant_sites.get(index)
+        if superop is None:
+            superop = _site_superop(op, self._channels[index])
+        return superop
 
     def _fused_runs(self, layout: list, ops: list) -> "list[list[SuperOp]]":
         """Each run of ``layout`` as fused site superoperators."""

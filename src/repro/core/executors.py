@@ -52,7 +52,12 @@ from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.core.gradients import QuantumTape, adjoint_backward, forward_with_tape
 from repro.noise.density_backend import run_noisy_density
 from repro.noise.readout import apply_readout_to_expectations
-from repro.noise.sampler import ErrorGateSampler, InsertionStats, noise_sites
+from repro.noise.sampler import (
+    ErrorGateSampler,
+    InsertionStats,
+    _check_noise_factor,
+    noise_sites,
+)
 from repro.noise.trajectory import (
     _check_counts,
     run_noisy_trajectories,
@@ -339,7 +344,9 @@ class GateInsertionExecutor(_Sharded):
     ``(n_realizations * batch, 2**n)`` statevector sweep -- the training
     batch axis composed with the stacked-trajectory axis (see
     :func:`~repro.noise.trajectory.stacked_noisy_forward_with_tape`).
-    A single realization samples and binds one noisy circuit instead.
+    A single realization samples one noisy circuit instead; a sample
+    with nothing inserted runs the block's own circuit, bound through
+    its cached plan, and only a sample with insertions binds afresh.
 
     ``n_workers > 0`` bands that stacked sweep (one fixed row band per
     realization) over an executor-held persistent *thread* pool, so a
@@ -399,6 +406,8 @@ class GateInsertionExecutor(_Sharded):
                 compiled.circuit, compiled.physical_qubits, self.rng
             )
             self.last_insertion_stats = stats
+            if len(noisy_circuit.gates) == len(compiled.circuit.gates):
+                noisy_circuit = compiled.circuit
             expectations, tape = forward_with_tape(
                 noisy_circuit,
                 weights,
@@ -464,8 +473,7 @@ class DensityTrainExecutor:
         noise_factor: float = 1.0,
         readout: bool = True,
     ):
-        if noise_factor < 0:
-            raise ValueError("noise factor must be non-negative")
+        _check_noise_factor(noise_factor)
         self.noise_model = noise_model
         self.noise_factor = noise_factor
         self.readout = readout
@@ -534,6 +542,8 @@ class DensityEvalExecutor:
             raise ValueError(
                 f"engine must be 'superop' or 'reference', got {engine!r}"
             )
+        _check_noise_factor(noise_factor)
+        _check_counts(shots=shots)
         self.noise_model = noise_model
         self.noise_factor = noise_factor
         self.shots = shots
@@ -640,6 +650,7 @@ class TrajectoryEvalExecutor(_Sharded):
                 f"unravel must be 'pauli' or 'jump', got {unravel!r}"
             )
         _check_counts(n_trajectories, shots)
+        _check_noise_factor(noise_factor)
         self.lease = PoolLease(n_workers, shard_backend)
         self.noise_model = noise_model
         self.n_trajectories = n_trajectories

@@ -37,6 +37,12 @@ from repro.utils.rng import as_rng
 _PAULI_NAMES = (None, "x", "y", "z")
 
 
+def _check_noise_factor(noise_factor: float) -> None:
+    """Reject a negative noise factor ``T``."""
+    if noise_factor < 0:
+        raise ValueError("noise factor must be non-negative")
+
+
 def exact_channel_support_message() -> str:
     """Why Pauli sampling refuses exact-channel models, with alternatives.
 
@@ -130,6 +136,42 @@ def noise_sites(
     )
 
 
+def pauli_cdf(
+    circuit: Circuit,
+    physical_qubits: "tuple[int, ...]",
+    noise_model: NoiseModel,
+    noise_factor: float,
+) -> np.ndarray:
+    """The block's Pauli sites as one stacked inverse-CDF table.
+
+    Row ``s`` belongs to the ``s``-th Pauli site of :func:`noise_sites`,
+    in table order, zero-total sites included.  It is the site's
+    (None, X, Y, Z) vector normalized as ``Generator.choice`` normalizes
+    it (``cdf = p.cumsum(); cdf /= cdf[-1]``), cut to its (None, X, Y)
+    boundaries, so a uniform ``u`` picks ``(u >= row).sum()``: the index
+    ``rng.choice(4, p=probs)`` returns from the same double.  Cached in
+    the circuit's :func:`~repro.utils.cache.circuit_cache` as
+    ``noise.cdf``, under the key of the ``noise.sites`` entry.
+    """
+    physical_qubits = tuple(physical_qubits)
+
+    def build() -> np.ndarray:
+        table = noise_sites(circuit, physical_qubits, noise_model, noise_factor)
+        probs = np.array([
+            payload[1]
+            for sites in table
+            for kind, _q, payload in sites
+            if kind == CHANNEL_PAULI
+        ]).reshape(-1, 4)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, 3:]
+        return np.ascontiguousarray(cdf[:, :3])
+
+    return circuit_cache(circuit, "noise.cdf", _PLAN_CACHE_SIZE).get_or_build(
+        (noise_model, noise_factor, physical_qubits), build
+    )
+
+
 @dataclass
 class InsertionStats:
     """Bookkeeping about one sampled error circuit."""
@@ -169,12 +211,34 @@ class ErrorGateSampler:
         noise_factor: float = 1.0,
         allow_exact: bool = False,
     ):
-        if noise_factor < 0:
-            raise ValueError("noise factor must be non-negative")
+        _check_noise_factor(noise_factor)
         if noise_model.has_exact_channels and not allow_exact:
             raise ValueError(exact_channel_support_message())
         self.noise_model = noise_model
         self.noise_factor = noise_factor
+
+    def draw(
+        self,
+        circuit: Circuit,
+        physical_qubits: "tuple[int, ...]",
+        rng: np.random.Generator,
+        n: int = 1,
+    ) -> np.ndarray:
+        """Every Pauli site's choice for ``n`` realizations, in one draw.
+
+        Returns ``(n_sites, n)`` indices into (None, X, Y, Z), one row per
+        Pauli site of :func:`noise_sites` in table order, read off
+        :func:`pauli_cdf` with a single ``rng.random((n_sites, n))``
+        call.  Row by row, that call consumes the same doubles in the
+        same order as a per-site ``rng.choice(4, size=n, p=probs)`` loop,
+        so the choices and the generator's state afterwards equal the
+        loop's.
+        """
+        cdf = pauli_cdf(
+            circuit, physical_qubits, self.noise_model, self.noise_factor
+        )
+        u = rng.random((cdf.shape[0], n))
+        return (u[:, :, None] >= cdf[:, None, :]).sum(axis=2)
 
     def sample(
         self,
@@ -187,8 +251,8 @@ class ErrorGateSampler:
         ``physical_qubits[i]`` is the physical id of circuit qubit ``i``
         (the compiled circuit is compacted to its used qubits); noise
         probabilities are looked up by physical id but error gates are
-        emitted on circuit-local indices.  Each Pauli site of
-        :func:`noise_sites` takes one ``rng.choice`` draw; coherent
+        emitted on circuit-local indices.  Every Pauli site of
+        :func:`noise_sites` is chosen by one :meth:`draw`; coherent
         sites become RY, RZ gates.  Relaxation sites have no gate form
         and are left out.
         """
@@ -196,13 +260,14 @@ class ErrorGateSampler:
         table = noise_sites(
             circuit, physical_qubits, self.noise_model, self.noise_factor
         )
+        choices = iter(self.draw(circuit, physical_qubits, rng)[:, 0].tolist())
         gates: "list[Gate]" = []
         inserted = 0
         for gate, sites in zip(circuit.gates, table):
             gates.append(gate)
             for kind, local_q, payload in sites:
                 if kind == CHANNEL_PAULI:
-                    choice = rng.choice(4, p=payload[1])
+                    choice = next(choices)
                     if choice:
                         gates.append(Gate(_PAULI_NAMES[choice], (local_q,)))
                         inserted += 1

@@ -74,12 +74,15 @@ Noise-injected training has one sweep
 ``n_realizations`` error realizations of the training batch stack into
 one ``(n_realizations * batch, 2**n)`` statevector, and every gate is
 followed by its sites from the same table, in channel order: sampled
-Pauli insertions (one ``rng.choice`` per site for all realizations),
-quantum-jump sites (exact relaxation channels, realized from the
-running state) and coherent rotations.  Gate insertion and the
-quantum-jump (MCWF) trainer differ only in whether the sampler admits
-exact channels; both tapes go through the one adjoint sweep,
-:func:`repro.core.gradients.adjoint_backward`.
+Pauli insertions, quantum-jump sites (exact relaxation channels,
+realized from the running state) and coherent rotations.  Every Pauli
+site's choice for every realization comes from one draw per step over
+the block's stacked inverse-CDF table
+(:func:`repro.noise.sampler.pauli_cdf`), before any jump draw: the same
+numbers, in the same order, as one ``rng.choice`` per site.  Gate
+insertion and the quantum-jump (MCWF) trainer differ only in whether
+the sampler admits exact channels; both tapes go through the one
+adjoint sweep, :func:`repro.core.gradients.adjoint_backward`.
 
 Shot sampling uses one batched ``Generator.multinomial`` call over 2-D
 pvals instead of a per-sample Python loop.  The per-trajectory reference
@@ -516,12 +519,15 @@ def stacked_noisy_ops(
 
     This composes the *training batch* axis with the *noise trajectory*
     axis: the base circuit is bound once (through the bind cache), every
-    Pauli site's choice is drawn for all realizations in one
-    ``rng.choice`` call, and the sampled errors become batched
-    ``(n_realizations * batch, 2, 2)`` constant ops.  The returned list
-    runs -- and, because every op is a regular :class:`BoundOp` with no
-    differentiable parameters on the error sites, *backpropagates* -- as
-    one fused ``(n_realizations * batch, 2**n)`` statevector sweep.
+    Pauli site's choice for all realizations comes from one
+    :meth:`~repro.noise.sampler.ErrorGateSampler.draw` (a single
+    ``rng.random((n_sites, n_realizations))`` call, the same stream a
+    per-site ``rng.choice`` loop consumes), and the sampled errors
+    become batched ``(n_realizations * batch, 2, 2)`` constant ops.  The
+    returned list runs -- and, because every op is a regular
+    :class:`BoundOp` with no differentiable parameters on the error
+    sites, *backpropagates* -- as one fused ``(n_realizations * batch,
+    2**n)`` statevector sweep.
 
     Each gate is followed by its sites from the block's
     :func:`~repro.noise.sampler.noise_sites` table, in channel order:
@@ -538,29 +544,29 @@ def stacked_noisy_ops(
     rng = as_rng(rng)
     if inputs is not None:
         batch = np.asarray(inputs).shape[0]
-    ops = bind_circuit(compiled.circuit, weights, inputs, batch)
+    circuit, physical_qubits = compiled.circuit, compiled.physical_qubits
+    ops = bind_circuit(circuit, weights, inputs, batch)
     table = noise_sites(
-        compiled.circuit, compiled.physical_qubits,
-        sampler.noise_model, sampler.noise_factor,
+        circuit, physical_qubits, sampler.noise_model, sampler.noise_factor
     )
+    choices = sampler.draw(circuit, physical_qubits, rng, n_realizations)
+    draws = zip(choices, choices.any(axis=1).tolist())
     stacked: list = []
-    n_inserted = 0
     for op, sites in zip(ops, table):
         stacked.append(_tiled_op(op, n_realizations, batch))
         for site in sites:
             kind, local_q, payload = site
             if kind == CHANNEL_PAULI:
-                choices = rng.choice(4, size=n_realizations, p=payload[1])
-                if choices.any():
-                    n_inserted += int(np.count_nonzero(choices))
+                drawn, fired = next(draws)
+                if fired:
                     stacked.append(_error_op(
-                        local_q, np.repeat(_PAULI_STACK[choices], batch, axis=0)
+                        local_q, np.repeat(_PAULI_STACK[drawn], batch, axis=0)
                     ))
             elif kind == CHANNEL_RELAXATION:
                 stacked.append(site)
             else:
                 stacked.append(_error_op(local_q, _coherent_unitary(*payload)))
-    return stacked, n_inserted
+    return stacked, int(np.count_nonzero(choices))
 
 
 #: Store a training checkpoint at every Nth jump site.  The backward
@@ -749,7 +755,7 @@ def stacked_noisy_backward(
 
 
 def _check_counts(
-    n_trajectories: int, shots: "int | None" = None
+    n_trajectories: int = 1, shots: "int | None" = None
 ) -> None:
     """Reject trajectory and shot counts no estimate can be drawn from."""
     if n_trajectories < 1:

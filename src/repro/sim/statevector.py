@@ -927,6 +927,13 @@ class BindPlan:
         # in entry order.
         self._weight_cache = Cache("bind.weights", _WEIGHT_CACHE_SIZE)
 
+    def constant_ops(self) -> "dict[int, BoundOp]":
+        """Gate index -> bound op of every constant gate (bound at construction)."""
+        return {
+            i: entry for i, entry in enumerate(self._entries)
+            if type(entry) is BoundOp
+        }
+
     def _weight_only_ops(self, weights: "np.ndarray | None") -> "list[BoundOp]":
         """Bound ops for the weight-only entries (cached per weight vector)."""
 

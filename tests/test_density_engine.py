@@ -19,6 +19,8 @@ from repro.compiler import transpile
 from repro.compiler.superop import (
     SuperOp,
     SuperopPlan,
+    _site_channel,
+    _site_superop,
     embed_superop,
     fuse_superops,
     superop_plan_for,
@@ -482,6 +484,55 @@ def test_density_train_executor_validation():
     device = get_device("santiago")
     with pytest.raises(ValueError, match="non-negative"):
         DensityTrainExecutor(device.noise_model, noise_factor=-1.0)
+
+
+def test_density_eval_executor_validates_like_its_siblings():
+    """A negative noise factor and zero shots are refused when the
+    executor is built, by the rules the other executors apply.  The
+    density executor used to build with both and fail in predict
+    (shots=0 with numpy's "pvals ... NaNs") or not at all; the
+    trajectory executor refused a negative factor only in predict."""
+    from repro import QuantumNATConfig, QuantumNATModel, make_real_qc_executor
+    from repro.core.engine import create_engine
+
+    device = get_device("santiago")
+    with pytest.raises(ValueError, match="non-negative"):
+        DensityEvalExecutor(device.noise_model, noise_factor=-1.0)
+    for engine in ("density", "trajectory"):
+        with pytest.raises(ValueError, match="non-negative"):
+            create_engine(engine, device.noise_model, noise_factor=-1.0)
+    model = QuantumNATModel(
+        paper_model(4, 1, 1, 16, 4), device, QuantumNATConfig.baseline()
+    )
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        make_real_qc_executor(model, shots=0)
+    assert DensityEvalExecutor(device.noise_model, noise_factor=0.0, shots=1)
+
+
+def test_superop_plan_tables_equal_per_gate_rebuilds():
+    """Channels are built once per distinct (support, site payloads) and
+    constant gates' site superoperators once per plan: each must equal
+    its per-gate rebuild, on Pauli, coherent and relaxation models."""
+    from repro.noise.sampler import noise_sites
+
+    device, compiled, _weights, _inputs = _compiled_block(21)
+    circuit = compiled.circuit
+    for model in (device.noise_model, device.hardware_model,
+                  _relaxation_model(device)):
+        plan = SuperopPlan(compiled, model, 1.5)
+        table = noise_sites(circuit, compiled.physical_qubits, model, 1.5)
+        constants = plan.bind_plan.constant_ops()
+        assert 0 < len(constants) < len(circuit.gates)
+        for i, (gate, sites) in enumerate(zip(circuit.gates, table)):
+            channel = _site_channel(gate, sites)
+            assert np.array_equal(plan.channel(i), channel)
+            if i in constants:
+                superop = plan.site_superop(constants[i], i)
+                rebuilt = _site_superop(constants[i], channel)
+                assert superop.qubits == rebuilt.qubits
+                assert np.array_equal(superop.matrix, rebuilt.matrix)
+                assert superop.diagonal == rebuilt.diagonal
+                assert plan.site_superop(constants[i], i) is superop
 
 
 def test_train_config_density_engine():

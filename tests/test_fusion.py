@@ -8,6 +8,7 @@ bar on every path (shared, per-sample/batched, mixed supports).
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.circuits import Circuit, ParamExpr
 from repro.compiler import transpile
@@ -15,12 +16,14 @@ from repro.compiler.fusion import (
     FusedOp,
     FusionPlan,
     _FUSION_CACHE_SIZE,
+    _embed,
     constant_op,
     fuse_bound_ops,
     fusion_layout,
     fusion_plan_for,
     input_free,
 )
+from repro.compiler.superop import embed_superop
 from repro.core.executors import NoiselessExecutor
 from repro.noise import get_device
 from repro.qnn import paper_model
@@ -75,6 +78,23 @@ def test_fusion_preserves_isolated_ops():
     # h/rz on qubit 0 cannot merge with the cx on (1, 2) under a 2-qubit
     # cap, so the cx run stays a singleton and is passed through as-is.
     assert ops[1] in fused
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_embed_gathers_equal_the_expansions_they_replace(bit):
+    """The gate and superoperator embeds copy entries by precomputed
+    gathers; on random shared complex matrices they must equal the kron
+    and einsum expansions, on the low bit and on the high bit."""
+    rng = np.random.default_rng(bit)
+    eye = np.eye(2, dtype=complex)
+    spec = ("ae,cg,bdfh->abcdefgh", "bf,dh,aceg->abcdefgh")[bit]
+    for _ in range(20):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        kron = np.kron(eye, m) if bit == 0 else np.kron(m, eye)
+        assert np.array_equal(_embed(m, (bit,), (0, 1)), kron)
+        s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        full = np.einsum(spec, eye, eye, s.reshape((2,) * 4)).reshape(16, 16)
+        assert np.array_equal(embed_superop(s, (bit,), (0, 1)), full)
 
 
 def test_fusion_handles_reversed_and_mixed_supports():

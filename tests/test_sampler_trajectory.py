@@ -19,7 +19,9 @@ from repro.noise import (
 )
 from repro.noise.sampler import noise_sites
 from repro.noise.trajectory import (
+    _PAULI_STACK,
     _SegmentPlan,
+    stacked_noisy_ops,
     trajectory_probabilities,
     trajectory_probabilities_reference,
 )
@@ -224,6 +226,99 @@ def test_noise_site_table_is_built_once_per_block():
     after = cache_stats()["noise.sites"]
     assert after["misses"] - before["misses"] == 1
     assert after["hits"] - before["hits"] >= 2
+
+
+# -- one Pauli draw per step -------------------------------------------------
+
+
+def _santiago_block():
+    device = get_device("santiago")
+    qnn = paper_model(4, 1, 2, 16, 4)
+    return device, qnn, transpile(qnn.blocks[0], device, 2)
+
+
+def test_sample_draws_what_a_per_site_choice_loop_draws():
+    """One stacked draw per sample: at T = 5, where most samples insert,
+    the circuits and the generator state afterwards equal one
+    ``rng.choice(4, p=probs)`` per Pauli site, in table order (coherent
+    RY, RZ pairs follow each driven gate's Paulis)."""
+    device, _qnn, compiled = _santiago_block()
+    model = device.hardware_model
+    args = (compiled.circuit, compiled.physical_qubits)
+    table = noise_sites(*args, model, 5.0)
+    sampler = ErrorGateSampler(model, 5.0)
+    rng, expected_rng = np.random.default_rng(3), np.random.default_rng(3)
+    total = 0
+    for _ in range(5):
+        noisy, stats = sampler.sample(*args, rng)
+        expected, inserted = [], 0
+        for gate, sites in zip(compiled.circuit.gates, table):
+            expected.append((gate.name, gate.qubits))
+            for kind, local_q, payload in sites:
+                if kind == "pauli":
+                    choice = expected_rng.choice(4, p=payload[1])
+                    if choice:
+                        expected.append(("ixyz"[choice], (local_q,)))
+                        inserted += 1
+                elif kind == "coherent":
+                    expected += [("ry", (local_q,)), ("rz", (local_q,))]
+        assert [(g.name, g.qubits) for g in noisy.gates] == expected
+        assert stats.n_inserted == inserted
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        total += inserted
+    assert total > 0
+
+
+def test_stacked_noisy_ops_draw_what_a_per_site_choice_loop_draws():
+    """At R = 3 every Pauli site's realizations come from one stacked
+    draw: the same choices, insertion count and generator state as one
+    ``rng.choice(4, size=3, p=probs)`` per site, in table order."""
+    device, qnn, compiled = _santiago_block()
+    model = device.noise_model
+    table = noise_sites(compiled.circuit, compiled.physical_qubits, model, 5.0)
+    weights = qnn.init_weights(0)
+    inputs = np.random.default_rng(1).normal(0, 1, (2, 16))
+    rng, expected_rng = np.random.default_rng(4), np.random.default_rng(4)
+    ops, n_inserted = stacked_noisy_ops(
+        compiled, ErrorGateSampler(model, 5.0), weights, inputs, 2, 3, rng
+    )
+    expected = []
+    for sites in table:  # the published model has Pauli sites only
+        expected.append(None)
+        for _kind, local_q, payload in sites:
+            choices = expected_rng.choice(4, size=3, p=payload[1])
+            if choices.any():
+                expected.append((local_q, choices))
+    assert len(ops) == len(expected)
+    inserted = 0
+    for op, want in zip(ops, expected):
+        if want is not None:
+            local_q, choices = want
+            assert op.qubits == (local_q,)
+            assert np.array_equal(
+                op.matrix, np.repeat(_PAULI_STACK[choices], 2, axis=0)
+            )
+            inserted += np.count_nonzero(choices)
+    assert n_inserted == inserted > 0
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def test_single_realization_steps_without_insertions_reuse_the_block_plan():
+    """At T = 0 nothing is ever inserted, so every R = 1 step runs the
+    block's own circuit through its cached bind plan: no step after the
+    first builds a plan."""
+    device, qnn, compiled = _santiago_block()
+    weights = qnn.init_weights(0)
+    inputs = np.random.default_rng(1).normal(0, 1, (2, 16))
+    executor = GateInsertionExecutor(device.noise_model, 0.0, rng=0)
+    executor.forward(compiled, weights, inputs)
+    before = cache_stats()["bind.plan"]
+    for _ in range(10):
+        _logits, cache = executor.forward(compiled, weights, inputs)
+        assert cache.tape.circuit is compiled.circuit
+    after = cache_stats()["bind.plan"]
+    assert after["misses"] == before["misses"]
+    assert after["hits"] - before["hits"] >= 10
 
 
 # -- the trajectory engine's cut of the fused stream -------------------------
