@@ -5,10 +5,14 @@ compilation passes:
 
 * **gate fusion** (:mod:`repro.compiler.fusion`), the one fusion pass
   every fused stream goes through: ``fusion_layout`` cuts a gate stream
-  into runs, singletons and breaks, and ``fuse_runs`` merges each run
-  greedily into single matrices.  ``FusionPlan`` caches the fused runs
-  per weight vector for tape-free statevector inference and, with the
-  error sites as breaks, for the trajectory engine;
+  into runs, singletons and breaks, ``greedy_runs`` groups a stretch
+  into runs of at most two qubits, ``fuse_runs`` merges superoperator
+  runs and ``RunStack`` materializes all of a plan's statevector runs
+  in one batched pass.  ``FusionPlan`` caches the fused runs per weight
+  vector for tape-free statevector inference and, with the error sites
+  as breaks, for the trajectory engine; ``TrainingPlan`` runs every
+  statevector training forward and the adjoint on fused runs, with
+  closed-form gradients;
 * **superoperator compilation** (:mod:`repro.compiler.superop`): for the
   exact noisy density backend, precompiles each bound gate *together
   with* its Pauli error channel, its exact T1/T2 thermal-relaxation

@@ -132,14 +132,14 @@ def embed_superop(superop: np.ndarray, qubits, support) -> np.ndarray:
     return gather_embed(_SUPEROP_GATHERS, superop, qubits, support)
 
 
-def fuse_superops(ops: "list[SuperOp]", max_qubits: int = 2) -> "list[SuperOp]":
+def fuse_superops(ops: "list[SuperOp]") -> "list[SuperOp]":
     """:func:`~repro.compiler.fusion.fuse_runs` over superoperators.
 
     Channel composition is plain matrix multiplication in superoperator
     form, so noise channels fuse as freely as unitaries -- no
     Kraus-product explosion.
     """
-    return fuse_runs(ops, embed_superop, SuperOp, max_qubits)
+    return fuse_runs(ops, embed_superop, SuperOp)
 
 
 def _site_channel(gate, sites) -> "np.ndarray | None":

@@ -224,9 +224,9 @@ def _resolve_eval_executor(model, noise_model, **factory_kwargs):
 class NoiselessExecutor:
     """Exact statevector execution with adjoint gradients.
 
-    Repeated forwards over the same compiled block hit the circuit's
-    :class:`~repro.sim.statevector.BindPlan`, so constant gate matrices
-    are evaluated once per block, not once per training step.
+    Training forwards run the block's fused training plan
+    (:class:`~repro.compiler.fusion.TrainingPlan`), whose constant slots
+    are filled once per block, not once per training step.
     """
 
     differentiable = True
@@ -256,9 +256,8 @@ class NoiselessExecutor:
     ) -> np.ndarray:
         """Tape-free forward through the gate-fusion pass.
 
-        Inference sweeps need no per-gate tape, so adjacent gate runs are
-        merged into single matrices (cached per weight vector) before the
-        statevector sweep -- see :mod:`repro.compiler.fusion`.
+        Inference keeps no tape, so the fused runs are cached per weight
+        vector and reused across calls -- see :mod:`repro.compiler.fusion`.
         """
         from repro.compiler.fusion import fusion_plan_for
         from repro.sim.statevector import run_ops, z_expectations
@@ -339,14 +338,16 @@ class GateInsertionExecutor(_Sharded):
     constant unitaries and the readout map is affine, so the adjoint
     backward pass stays exact.
 
+    Every step runs the block's fused training sweep
+    (:func:`~repro.noise.trajectory.stacked_noisy_forward_with_tape`).
     With ``n_realizations > 1`` each step averages that many independent
-    error realizations, executed as one fused
-    ``(n_realizations * batch, 2**n)`` statevector sweep -- the training
-    batch axis composed with the stacked-trajectory axis (see
-    :func:`~repro.noise.trajectory.stacked_noisy_forward_with_tape`).
-    A single realization samples one noisy circuit instead; a sample
-    with nothing inserted runs the block's own circuit, bound through
-    its cached plan, and only a sample with insertions binds afresh.
+    error realizations, executed as one ``(n_realizations * batch,
+    2**n)`` statevector sweep -- the training batch axis composed with
+    the stacked-trajectory axis.  A single realization draws through
+    :meth:`~repro.noise.sampler.ErrorGateSampler.sample`, the sampler's
+    circuit-level entry point, and the sweep folds that draw
+    (``InsertionStats.choices``) into the block's plan: the sampled
+    circuit is neither bound nor run.
 
     ``n_workers > 0`` bands that stacked sweep (one fixed row band per
     realization) over an executor-held persistent *thread* pool, so a
@@ -401,31 +402,25 @@ class GateInsertionExecutor(_Sharded):
         inputs: np.ndarray,
     ) -> "tuple[np.ndarray, BlockCache]":
         n_weights, n_inputs = _param_counts(weights, inputs)
+        choices = None
         if self.n_realizations == 1 and not self.allow_exact:
-            noisy_circuit, stats = self.sampler.sample(
+            # Drawn through ``sample``, the call perfbench traces as noise
+            # sampling; the sweep folds its choices into the block's plan.
+            _circuit, stats = self.sampler.sample(
                 compiled.circuit, compiled.physical_qubits, self.rng
             )
-            self.last_insertion_stats = stats
-            if len(noisy_circuit.gates) == len(compiled.circuit.gates):
-                noisy_circuit = compiled.circuit
-            expectations, tape = forward_with_tape(
-                noisy_circuit,
-                weights,
-                inputs,
-                n_weights=n_weights,
-                n_inputs=n_inputs,
-            )
-        else:
-            expectations, tape, n_inserted = stacked_noisy_forward_with_tape(
-                compiled, self.sampler, weights, inputs,
-                self.n_realizations, self.rng,
-                n_weights=n_weights,
-                n_inputs=n_inputs,
-                pool=self.lease,
-            )
-            self.last_insertion_stats = InsertionStats(
-                len(compiled.circuit.gates) * self.n_realizations, n_inserted
-            )
+            choices = stats.choices
+        expectations, tape, n_inserted = stacked_noisy_forward_with_tape(
+            compiled, self.sampler, weights, inputs,
+            self.n_realizations, self.rng,
+            n_weights=n_weights,
+            n_inputs=n_inputs,
+            pool=self.lease,
+            choices=choices,
+        )
+        self.last_insertion_stats = InsertionStats(
+            len(compiled.circuit.gates) * self.n_realizations, n_inserted
+        )
         logical = _gather_logical(expectations, compiled.measure_qubits)
         scales = None
         if self.readout:

@@ -12,16 +12,23 @@ This module provides the equivalent from scratch:
   derivatives chain onto weights / inputs through the affine coefficients
   of each :class:`ParamExpr`.
 
-  The ket and the bra ride stacked in one buffer, and every op is
-  un-applied through its precompiled kernel's inverse
-  (:class:`repro.sim.statevector.Kernel`), one call for the pair.  A
-  rotation with generator ``G`` (``dU/dtheta = -(i/2) G U``; rx, ry, rz,
-  rxx, ryy, rzz, rzx, crx, cry, crz, u1) contributes
-  ``2 Re <bra|dU|psi_before> = Im <bra|G|psi>`` read off the post-gate
-  state *before* it is un-applied: one generator-kernel call and one
-  contraction (a ``vdot`` when only weights depend on the angle).  u3
-  and cu3 contract bra and ket once into the op's reduced ``d x d``
-  transition operator and read each parameter off it with its
+  Forwards run on the block's fused training plan
+  (:class:`repro.compiler.fusion.TrainingPlan`), so the sweep walks
+  fused gate runs of at most two qubits and the gates that stand alone
+  between them.  The ket and the bra ride stacked in one buffer, and
+  every step is un-applied through its kernel's inverse
+  (:class:`repro.sim.statevector.Kernel`), one call for the pair.  Before
+  a fused run is un-applied, the sweep records its reduced transition
+  operator ``N = sum over rows and the other qubits of |psi><bra|`` at
+  the run's output; after the sweep every fused rotation's gradient is
+  ``Im tr(G Q N Q^dag)`` in closed form off the run's prefix products
+  (:meth:`repro.compiler.fusion.FusedSweep.chain`), a few batched calls
+  for the whole block.  A gate that stands alone keeps the per-op
+  gradient: a rotation with generator ``G`` (``dU/dtheta = -(i/2) G U``)
+  contributes ``Im <bra|G|psi>`` read off the post-gate state -- one
+  generator-kernel call and one contraction, per row for input angles --
+  and u3 and cu3 contract bra and ket once into the op's reduced ``d x
+  d`` transition operator and read each parameter off it with its
   ``dmatrix`` times ``U^dag``.
 
   The same sweep differentiates every statevector training tape:
@@ -29,7 +36,9 @@ This module provides the equivalent from scratch:
   (:func:`repro.noise.trajectory.stacked_noisy_forward_with_tape`).  A
   jump operator is non-unitary, so at a tape's ``jump_ops`` the bra goes
   through the operator's adjoint while the ket is restored from the
-  tape's checkpoints instead of un-applied.
+  tape's checkpoints instead of un-applied.  The tape also carries its
+  sweep one op per gate and per applied error (``QuantumTape.ops``), the
+  form :func:`adjoint_backward_reference` walks.
 
 * :class:`ParameterShiftEngine` -- the hardware-executable two-term rule
   ``dE/dt = (E(t + pi/2) - E(t - pi/2)) / 2`` used for the paper's
@@ -44,43 +53,77 @@ other in ``tests/test_gradients.py``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import INPUT, WEIGHT
+from repro.compiler.fusion import training_plan_for
 from repro.sim.statevector import (
     BoundOp,
     apply_matrix,
     apply_matrix_reference,
     bind_circuit,
+    bind_plan_for,
     gate_groups,
     generator_kernel,
     run_ops,
     z_signs,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.compiler.fusion import FusedSweep
 
-@dataclass
+
 class QuantumTape:
     """Everything saved by a forward pass that backward needs.
 
-    A forward that realizes quantum jumps also records their op indices
-    (``jump_ops``) and the state before every
+    ``sweep`` is the fused program the forward ran
+    (:class:`~repro.compiler.fusion.FusedSweep`): its run pieces, bound
+    gate ops, error ops and realized jumps, plus the prefix products the
+    fused gradients are read from.  :attr:`program` is what the adjoint
+    walks: the sweep's ops, or ``ops`` on a tape built by hand without a
+    sweep.  ``ops`` is the same sweep one op per gate and per applied
+    error -- given as a list, or as a function that builds it on first
+    access -- so the reference oracles replay a fused tape gate by gate.
+
+    A forward that realizes quantum jumps also records their program
+    indices (``jump_ops``) and the state before every
     :data:`~repro.noise.trajectory._JUMP_CHECKPOINT_STRIDE`-th jump
-    (``checkpoints``, keyed by op index); both stay empty on unitary
+    (``checkpoints``, keyed by program index); both stay empty on unitary
     tapes.
     """
 
-    circuit: Circuit
-    ops: "list[BoundOp]"
-    state: np.ndarray  # final statevector (batch, dim)
-    n_weights: int
-    n_inputs: int
-    checkpoints: "dict[int, np.ndarray]" = field(default_factory=dict)
-    jump_ops: "frozenset[int]" = frozenset()
+    def __init__(
+        self,
+        circuit: Circuit,
+        ops: "list[BoundOp] | Callable[[], list[BoundOp]]",
+        state: np.ndarray,
+        n_weights: int,
+        n_inputs: int,
+        checkpoints: "dict[int, np.ndarray] | None" = None,
+        jump_ops: "frozenset[int]" = frozenset(),
+        sweep: "FusedSweep | None" = None,
+    ):
+        self.circuit = circuit
+        self._ops = ops
+        self.state = state  # final statevector (batch, dim)
+        self.n_weights = n_weights
+        self.n_inputs = n_inputs
+        self.checkpoints = {} if checkpoints is None else checkpoints
+        self.jump_ops = jump_ops
+        self.sweep = sweep
+
+    @property
+    def ops(self) -> "list[BoundOp]":
+        if callable(self._ops):
+            self._ops = self._ops()
+        return self._ops
+
+    @property
+    def program(self) -> list:
+        return self.ops if self.sweep is None else self.sweep.ops
 
     @property
     def batch(self) -> int:
@@ -95,24 +138,32 @@ def forward_with_tape(
     n_weights: "int | None" = None,
     n_inputs: "int | None" = None,
 ) -> "tuple[np.ndarray, QuantumTape]":
-    """Run a circuit and keep the tape for adjoint backward.
+    """Run a circuit on its fused training plan and keep the tape.
 
     Returns per-qubit Z expectations ``(batch, n_qubits)`` and the tape.
     """
     if inputs is not None:
-        inputs = np.asarray(inputs, dtype=float)
+        inputs = np.array(inputs, dtype=float)
         batch = inputs.shape[0]
     if batch is None:
         batch = 1
-    ops = bind_circuit(circuit, weights, inputs, batch)
-    state = run_ops(ops, circuit.n_qubits, batch)
-    table = circuit.parameter_table
+    if weights is not None:
+        weights = np.array(weights, dtype=float)
+    plan = training_plan_for(circuit)
+    bound = bind_plan_for(circuit).bind(weights, inputs, batch, plan.standalone)
+    sweep = plan.sweep(bound, weights)
+    state = run_ops(sweep.ops, circuit.n_qubits, batch)
+    if n_weights is None or n_inputs is None:
+        table = circuit.parameter_table
+        n_weights = table.num_weights if n_weights is None else n_weights
+        n_inputs = table.num_inputs if n_inputs is None else n_inputs
     tape = QuantumTape(
         circuit,
-        ops,
+        lambda: bind_circuit(circuit, weights, inputs, batch),
         state,
-        n_weights if n_weights is not None else table.num_weights,
-        n_inputs if n_inputs is not None else table.num_inputs,
+        n_weights,
+        n_inputs,
+        sweep=sweep,
     )
     probs = np.abs(state) ** 2
     expectations = probs @ z_signs(circuit.n_qubits).T
@@ -156,7 +207,14 @@ def adjoint_backward(
     scratch = np.empty_like(pair)
     weight_grad = np.zeros(tape.n_weights)
     input_grad = np.zeros((rows, tape.n_inputs))
-    ops, jump_ops, restore = tape.ops, tape.jump_ops, _jump_kets(tape)
+    sweep, ops = tape.sweep, tape.program
+    pieces = sweep.pieces if sweep is not None else {}
+    if pieces:
+        # Real and imaginary parts of |psi> and <bra| on each piece's
+        # support, contracted by one real GEMM per piece.
+        real = 2 * sweep.width
+        products = np.empty((len(pieces), real, real))
+    jump_ops, restore = tape.jump_ops, _jump_kets(tape)
     for k in range(len(ops) - 1, -1, -1):
         op = ops[k]
         inverse = op.kernel(n).adjoint()
@@ -167,11 +225,25 @@ def adjoint_backward(
         else:
             # Gradients read off the post-gate psi, then one kernel call
             # un-applies the pair.
-            if op.grad_params:
+            p = pieces.get(k)
+            if p is not None:
+                # A fused piece keeps its transition operator (below).
+                ends = np.take(pair, sweep.groups[p], axis=1)
+                ends = ends.view(float).reshape(2, -1, real)
+                np.matmul(ends[0].T, ends[1], out=products[p])
+            elif getattr(op, "grad_params", None):
                 _op_gradients(op, pair[:rows], pair[rows:], scratch[:rows],
                               n, weight_grad, input_grad)
             apply_matrix(pair, inverse, op.qubits, n, out=scratch)
         pair, scratch = scratch, pair
+    if pieces:
+        # transitions[p] = sum over rows and the other qubits of
+        # |psi><bra| on piece p's support, from the real products.
+        re, im = products[:, 0::2], products[:, 1::2]
+        transitions = (re[..., 0::2] + im[..., 1::2]) + 1j * (
+            im[..., 0::2] - re[..., 1::2]
+        )
+        sweep.chain(transitions, weight_grad)
     return weight_grad, input_grad
 
 
@@ -179,10 +251,10 @@ def _jump_kets(tape: QuantumTape) -> "Callable[[int], np.ndarray]":
     """``restore(k)``: the ket immediately before jump op ``k``.
 
     Stored checkpoints return directly.  Any other jump's state is
-    re-derived by replaying the recorded ops from the nearest checkpoint
-    below it, caching the pre-op state of every jump in that window,
-    which the reverse sweep consumes next.  Each window thus replays
-    once.
+    re-derived by replaying the recorded program from the nearest
+    checkpoint below it, caching the pre-op state of every jump in that
+    window, which the reverse sweep consumes next.  Each window thus
+    replays once.
     """
     n = tape.circuit.n_qubits
     stored = sorted(tape.checkpoints)
@@ -196,10 +268,11 @@ def _jump_kets(tape: QuantumTape) -> "Callable[[int], np.ndarray]":
             return state
         j = stored[bisect.bisect_right(stored, k) - 1]
         state = tape.checkpoints[j]
+        ops = tape.program
         for i in range(j, k):
             if i != j and i in tape.jump_ops:
                 window[i] = state
-            op = tape.ops[i]
+            op = ops[i]
             state = apply_matrix(state, op.kernel(n), op.qubits, n)
         return state
 
@@ -259,7 +332,10 @@ def adjoint_backward_reference(
 
     Re-derives every permutation and allocates fresh states per gate;
     kept as the numerical baseline for :func:`adjoint_backward` in the
-    equivalence tests and the ``benchmarks/perf`` harness.
+    equivalence tests and the ``benchmarks/perf`` harness.  It walks the
+    tape's gate-level ``ops``.  A tape with quantum jumps holds
+    non-unitary ops, which an adjoint cannot un-apply, so there every
+    pre-op ket comes from a forward replay of ``ops`` instead.
     """
     n = tape.circuit.n_qubits
     batch = tape.batch
@@ -276,12 +352,23 @@ def adjoint_backward_reference(
     weight_grad = np.zeros(tape.n_weights)
     input_grad = np.zeros((batch, tape.n_inputs))
 
-    for op in reversed(tape.ops):
+    kets = None
+    if tape.jump_ops:
+        kets = [np.zeros_like(psi)]
+        kets[0][:, 0] = 1.0
+        for op in tape.ops[:-1]:
+            kets.append(apply_matrix_reference(kets[-1], op.matrix, op.qubits, n))
+
+    for k in range(len(tape.ops) - 1, -1, -1):
+        op = tape.ops[k]
         if op.batched:
             adj = op.matrix.conj().transpose(0, 2, 1)
         else:
             adj = op.matrix.conj().T
-        psi = apply_matrix_reference(psi, adj, op.qubits, n)
+        if kets is None:
+            psi = apply_matrix_reference(psi, adj, op.qubits, n)
+        else:
+            psi = kets[k]
         gate = op.gate
         if gate.params:
             for which, expr in enumerate(gate.params):

@@ -37,7 +37,7 @@ from repro.noise.model import NoiseModel
 from repro.noise.readout import measured_expectations
 # Shared cached miscalibration rotation: one lru_cache entry per (ey, ez)
 # pair process-wide, instead of rebuilding RZ @ RY per gate per call.
-from repro.noise.trajectory import _coherent_unitary
+from repro.noise.trajectory import _check_counts, _coherent_unitary
 from repro.sim.density import (
     apply_kraus_to_density,
     apply_superop_to_density,
@@ -75,8 +75,10 @@ def run_noisy_density(
 
     ``engine="superop"`` (default) executes the compiled superoperator
     stream; ``engine="reference"`` dispatches to the retained per-Kraus
-    baseline :func:`run_noisy_density_reference`.
+    baseline :func:`run_noisy_density_reference`.  ``shots`` below 1 is
+    refused before any sweep, as the trajectory engine refuses it.
     """
+    _check_counts(shots=shots)
     if engine == "reference":
         return run_noisy_density_reference(
             compiled, noise_model, weights, inputs, batch,
@@ -124,6 +126,7 @@ def run_noisy_density_reference(
     """
     from repro.noise.model import UNDRIVEN_GATES, VIRTUAL_GATES
 
+    _check_counts(shots=shots)
     n = _check_width(compiled)
     scaled = noise_model.scaled(noise_factor) if noise_factor != 1.0 else noise_model
     if inputs is not None:

@@ -16,7 +16,7 @@ equivalence suites check the table against an independent derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,10 +174,16 @@ def pauli_cdf(
 
 @dataclass
 class InsertionStats:
-    """Bookkeeping about one sampled error circuit."""
+    """Bookkeeping about one sampled error circuit.
+
+    ``choices`` is the draw behind it (:meth:`ErrorGateSampler.draw`'s
+    ``(n_sites, 1)`` indices), which the training sweep folds into the
+    block's fused plan instead of running the sampled circuit.
+    """
 
     n_original: int
     n_inserted: int
+    choices: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
     @property
     def overhead(self) -> float:
@@ -252,15 +258,16 @@ class ErrorGateSampler:
         (the compiled circuit is compacted to its used qubits); noise
         probabilities are looked up by physical id but error gates are
         emitted on circuit-local indices.  Every Pauli site of
-        :func:`noise_sites` is chosen by one :meth:`draw`; coherent
-        sites become RY, RZ gates.  Relaxation sites have no gate form
-        and are left out.
+        :func:`noise_sites` is chosen by one :meth:`draw`, kept as the
+        stats' ``choices``; coherent sites become RY, RZ gates.
+        Relaxation sites have no gate form and are left out.
         """
         rng = as_rng(rng)
         table = noise_sites(
             circuit, physical_qubits, self.noise_model, self.noise_factor
         )
-        choices = iter(self.draw(circuit, physical_qubits, rng)[:, 0].tolist())
+        drawn = self.draw(circuit, physical_qubits, rng)
+        choices = iter(drawn[:, 0].tolist())
         gates: "list[Gate]" = []
         inserted = 0
         for gate, sites in zip(circuit.gates, table):
@@ -275,7 +282,7 @@ class ErrorGateSampler:
                     ey, ez = payload
                     gates.append(Gate("ry", (local_q,), (ParamExpr.constant(ey),)))
                     gates.append(Gate("rz", (local_q,), (ParamExpr.constant(ez),)))
-        stats = InsertionStats(len(circuit.gates), inserted)
+        stats = InsertionStats(len(circuit.gates), inserted, drawn)
         return Circuit(circuit.n_qubits, gates), stats
 
     def expected_overhead(

@@ -79,10 +79,22 @@ realized from the running state) and coherent rotations.  Every Pauli
 site's choice for every realization comes from one draw per step over
 the block's stacked inverse-CDF table
 (:func:`repro.noise.sampler.pauli_cdf`), before any jump draw: the same
-numbers, in the same order, as one ``rng.choice`` per site.  Gate
-insertion and the quantum-jump (MCWF) trainer differ only in whether
-the sampler admits exact channels; both tapes go through the one
-adjoint sweep, :func:`repro.core.gradients.adjoint_backward`.
+numbers, in the same order, as one ``rng.choice`` per site.
+
+The sweep runs on the block's fused training plan
+(:class:`repro.compiler.fusion.TrainingPlan`), cut once per (model,
+factor, layout): each Pauli site that can fire takes an error slot right
+after its gate, each coherent rotation a constant slot, and each jump
+site marks a split.  At one realization the fired errors are shared by
+the batch and fill their slots, so a step applies as many kernels as a
+noiseless one; at more, an error that differs between realizations
+splits its run in two, read off the run's prefix products, with the
+per-row error between them, and so does every jump.  Gate insertion
+(whose single-realization draw comes through
+:meth:`~repro.noise.sampler.ErrorGateSampler.sample`) and the
+quantum-jump (MCWF) trainer differ only in whether the sampler admits
+exact channels; both tapes go through the one adjoint sweep,
+:func:`repro.core.gradients.adjoint_backward`.
 
 Shot sampling uses one batched ``Generator.multinomial`` call over 2-D
 pvals instead of a per-sample Python loop.  The per-trajectory reference
@@ -106,7 +118,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
-from repro.compiler.fusion import FusionPlan, constant_op
+from repro.compiler.fusion import FusionPlan, constant_op, training_plan_for
 from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.noise.model import CHANNEL_PAULI, CHANNEL_RELAXATION, NoiseModel
 from repro.noise.readout import measured_expectations
@@ -486,7 +498,7 @@ def _tiled_op(op, n_traj: int, batch: int):
     their bound parameter values are tiled to ``(n_traj * batch, ...)``
     so the adjoint backward pass sees consistent per-row derivatives.
     """
-    if not op.batched:
+    if not op.batched or n_traj == 1:
         return op
     from repro.sim.statevector import BoundOp
 
@@ -506,6 +518,51 @@ def _error_op(local_q: int, matrix: np.ndarray):
     return BoundOp(Gate("id", (local_q,)), matrix, ())
 
 
+def _pauli_ops(qubits, choices: np.ndarray, batch: int) -> dict:
+    """Error op of every Pauli site that fired, keyed by its table row.
+
+    ``choices`` is the ``(n_sites, n_realizations)`` draw and ``qubits``
+    maps a row to its local qubit.  One realization gives each site one
+    row-shared 2x2 error; more give it one per realization, repeated
+    over that realization's ``batch`` rows.
+    """
+    fired = np.flatnonzero(choices.any(axis=1)).tolist()
+    if choices.shape[1] == 1:
+        drawn = choices[fired, 0].tolist()
+        return {s: _error_op(qubits[s], _PAULI_STACK[c]) for s, c in zip(fired, drawn)}
+    return {
+        s: _error_op(qubits[s], np.repeat(_PAULI_STACK[choices[s]], batch, axis=0))
+        for s in fired
+    }
+
+
+def _gate_level_ops(ops, table, errors: dict, jumps=None) -> list:
+    """A noisy sweep one op per gate and per applied error, in order.
+
+    Each bound gate op is followed by its sites from the block's
+    :func:`~repro.noise.sampler.noise_sites` table, in channel order:
+    the fired Pauli sites' ``errors`` (keyed by table row), then the
+    relaxation sites (realized jump ops from ``jumps`` in order, or the
+    sites themselves), then the coherent rotations.
+    """
+    jumps = iter(jumps) if jumps is not None else None
+    row = 0
+    stacked: list = []
+    for op, sites in zip(ops, table):
+        stacked.append(op)
+        for site in sites:
+            kind, local_q, payload = site
+            if kind == CHANNEL_PAULI:
+                if row in errors:
+                    stacked.append(errors[row])
+                row += 1
+            elif kind == CHANNEL_RELAXATION:
+                stacked.append(site if jumps is None else next(jumps))
+            else:
+                stacked.append(_error_op(local_q, _coherent_unitary(*payload)))
+    return stacked
+
+
 def stacked_noisy_ops(
     compiled: "CompiledCircuit",
     sampler: ErrorGateSampler,
@@ -517,17 +574,15 @@ def stacked_noisy_ops(
 ) -> "tuple[list, int]":
     """Bound op list for ``n_realizations`` error realizations x ``batch``.
 
-    This composes the *training batch* axis with the *noise trajectory*
-    axis: the base circuit is bound once (through the bind cache), every
-    Pauli site's choice for all realizations comes from one
+    The gate-level form of the training sweep
+    (:func:`stacked_noisy_forward_with_tape` runs its fused form): the
+    base circuit is bound once (through the bind cache), every Pauli
+    site's choice for all realizations comes from one
     :meth:`~repro.noise.sampler.ErrorGateSampler.draw` (a single
     ``rng.random((n_sites, n_realizations))`` call, the same stream a
     per-site ``rng.choice`` loop consumes), and the sampled errors
-    become batched ``(n_realizations * batch, 2, 2)`` constant ops.  The
-    returned list runs -- and, because every op is a regular
-    :class:`BoundOp` with no differentiable parameters on the error
-    sites, *backpropagates* -- as one fused ``(n_realizations * batch,
-    2**n)`` statevector sweep.
+    become constant ops: one 2x2 shared by the batch at one realization,
+    batched ``(n_realizations * batch, 2, 2)`` otherwise.
 
     Each gate is followed by its sites from the block's
     :func:`~repro.noise.sampler.noise_sites` table, in channel order:
@@ -535,8 +590,7 @@ def stacked_noisy_ops(
     miscalibration rotations.  Jump sites (exact relaxation channels,
     none on Pauli-only models) depend on the running state, so they stay
     in the list as the table's ``("relaxation", local_q, (kraus,
-    effects))`` sites, for :func:`stacked_noisy_forward_with_tape` to
-    realize.
+    effects))`` sites.
 
     Returns ``(ops, n_inserted)`` with ``n_inserted`` the total number of
     non-identity Pauli insertions across all realizations.
@@ -545,28 +599,51 @@ def stacked_noisy_ops(
     if inputs is not None:
         batch = np.asarray(inputs).shape[0]
     circuit, physical_qubits = compiled.circuit, compiled.physical_qubits
-    ops = bind_circuit(circuit, weights, inputs, batch)
+    ops = [
+        _tiled_op(op, n_realizations, batch)
+        for op in bind_circuit(circuit, weights, inputs, batch)
+    ]
     table = noise_sites(
         circuit, physical_qubits, sampler.noise_model, sampler.noise_factor
     )
     choices = sampler.draw(circuit, physical_qubits, rng, n_realizations)
-    draws = zip(choices, choices.any(axis=1).tolist())
-    stacked: list = []
-    for op, sites in zip(ops, table):
-        stacked.append(_tiled_op(op, n_realizations, batch))
-        for site in sites:
-            kind, local_q, payload = site
-            if kind == CHANNEL_PAULI:
-                drawn, fired = next(draws)
-                if fired:
-                    stacked.append(_error_op(
-                        local_q, np.repeat(_PAULI_STACK[drawn], batch, axis=0)
-                    ))
-            elif kind == CHANNEL_RELAXATION:
-                stacked.append(site)
-            else:
-                stacked.append(_error_op(local_q, _coherent_unitary(*payload)))
-    return stacked, int(np.count_nonzero(choices))
+    qubits = [q for sites in table for kind, q, _p in sites if kind == CHANNEL_PAULI]
+    errors = _pauli_ops(qubits, choices, batch)
+    return _gate_level_ops(ops, table, errors), int(np.count_nonzero(choices))
+
+
+def _training_plan(compiled: "CompiledCircuit", sampler: ErrorGateSampler):
+    """The block's fused :class:`~repro.compiler.fusion.TrainingPlan` under
+    the sampler's noise-site table, built once per (model, factor, layout).
+
+    Every Pauli site that can fire is an error slot keyed by its table
+    row (its Pauli choices' row), every coherent site a constant op and
+    every relaxation site a split mark, the site itself.
+    """
+    circuit, physical_qubits = compiled.circuit, compiled.physical_qubits
+    model, factor = sampler.noise_model, sampler.noise_factor
+
+    def after() -> "list[list]":
+        table = noise_sites(circuit, physical_qubits, model, factor)
+        steps, row = [], 0
+        for sites in table:
+            entries: list = []
+            for site in sites:
+                kind, local_q, payload = site
+                if kind == CHANNEL_PAULI:
+                    if payload[0].total > 0:
+                        entries.append(("slot", local_q, row))
+                    row += 1
+                elif kind == CHANNEL_RELAXATION:
+                    entries.append(site)
+                else:
+                    entries.append(
+                        constant_op((local_q,), _coherent_unitary(*payload))
+                    )
+            steps.append(entries)
+        return steps
+
+    return training_plan_for(circuit, (model, factor, physical_qubits), after)
 
 
 #: Store a training checkpoint at every Nth jump site.  The backward
@@ -667,6 +744,7 @@ def stacked_noisy_forward_with_tape(
     n_weights: "int | None" = None,
     n_inputs: "int | None" = None,
     pool=None,
+    choices: "np.ndarray | None" = None,
 ):
     """Noise-injected forward over stacked realizations, keeping the tape.
 
@@ -674,6 +752,14 @@ def stacked_noisy_forward_with_tape(
     per-sample mean over realizations, shape ``(batch, n_qubits)``; the
     tape's state is the full ``(n_realizations * batch, 2**n)`` stack and
     is consumed by :func:`stacked_noisy_backward`.
+
+    The sweep runs on the block's fused
+    :class:`~repro.compiler.fusion.TrainingPlan`.  Every Pauli site's
+    choice comes from one :meth:`~repro.noise.sampler.ErrorGateSampler
+    .draw` on ``rng``, unless ``choices`` brings that draw (the
+    ``InsertionStats.choices`` of a sampled circuit).  At one
+    realization the fired errors are shared by the batch and fill their
+    slots in the fused runs; at more, each splits its run.
 
     ``pool`` (a thread :class:`~repro.runtime.supervisor.PoolLease`,
     held by :class:`~repro.core.executors.GateInsertionExecutor`) with
@@ -683,53 +769,69 @@ def stacked_noisy_forward_with_tape(
     across worker counts.  The sampled events are identical to the
     serial sweep's -- the rng is consumed before any banding decision.
 
-    Models with exact relaxation channels add quantum-jump sites
-    (:func:`stacked_noisy_ops`).  Their jump probabilities depend on the
-    evolved state mid-sweep and their uniforms come off ``rng`` in
-    stream order, so such a sweep is one serial pass (:func:`_run_jumps`)
-    and ``pool`` is not consulted.  The tape records the realized jump
-    operators as constant ops, together with the jump indices and
-    checkpoints the adjoint needs: gradients are exact for the realized
-    trajectory's frozen linear map, jump choices and renormalization
-    included.
+    Models with exact relaxation channels add quantum-jump sites, which
+    split their runs.  Their jump probabilities depend on the evolved
+    state mid-sweep and their uniforms come off ``rng`` in stream order,
+    so such a sweep is one serial pass (:func:`_run_jumps`) and ``pool``
+    is not consulted.  The tape records the realized jump operators as
+    constant ops, together with the jump indices and checkpoints the
+    adjoint needs: gradients are exact for the realized trajectory's
+    frozen linear map, jump choices and renormalization included.
     """
     from repro.core.gradients import QuantumTape
-    from repro.sim.statevector import run_ops
+    from repro.sim.statevector import bind_plan_for, run_ops
 
     rng = as_rng(rng)
     if inputs is not None:
-        inputs = np.asarray(inputs, dtype=float)
+        inputs = np.array(inputs, dtype=float)
         batch = inputs.shape[0]
     else:
         batch = 1
-    circuit = compiled.circuit
+    if weights is not None:
+        weights = np.array(weights, dtype=float)
+    circuit, physical_qubits = compiled.circuit, compiled.physical_qubits
+    n_qubits = circuit.n_qubits
     rows = n_realizations * batch
-    ops, n_inserted = stacked_noisy_ops(
-        compiled, sampler, weights, inputs, batch, n_realizations, rng
+    plan = _training_plan(compiled, sampler)
+    if choices is None:
+        choices = sampler.draw(circuit, physical_qubits, rng, n_realizations)
+    errors = _pauli_ops(plan.slot_qubits, choices, batch)
+    bound = bind_plan_for(circuit).bind(weights, inputs, batch, plan.standalone)
+    sweep = plan.sweep(
+        [_tiled_op(op, n_realizations, batch) for op in bound], weights, errors
     )
+    program = sweep.ops
     checkpoints, jump_ops = {}, frozenset()
-    if any(isinstance(op, tuple) for op in ops):
-        state, checkpoints, jump_ops = _run_jumps(
-            ops, circuit.n_qubits, rows, rng
-        )
+    if any(isinstance(op, tuple) for op in program):
+        state, checkpoints, jump_ops = _run_jumps(program, n_qubits, rows, rng)
     elif pool is not None and pool.n_workers > 0 and n_realizations > 1:
-        state = run_ops_banded(ops, circuit.n_qubits, rows, batch, pool)
+        state = run_ops_banded(program, n_qubits, rows, batch, pool)
     else:
-        state = run_ops(ops, circuit.n_qubits, rows)
-    table = circuit.parameter_table
+        state = run_ops(program, n_qubits, rows)
+
+    def gate_level() -> list:
+        ops = [
+            _tiled_op(op, n_realizations, batch)
+            for op in bind_circuit(circuit, weights, inputs, batch)
+        ]
+        table = noise_sites(
+            circuit, physical_qubits, sampler.noise_model, sampler.noise_factor
+        )
+        jumps = [program[k] for k in sorted(jump_ops)]
+        return _gate_level_ops(ops, table, errors, jumps)
+
+    if n_weights is None or n_inputs is None:
+        table = circuit.parameter_table
+        n_weights = table.num_weights if n_weights is None else n_weights
+        n_inputs = table.num_inputs if n_inputs is None else n_inputs
     tape = QuantumTape(
-        circuit,
-        ops,
-        state,
-        n_weights if n_weights is not None else table.num_weights,
-        n_inputs if n_inputs is not None else table.num_inputs,
-        checkpoints,
-        jump_ops,
+        circuit, gate_level, state, n_weights, n_inputs,
+        checkpoints, jump_ops, sweep,
     )
     probs = np.abs(state) ** 2
-    stacked_exp = probs @ z_signs(circuit.n_qubits).T
+    stacked_exp = probs @ z_signs(n_qubits).T
     expectations = stacked_exp.reshape(n_realizations, batch, -1).mean(axis=0)
-    return expectations, tape, n_inserted
+    return expectations, tape, int(np.count_nonzero(choices))
 
 
 def stacked_noisy_backward(

@@ -13,7 +13,7 @@ einsum calls.
 
 Fast-engine design
 ------------------
-The per-gate hot path rests on four pieces:
+The hot path rests on five pieces:
 
 * **Gate kernels** (:class:`Kernel`, :func:`gate_kernel`): a bound op's
   matrix is classified once, the first time a sweep applies the op, and
@@ -32,6 +32,17 @@ The per-gate hot path rests on four pieces:
   kernel in place of a matrix; :func:`run_ops`, the banded and MCWF
   sweeps and the adjoint sweep pass kernels, so a gate costs one or two
   numpy calls.
+* **Fused-run kernels** (:func:`fused_kernels`): the training sweep and
+  fused inference apply merged gate runs of at most two qubits
+  (:mod:`repro.compiler.fusion`), all of a plan's runs materialized
+  together once per step or weight vector.  Their kernels come in one
+  batch from the runs' zero-padded ``(runs, 4, 4)`` matrices: up to
+  :data:`_DENSE_MAX_QUBITS` qubits one gather builds every full-width
+  dense matrix and one more every conjugate transpose (memoized index
+  tables, :func:`_padded_gather`); wider, each run keeps the raw route.
+  A training run's kernel is never classified; the tape-free plan,
+  which reuses its runs per weight vector, gives a monomial run (rz, cx,
+  x products) its diagonal or permutation kernel.
 * **Raw-matrix route** (:func:`_apply_plan`): a plain matrix goes through
   the original kernels, keyed per ``(n_qubits, qubits)`` signature by a
   memoized reshape factorization / permutation.  1-qubit gates and
@@ -536,7 +547,8 @@ def gate_groups(n_qubits: int, qubits: "tuple[int, ...]") -> np.ndarray:
 class Kernel:
     """How one gate applies to ``(rows, 2**n)`` stacks, decided once.
 
-    Built by :func:`gate_kernel` from the gate's matrix and accepted by
+    Built by :func:`gate_kernel` from the gate's matrix (a fused run's by
+    :func:`fused_kernels`, dense or raw, unclassified) and accepted by
     :func:`apply_matrix` in its place.  ``kind`` names the class --
     ``"diagonal"`` (a phase per amplitude), ``"permutation"`` (an index
     per amplitude plus optional phases), ``"dense"`` (a full-width
@@ -657,6 +669,84 @@ class _RawKernel(Kernel):
     def band(self, lo: int, hi: int) -> "Kernel":
         """This per-row kernel restricted to rows ``lo:hi`` (views)."""
         return _RawKernel(self.matrix[lo:hi], self.qubits, self.n_qubits)
+
+    def _build_adjoint(self):
+        # A matrix that is neither diagonal nor a permutation stays so
+        # under the conjugate transpose: no need to classify it again.
+        return _RawKernel(
+            self.matrix.conj().swapaxes(-1, -2), self.qubits, self.n_qubits
+        )
+
+
+def _dense_kernel(matrix, qubits, n_qubits, columns, adjoint=None) -> _DenseKernel:
+    """A dense kernel over read-only ``columns``, built without checks."""
+    kernel = _DenseKernel.__new__(_DenseKernel)
+    kernel.matrix = matrix
+    kernel.qubits = qubits
+    kernel.n_qubits = n_qubits
+    kernel.rows = None
+    kernel.columns = columns
+    kernel._adjoint = adjoint
+    return kernel
+
+
+@functools.lru_cache(maxsize=1024)
+def _padded_gather(n_qubits: int, qubits: "tuple[int, ...]", width: int):
+    """``(take, adjoint_take)`` for a gate given as a padded matrix.
+
+    The gate's matrix sits in the top-left block of a ``(width, width)``
+    zero-padded one, flattened with one zero appended (index
+    ``width**2``).  ``take`` gathers the transposed full-width matrix a
+    :class:`_DenseKernel` holds (as :func:`_dense_gather` does from the
+    bare matrix); ``adjoint_take``, its transpose, gathers the adjoint
+    kernel's columns from the conjugated flat matrix.
+    """
+    gate_index, rest, _place, _groups = _layout(n_qubits, qubits)
+    take = np.where(
+        rest[:, None] == rest[None, :],
+        gate_index[None, :] * width + gate_index[:, None],
+        width * width,
+    )
+    return frozen(take), frozen(np.ascontiguousarray(take.T))
+
+
+def fused_kernels(
+    padded: np.ndarray, qubits: list, n_qubits: int
+) -> "list[Kernel]":
+    """Kernels, adjoints included, of shared gates given as one padded stack.
+
+    ``padded`` is ``(count, w, w)``: gate ``i`` acts on ``qubits[i]`` and
+    its ``d x d`` matrix (``d = 2**len(qubits[i])``) is the top-left block
+    of ``padded[i]``, the rest zero.  Up to :data:`_DENSE_MAX_QUBITS`
+    every kernel is dense, and one gather each builds all full-width
+    matrices and all their conjugate transposes; wider states get raw
+    kernels.  Fused gate runs are built this way, all of a plan's runs in
+    one call.
+    """
+    count, width = padded.shape[0], padded.shape[-1]
+    dims = [1 << len(q) for q in qubits]
+    if n_qubits > _DENSE_MAX_QUBITS:
+        return [
+            _RawKernel(padded[i, :d, :d], q, n_qubits)
+            for i, (d, q) in enumerate(zip(dims, qubits))
+        ]
+    size = width * width + 1
+    flat = np.zeros((count, size), dtype=complex)
+    flat[:, :-1] = padded.reshape(count, -1)
+    conj = flat.conj()
+    offsets = (np.arange(count) * size)[:, None, None]
+    gathers = [_padded_gather(n_qubits, q, width) for q in qubits]
+    columns = flat.ravel()[np.stack([g[0] for g in gathers]) + offsets]
+    adjoints = conj.ravel()[np.stack([g[1] for g in gathers]) + offsets]
+    columns.flags.writeable = adjoints.flags.writeable = False
+    daggers = conj[:, :-1].reshape(count, width, width).swapaxes(1, 2)
+    kernels = []
+    for i, (d, q) in enumerate(zip(dims, qubits)):
+        inverse = _dense_kernel(daggers[i, :d, :d], q, n_qubits, adjoints[i])
+        kernel = _dense_kernel(padded[i, :d, :d], q, n_qubits, columns[i], inverse)
+        inverse._adjoint = kernel
+        kernels.append(kernel)
+    return kernels
 
 
 def gate_kernel(
@@ -949,34 +1039,49 @@ class BindPlan:
 
         return self._weight_cache.get_or_build(weights_key(weights), build)
 
+    @staticmethod
+    def _bound(entry, weights, inputs) -> BoundOp:
+        """A parameterized entry bound afresh (input terms need ``inputs``)."""
+        gate, input_dep = entry
+        if input_dep and inputs is None:
+            raise ValueError("input-dependent gate but no inputs given")
+        values = tuple(expr.evaluate(weights, inputs) for expr in gate.params)
+        return BoundOp(gate, gate.definition.matrix(values), values)
+
     def bind(
         self,
         weights: "np.ndarray | None" = None,
         inputs: "np.ndarray | None" = None,
         batch: "int | None" = None,
+        gates: "list[int] | None" = None,
     ) -> "list[BoundOp]":
+        """Bound ops of every gate, or of the gates at indices ``gates``.
+
+        A subset binds its weight-only gates afresh instead of through
+        the per-weight-vector cache: the fused training sweep binds only
+        the gates it does not fuse, with new weights every step.
+        """
         if inputs is not None:
             inputs = np.asarray(inputs, dtype=float)
             if batch is not None and inputs.shape[0] != batch:
                 raise ValueError("batch does not match inputs")
             batch = inputs.shape[0]
+        if gates is not None:
+            entries = [self._entries[i] for i in gates]
+            return [
+                entry if type(entry) is BoundOp
+                else self._bound(entry, weights, inputs)
+                for entry in entries
+            ]
         weight_ops = iter(self._weight_only_ops(weights) if self.n_weight_only else ())
         ops: "list[BoundOp]" = []
         for entry in self._entries:
             if type(entry) is BoundOp:
                 ops.append(entry)
-                continue
-            gate, input_dep = entry
-            if not input_dep:
+            elif entry[1]:
+                ops.append(self._bound(entry, weights, inputs))
+            else:
                 ops.append(next(weight_ops))
-                continue
-            if inputs is None:
-                raise ValueError("input-dependent gate but no inputs given")
-            values = tuple(
-                expr.evaluate(weights, inputs) for expr in gate.params
-            )
-            matrix = gate.definition.matrix(values)
-            ops.append(BoundOp(gate, matrix, values))
         return ops
 
 
