@@ -6,11 +6,11 @@ compilation passes:
 * **gate fusion** (:mod:`repro.compiler.fusion`), the one fusion pass
   every fused stream goes through: ``fusion_layout`` cuts a gate stream
   into runs, singletons and breaks, ``greedy_runs`` groups a stretch
-  into runs of at most two qubits, ``fuse_runs`` merges superoperator
-  runs and ``RunStack`` materializes all of a plan's statevector runs
-  in one batched pass.  ``FusionPlan`` caches the fused runs per weight
-  vector for tape-free statevector inference and, with the error sites
-  as breaks, for the trajectory engine; ``TrainingPlan`` runs every
+  into runs of at most two qubits and ``RunStack`` materializes all of
+  a plan's statevector runs in one batched pass.  ``FusionPlan`` is
+  the one statevector plan: its ``fused_ops`` caches the fused runs per
+  weight vector for tape-free inference and, with the error sites as
+  breaks, for the trajectory engine; its ``sweep`` runs every
   statevector training forward and the adjoint on fused runs, with
   closed-form gradients;
 * **superoperator compilation** (:mod:`repro.compiler.superop`): for the
@@ -56,7 +56,6 @@ from repro.compiler.fusion import (
     FusedOp,
     FusionPlan,
     constant_op,
-    fuse_bound_ops,
     fusion_plan_for,
 )
 from repro.compiler.superop import (
@@ -93,7 +92,6 @@ __all__ = [
     "FusedOp",
     "FusionPlan",
     "constant_op",
-    "fuse_bound_ops",
     "fusion_plan_for",
     "SuperOp",
     "SuperopPlan",

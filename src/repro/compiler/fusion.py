@@ -11,17 +11,16 @@ Every fused stream is built from the pieces here:
 
 * :func:`fusion_layout`, the one cut: which gates may merge (a
   ``fusable`` predicate) and what follows each gate (``after``): a
-  constant op joins the open run, anything else -- a stochastic error
-  site, a quantum-jump site -- ends it and passes through;
+  constant op joins the open run, an error slot joins it as an identity
+  slot, anything else -- a stochastic error site, a quantum-jump site
+  -- ends it and passes through;
 * :func:`greedy_runs`, the one left-to-right grouping of a cut stretch
   into runs of at most :data:`RUN_QUBITS` qubits;
-* :func:`fuse_runs`, the one greedy merge of ops, shared by statevector
-  ops (:func:`fuse_bound_ops`) and superoperators
-  (:func:`repro.compiler.superop.fuse_superops`).  It expands each op
-  onto the run's support by one precomputed index gather
-  (:func:`gather_embed`), which copies the entries a ``np.kron`` or
+* :func:`gather_embed`, which expands a matrix onto a run's support by
+  one precomputed index gather, copying the entries a ``np.kron`` or
   ``np.einsum`` with the identity would place, without their
-  multiplications;
+  multiplications (gate matrices here, superoperators in
+  :func:`repro.compiler.superop.fuse_superops`);
 * :class:`RunStack`, the one statevector materializer: all of a plan's
   runs as one zero-padded ``(runs, L, w, w)`` slot stack whose constant
   slots are filled once.  Per call it writes each rotation slot in
@@ -31,29 +30,30 @@ Every fused stream is built from the pieces here:
   every run's kernel, adjoint included, with one gather
   (:func:`repro.sim.statevector.fused_kernels`).
 
-Two plans consume it.  :class:`FusionPlan` is the tape-free one: gate
-runs that depend only on weights and constants are fused once per weight
-vector (a small :class:`~repro.utils.cache.Cache` keyed on the weight
-bytes), while input-dependent encoder gates -- whose matrices change
-with every batch -- pass through unfused.  With ``after`` it is the
-trajectory engine's segment plan
-(:class:`repro.noise.trajectory._SegmentPlan`), whose breaks are the
-noise model's error sites.
+One statevector plan consumes them.  A :class:`FusionPlan` is cut once
+per ``after`` table: constants and weight-only rotations with a closed
+form join runs; encoders, u3/cu3, u1 and wider gates stand alone.  It
+has two materializers over its one stack:
 
-:class:`TrainingPlan` is the differentiable one: every statevector
-training forward and the one adjoint run on its fused runs.  Gates
-shared by every row -- constants and weight-only rotations with a
-closed form -- join runs; per-row gates (encoders, rotations without a
-generator, such as u3 and cu3) stand alone.  Row-shared errors take
-slots of their own right after their gate, and a per-row error or a
-jump splits its run into pieces read off the prefix products.  The
-adjoint records each piece's reduced transition operator ``N`` at its
-output and un-applies it with one kernel call; afterwards every fused
-rotation's gradient is ``Im tr(G_k Q_k N Q_k^dag)`` with ``Q_k = P_k
-P_end^dag`` (:meth:`FusedSweep.chain`), a few batched calls per block.
+* :meth:`FusionPlan.fused_ops`, tape-free: the runs are fused once per
+  weight vector (a small :class:`~repro.utils.cache.Cache` keyed on the
+  weight bytes) and the encoder gates, whose matrices change with every
+  batch, are bound per call.  Noiseless inference uses it, and so does
+  the trajectory engine's segment plan
+  (:class:`repro.noise.trajectory._SegmentPlan`), whose breaks are the
+  noise model's error sites;
+* :meth:`FusionPlan.sweep`, differentiable: every statevector training
+  forward and the one adjoint run on the runs it materializes per step.
+  A row-shared error fills its slot; a per-row error splits its run
+  into pieces read off the prefix products.  The adjoint records each
+  piece's reduced transition operator ``N`` at its output and un-applies
+  it with one kernel call; afterwards every fused rotation's gradient is
+  ``Im tr(G_k Q_k N Q_k^dag)`` with ``Q_k = P_k P_end^dag``
+  (:meth:`FusedSweep.chain`), a few batched calls per block.
 
-Plans live in the circuit's :func:`~repro.utils.cache.circuit_cache`, so
-they are rebuilt whenever the circuit's gates change.
+Plans live in the circuit's :func:`~repro.utils.cache.circuit_cache`
+(:func:`fusion_plan_for`), so they are rebuilt whenever the circuit's
+gates change.
 """
 
 from __future__ import annotations
@@ -134,13 +134,13 @@ def gather_index(expand, n: int) -> np.ndarray:
 
 
 def gather_embed(gathers, matrix: np.ndarray, qubits, support) -> np.ndarray:
-    """Expand ``matrix`` from ``qubits`` onto the pair ``support``.
+    """Expand the shared ``(d, d)`` ``matrix`` from ``qubits`` onto the
+    pair ``support``.
 
     ``gathers`` holds the :func:`gather_index` of a 1-qubit matrix on the
     low and on the high bit of the pair, and of a pair matrix in
     reversed order.  Entries are copied, never multiplied, so the result
-    equals the expansion it replays under ``np.array_equal``, for shared
-    ``(d, d)`` and per-sample ``(batch, d, d)`` matrices alike.
+    equals the expansion it replays under ``np.array_equal``.
     """
     if tuple(qubits) == tuple(support):
         return matrix
@@ -149,11 +149,7 @@ def gather_embed(gathers, matrix: np.ndarray, qubits, support) -> np.ndarray:
         index = reversed_pair
     else:
         index = low if qubits[0] == support[0] else high
-    if matrix.ndim == 2:
-        return np.concatenate((matrix.ravel(), _ZERO))[index]
-    flat = matrix.reshape(len(matrix), -1)
-    zero = np.zeros((len(matrix), 1), dtype=complex)
-    return np.concatenate((flat, zero), axis=1)[:, index]
+    return np.concatenate((matrix.ravel(), _ZERO))[index]
 
 
 #: Gate-matrix gathers, in the engine's index convention (``qubits[0]``
@@ -193,41 +189,6 @@ def greedy_runs(supports) -> "list[list[int]]":
     return runs
 
 
-def fuse_runs(ops: list, embed, make) -> list:
-    """Greedy left-to-right fusion of adjacent ops: the one fusion loop.
-
-    Each run of :func:`greedy_runs` merges into ``make(support, matrix,
-    n_merged)``: ``matrix`` multiplies each op's ``embed(matrix, qubits,
-    support)``, the later op from the left, and ``n_merged`` sums the
-    ops' own ``n_merged`` (1 for an op without one).  A run of one keeps
-    its original op -- structured kernels (CX permutation, diagonal
-    slicing) key on the untouched matrix -- and so does an op wider than
-    :data:`RUN_QUBITS`, which never merges.
-    """
-    fused: list = []
-    for run in greedy_runs([op.qubits for op in ops]):
-        if len(run) == 1:
-            fused.append(ops[run[0]])
-            continue
-        members = [ops[i] for i in run]
-        support = tuple(sorted(set().union(*(op.qubits for op in members))))
-        matrix = embed(members[0].matrix, members[0].qubits, support)
-        for op in members[1:]:
-            matrix = embed(op.matrix, op.qubits, support) @ matrix
-        n_merged = sum(getattr(op, "n_merged", 1) for op in members)
-        fused.append(make(support, matrix, n_merged))
-    return fused
-
-
-def fuse_bound_ops(ops: list) -> list:
-    """:func:`fuse_runs` over statevector ops: runs become :class:`FusedOp`.
-
-    Single-op runs keep their original :class:`BoundOp`; the output list
-    applies the exact same unitary as ``ops``.
-    """
-    return fuse_runs(ops, _embed, FusedOp)
-
-
 def input_free(gate) -> bool:
     """Whether no parameter of ``gate`` reads the input.
 
@@ -238,19 +199,28 @@ def input_free(gate) -> bool:
     return not any(expr.depends_on_input for expr in gate.params)
 
 
+def _is_slot(entry) -> bool:
+    """Whether an ``after`` entry is an error slot ``("slot", qubit, key)``."""
+    return isinstance(entry, tuple) and len(entry) == 3 and entry[0] == "slot"
+
+
 def fusion_layout(circuit, fusable, after=None) -> list:
     """Cut a circuit's gate stream into runs, singletons and breaks.
 
     The one cut every fused stream uses.  Returns, in sweep order:
 
     * a ``list`` per run: the gate indices ``fusable(gate)`` admits, with
-      the constant :class:`FusedOp` entries of ``after`` that joined them;
+      the constant :class:`FusedOp` entries and error slots of ``after``
+      that joined them;
     * an ``int`` per gate ``fusable`` refuses, which stands alone;
-    * every other entry of ``after`` as it is, a break.
+    * every other entry of ``after`` as it is: a break, or an error slot
+      that stands alone.
 
     ``after[i]`` lists what follows gate ``i``, in order.  A constant
     :class:`FusedOp` joins the open run (after a refused gate it opens
-    the next one); anything else ends the run and passes through, so a
+    the next one).  An error slot ``("slot", qubit, key)`` joins the
+    open run; after a refused gate there is none, and the slot stands
+    alone too.  Anything else ends the run and passes through, so a
     break keeps its gate in the run before it.
     """
     layout: list = []
@@ -269,7 +239,7 @@ def fusion_layout(circuit, fusable, after=None) -> list:
         else:
             cut(i)
         for entry in after[i] if after is not None else ():
-            if isinstance(entry, FusedOp):
+            if isinstance(entry, FusedOp) or (run and _is_slot(entry)):
                 run.append(entry)
             else:
                 cut(entry)
@@ -297,32 +267,46 @@ def _rotation_form(name: str):
     return np.eye(len(g)) - g2, g2, -1j * g, g
 
 
-def _slot_qubits(gates, slot) -> "tuple[int, ...]":
-    """The qubits a run slot acts on (none for an identity placeholder)."""
-    if slot is None:
-        return ()
-    return gates[slot].qubits if isinstance(slot, int) else slot.qubits
+def run_member(gate) -> bool:
+    """Whether ``gate`` may join a statevector run: the one rule.
+
+    Constants and weight-only rotations with a closed form
+    (:func:`_rotation_form`) on at most :data:`RUN_QUBITS` qubits are
+    shared by every row and written into the plan's stack; encoders,
+    u3/cu3, u1 and wider gates stand alone, bound per call.
+    """
+    if len(gate.qubits) > RUN_QUBITS:
+        return False
+    if all(expr.is_constant for expr in gate.params):
+        return True
+    return input_free(gate) and _rotation_form(gate.name) is not None
+
+
+def _member_qubits(gates, member) -> "tuple[int, ...]":
+    """The qubits a run member acts on: a gate, constant op or error slot."""
+    if isinstance(member, int):
+        return gates[member].qubits
+    return (member[1],) if _is_slot(member) else member.qubits
 
 
 class RunStack:
     """A plan's fused runs, materialized together from one padded stack.
 
     Run ``r`` multiplies its slots ``runs[r]`` in sweep order; a slot is
-    a gate index of the circuit, a constant :class:`FusedOp`, or None,
-    an identity placeholder a caller may overwrite per call.  Every slot
-    is a ``(w, w)`` matrix on the run's *pad*: its support, widened on a
-    one-qubit run by an identity partner qubit on the high bit (``w =
-    4`` from two qubits on).  Constant slots are filled once, in
+    a gate index of the circuit (a constant, or a rotation with a closed
+    form), a constant :class:`FusedOp`, or an error slot ``("slot",
+    qubit, key)``, an identity a caller may overwrite per call.  Every
+    slot is a ``(w, w)`` matrix on the run's *pad*: its support, widened
+    on a one-qubit run by an identity partner qubit on the high bit
+    (``w = 4`` from two qubits on).  Constant slots are filled once, in
     :attr:`base`; each call writes the rotation slots in closed form
-    from the affine angle table (``coeffs``, ``consts``), embeds any
-    ``bound`` slot (a weight-only gate with no closed form; the
-    tape-free plan admits those) from the call's bound ops, and
-    multiplies every run's prefix products at once (:meth:`prefixes`).
+    from the affine angle table (``coeffs``, ``consts``) and multiplies
+    every run's prefix products at once (:meth:`prefixes`).
     """
 
     __slots__ = (
         "n_qubits", "qubits", "pads", "groups", "lengths", "base",
-        "gen_run", "gen_slot", "gen_forms", "coeffs", "consts", "bound",
+        "gen_run", "gen_slot", "gen_forms", "coeffs", "consts",
     )
 
     def __init__(self, circuit, runs: list, constants: dict):
@@ -332,11 +316,12 @@ class RunStack:
         length = max((len(run) for run in runs), default=0)
         base = np.zeros((len(runs), length, width, width), dtype=complex)
         base[..., np.arange(width), np.arange(width)] = 1.0
-        self.qubits, self.pads, self.groups, self.bound = [], [], [], []
+        self.qubits, self.pads, self.groups = [], [], []
         self.lengths = [len(run) for run in runs]
         rotations, forms, exprs = [], [], []
         for r, run in enumerate(runs):
-            qubits = tuple(sorted(set().union(*(_slot_qubits(gates, s) for s in run))))
+            members = (_member_qubits(gates, member) for member in run)
+            qubits = tuple(sorted(set().union(*members)))
             pad = qubits
             if len(qubits) < RUN_QUBITS and n > 1:
                 pad = (qubits[0], (qubits[0] + 1) % n)
@@ -344,7 +329,7 @@ class RunStack:
             self.pads.append(pad)
             self.groups.append(gate_groups(n, pad))
             for slot, entry in enumerate(run):
-                if entry is None:
+                if _is_slot(entry):
                     continue
                 if not isinstance(entry, int):
                     base[r, slot] = _embed(entry.matrix, entry.qubits, pad)
@@ -353,11 +338,8 @@ class RunStack:
                 if entry in constants:
                     base[r, slot] = _embed(constants[entry].matrix, gate.qubits, pad)
                     continue
-                form = _rotation_form(gate.name) if input_free(gate) else None
-                if form is None:
-                    self.bound.append((r, slot, entry, gate.qubits, pad))
-                    continue
                 rotations.append((r, slot))
+                form = _rotation_form(gate.name)
                 forms.append([_embed(m, gate.qubits, pad) for m in form])
                 exprs.append(gate.params[0])
         self.base = base
@@ -377,14 +359,13 @@ class RunStack:
                 self.coeffs[k, index] += coeff
         self.consts = np.array([expr.const for expr in exprs], dtype=float)
 
-    def prefixes(self, weights, ops=None, writes=()) -> np.ndarray:
+    def prefixes(self, weights, writes=()) -> np.ndarray:
         """Every run's prefix products, ``(runs, L + 1, w, w)``.
 
         ``[:, l]`` multiplies the first ``l`` slots: ``[:, 0]`` is the
         identity and ``[:, L]`` each run's matrix (identity padding
-        past a run's end).  ``ops`` holds the call's bound ops by gate
-        index (for the ``bound`` slots) and ``writes`` lists ``(run,
-        slot, op)`` row-shared ops to place in identity slots.
+        past a run's end).  ``writes`` lists ``(run, slot, op)``
+        row-shared ops to place in identity slots.
         """
         stack = self.base.copy()
         if self.gen_run.size:
@@ -396,8 +377,6 @@ class RunStack:
             stack[self.gen_run, self.gen_slot] = (
                 e + np.cos(half)[:, None, None] * f + np.sin(half)[:, None, None] * h
             )
-        for r, slot, index, qubits, pad in self.bound:
-            stack[r, slot] = _embed(ops[index].matrix, qubits, pad)
         for r, slot, op in writes:
             stack[r, slot] = _embed(op.matrix, op.qubits, self.pads[r])
         runs, length, width = stack.shape[:3]
@@ -417,7 +396,7 @@ class RunStack:
         ``structured`` gives a run with one nonzero per row and column
         (products of rz, cx, x...) its diagonal or permutation kernel,
         cheaper per call than a GEMM: worth its classification only for
-        runs a plan reuses, as the tape-free plan does.
+        runs a plan reuses, as :meth:`FusionPlan.fused_ops` does.
         """
         if not len(runs):
             return []
@@ -432,107 +411,6 @@ class RunStack:
             FusedOp(k.qubits, k.matrix, self.lengths[r], k)
             for k, r in zip(kernels, runs)
         ]
-
-
-#: Step kinds of a plan's sweep program: a bound gate op, a fused run, an
-#: object passed through as it is, and (training) an error slot after a
-#: gate that stands alone.
-_GATE, _RUN, _AS_IS, _SLOT = range(4)
-
-
-#: Fused runs retained per plan, keyed on the weight bytes.
-_FUSION_CACHE_SIZE = 4
-
-
-class FusionPlan:
-    """Per-circuit fusion with caching of the weight-static runs.
-
-    The circuit is cut once by :func:`fusion_layout` at its
-    input-dependent encoder gates and at the breaks of ``after``, and
-    each stretch by :func:`greedy_runs`; a run of one keeps its own op.
-    :meth:`fused_ops` materializes every run through the plan's
-    :class:`RunStack` and caches the result per weight vector, with the
-    bound ops of the weight-only gates it emits unfused; encoder gates
-    are bound per call and emitted unfused, so a call with cached
-    weights binds only the encoder gates.
-    """
-
-    __slots__ = ("bind_plan", "_layout", "_steps", "_stack", "_weight_gates",
-                 "_input_gates", "_cache")
-
-    #: Counter row of the per-weight-vector run cache.
-    _cache_name = "fusion.segments"
-
-    def __init__(self, circuit, after=None):
-        self.bind_plan = bind_plan_for(circuit)
-        self._layout = fusion_layout(circuit, input_free, after)
-        constants = self.bind_plan.constant_ops()
-        steps, runs = [], []
-
-        def single(slot) -> None:
-            if not isinstance(slot, int):
-                steps.append((_AS_IS, slot))
-            elif slot in constants:
-                steps.append((_AS_IS, constants[slot]))
-            else:
-                steps.append((_GATE, slot))
-
-        for entry in self._layout:
-            if not isinstance(entry, list):
-                single(entry)
-                continue
-            qubits = [_slot_qubits(circuit.gates, slot) for slot in entry]
-            for run in greedy_runs(qubits):
-                if len(run) > 1:
-                    steps.append((_RUN, len(runs)))
-                    runs.append([entry[j] for j in run])
-                else:
-                    single(entry[run[0]])
-        self._steps = steps
-        self._stack = RunStack(circuit, runs, constants)
-        gates = {value for kind, value in steps if kind == _GATE}
-        gates.update(index for _r, _s, index, _q, _p in self._stack.bound)
-        self._input_gates = sorted(i for i in gates if not input_free(circuit.gates[i]))
-        self._weight_gates = sorted(gates.difference(self._input_gates))
-        # weight bytes -> (one fused op per run, weight-only gate -> op).
-        self._cache = Cache(self._cache_name, _FUSION_CACHE_SIZE)
-
-    def _fuse(self, weights) -> "tuple[list[FusedOp], dict]":
-        stack, gates = self._stack, self._weight_gates
-        ops = dict(zip(gates, self.bind_plan.bind(weights, None, None, gates)))
-        prefix = stack.prefixes(weights, ops)
-        return stack.fused_ops(prefix[:, -1], range(len(prefix)), True), ops
-
-    def fused_ops(
-        self,
-        weights: "np.ndarray | None" = None,
-        inputs: "np.ndarray | None" = None,
-        batch: "int | None" = None,
-    ) -> list:
-        """Bind and fuse the circuit for one call: ops, plus any breaks."""
-        runs, ops = self._cache.get_or_build(
-            weights_key(weights), lambda: self._fuse(weights)
-        )
-        gates = self._input_gates
-        if gates:
-            bound = self.bind_plan.bind(weights, inputs, batch, gates)
-            ops = {**ops, **dict(zip(gates, bound))}
-        return [
-            ops[value] if kind == _GATE else runs[value] if kind == _RUN else value
-            for kind, value in self._steps
-        ]
-
-
-def fusion_plan_for(circuit) -> FusionPlan:
-    """The circuit's :class:`FusionPlan`, built once per gate list."""
-    return circuit_cache(circuit, "fusion.plan", 1).get_or_build(
-        None, lambda: FusionPlan(circuit)
-    )
-
-
-def _is_slot(entry) -> bool:
-    """Whether an ``after`` entry is an error slot ``("slot", qubit, key)``."""
-    return isinstance(entry, tuple) and len(entry) == 3 and entry[0] == "slot"
 
 
 class FusedSweep:
@@ -585,121 +463,155 @@ class FusedSweep:
         weight_grad[: stack.coeffs.shape[1]] += g @ stack.coeffs
 
 
-class TrainingPlan:
-    """A block's training sweep on fused runs, cut once per ``after`` table.
+#: Step kinds of a plan's program: a gate that stands alone, a fused run,
+#: an object passed through as it is, and an error slot that stands alone.
+_GATE, _RUN, _AS_IS, _SLOT = range(4)
 
-    Gates shared by every row -- constants, and weight-only rotations
-    with a closed form (:func:`_rotation_form`) -- join runs, cut by
-    :func:`greedy_runs`; every other gate stands alone and is bound per
-    call (:attr:`standalone`), as is a run of one gate with nothing
-    fused after it.  ``after[i]`` lists what follows gate ``i``, in
-    order: a constant :class:`FusedOp` takes a slot of its own in the
-    gate's run, an error slot ``("slot", qubit, key)`` an identity slot
-    a call may fill, and anything else (a jump site) is a split mark.
-    Everything after a gate that stands alone stands alone too.
-    Entries act on their gate's qubits, so they never change the cut.
 
-    :meth:`sweep` materializes one step: row-shared error ops fill their
-    slots, while per-row ones and jump sites split their run into pieces
-    ``P_b P_a^dag`` of the prefix products, the op or site between them.
+#: Fused runs retained per plan, keyed on the weight bytes.
+_FUSION_CACHE_SIZE = 4
+
+
+class FusionPlan:
+    """A circuit's one statevector fusion plan, cut once per ``after`` table.
+
+    :func:`fusion_layout` cuts the circuit under :func:`run_member`, and
+    :func:`greedy_runs` each stretch; a run of one member keeps its own
+    op, and a gate that stands alone (:attr:`standalone`) is bound per
+    call.  ``after[i]`` lists what follows gate ``i``, in order: a
+    constant :class:`FusedOp` takes a slot of its own in the open run,
+    an error slot ``("slot", qubit, key)`` an identity slot a step may
+    fill (:attr:`slot_qubits` maps keys to qubits), and anything else --
+    a trajectory ``("site", i)`` break, a quantum-jump site -- ends the
+    run and passes through.  Entries act on their gate's qubits, so they
+    never widen a run.
+
+    Two materializers share the plan's :class:`RunStack`:
+
+    * :meth:`fused_ops` fuses the runs once per weight vector and caches
+      them, with the weight-only gates that stand alone bound alongside;
+      encoder gates are bound per call, so a call with cached weights
+      binds only those;
+    * :meth:`sweep` materializes one training step: row-shared error
+      ops fill their slots, while per-row ones split their run into
+      pieces ``P_b P_a^dag`` of the prefix products, the op between them.
     """
 
-    __slots__ = ("standalone", "slot_qubits", "_steps", "_stack",
-                 "_slots", "_marks")
+    __slots__ = ("bind_plan", "standalone", "slot_qubits", "_layout", "_steps",
+                 "_stack", "_slots", "_weight_gates", "_input_gates", "_cache")
+
+    #: Counter row of the per-weight-vector run cache.
+    _cache_name = "fusion.segments"
 
     def __init__(self, circuit, after=None):
         gates = circuit.gates
-        constants = bind_plan_for(circuit).constant_ops()
+        self.bind_plan = bind_plan_for(circuit)
+        self._layout = fusion_layout(circuit, run_member, after)
+        constants = self.bind_plan.constant_ops()
         self.standalone: "list[int]" = []
-        self.slot_qubits: "dict" = {}
-        steps, runs, stretch = [], [], []
-        # Error slots inside runs: key -> (run, order, slot); split marks:
-        # (run, order, boundary, site).  ``order`` sorts a run's splits.
+        self.slot_qubits = {
+            entry[2]: entry[1]
+            for entries in after or () for entry in entries if _is_slot(entry)
+        }
+        # Error slots inside runs: key -> (run, slot).
         self._slots: "dict" = {}
-        self._marks: "list[tuple]" = []
+        steps, runs = [], []
 
-        def alone(i, entries) -> None:
-            steps.append((_GATE, len(self.standalone)))
-            self.standalone.append(i)
-            for entry in entries:
-                steps.append((_SLOT, entry[2]) if _is_slot(entry) else (_AS_IS, entry))
-
-        def flush() -> None:
-            for run in greedy_runs([gates[i].qubits for i, _ in stretch]):
-                members = [stretch[j] for j in run]
-                if len(members) == 1 and not any(
-                    isinstance(e, FusedOp) or _is_slot(e) for e in members[0][1]
-                ):
-                    alone(*members[0])
-                    continue
-                r, slots = len(runs), []
-                for i, entries in members:
-                    slots.append(i)
-                    for entry in entries:
-                        order = len(self._marks) + len(self._slots)
-                        if isinstance(entry, FusedOp):
-                            slots.append(entry)
-                        elif _is_slot(entry):
-                            self._slots[entry[2]] = (r, order, len(slots))
-                            slots.append(None)
-                        else:
-                            self._marks.append((r, order, len(slots), entry))
-                steps.append((_RUN, r))
-                runs.append(slots)
-            stretch.clear()
-
-        for i, gate in enumerate(gates):
-            entries = after[i] if after is not None else ()
-            for entry in entries:
-                if _is_slot(entry):
-                    self.slot_qubits[entry[2]] = entry[1]
-            shared = i in constants or (
-                input_free(gate) and _rotation_form(gate.name) is not None
-            )
-            if shared and len(gate.qubits) <= RUN_QUBITS:
-                stretch.append((i, entries))
+        def single(member) -> None:
+            if _is_slot(member):
+                steps.append((_SLOT, member[2]))
+            elif not isinstance(member, int):
+                steps.append((_AS_IS, member))
+            elif member in constants:
+                steps.append((_AS_IS, constants[member]))
             else:
-                flush()
-                alone(i, entries)
-        flush()
+                steps.append((_GATE, member))
+                self.standalone.append(member)
+
+        for entry in self._layout:
+            if not isinstance(entry, list):
+                single(entry)
+                continue
+            for run in greedy_runs([_member_qubits(gates, m) for m in entry]):
+                if len(run) == 1:
+                    single(entry[run[0]])
+                    continue
+                slots = [entry[j] for j in run]
+                for slot, member in enumerate(slots):
+                    if _is_slot(member):
+                        self._slots[member[2]] = (len(runs), slot)
+                steps.append((_RUN, len(runs)))
+                runs.append(slots)
         self._steps = steps
         self._stack = RunStack(circuit, runs, constants)
+        self._input_gates = [i for i in self.standalone if not input_free(gates[i])]
+        self._weight_gates = [i for i in self.standalone if input_free(gates[i])]
+        # weight bytes -> (one fused op per run, weight-only gate -> op).
+        self._cache = Cache(self._cache_name, _FUSION_CACHE_SIZE)
+
+    def _fuse(self, weights) -> "tuple[list[FusedOp], dict]":
+        stack, gates = self._stack, self._weight_gates
+        ops = dict(zip(gates, self.bind_plan.bind(weights, None, None, gates)))
+        prefix = stack.prefixes(weights)
+        return stack.fused_ops(prefix[:, -1], range(len(prefix)), True), ops
+
+    def fused_ops(
+        self,
+        weights: "np.ndarray | None" = None,
+        inputs: "np.ndarray | None" = None,
+        batch: "int | None" = None,
+    ) -> list:
+        """Bind and fuse the circuit for one call: ops, plus any breaks.
+
+        Error slots stay identity: this is the noiseless program.
+        """
+        runs, ops = self._cache.get_or_build(
+            weights_key(weights), lambda: self._fuse(weights)
+        )
+        gates = self._input_gates
+        if gates:
+            bound = self.bind_plan.bind(weights, inputs, batch, gates)
+            ops = {**ops, **dict(zip(gates, bound))}
+        return [
+            ops[value] if kind == _GATE else runs[value] if kind == _RUN else value
+            for kind, value in self._steps
+            if kind != _SLOT
+        ]
 
     def sweep(self, ops: list, weights, errors: "dict | None" = None) -> FusedSweep:
-        """The fused program of one step.
+        """The fused program of one training step.
 
         ``ops`` are the bound ops of :attr:`standalone`, in order, and
         ``errors`` maps error-slot keys to the ops that fire there this
-        step: a row-shared op fills its slot (or follows its lone gate),
-        a per-row (batched) op splits its run and runs between the two
-        pieces.  Jump sites always split their run.
+        step: a row-shared op fills its slot (or follows the gate that
+        stands alone before it), a per-row (batched) op splits its run
+        and runs between the two pieces.
         """
         errors = errors or {}
+        ops = dict(zip(self.standalone, ops))
         stack = self._stack
         writes, cuts = [], {}
-        for r, order, boundary, site in self._marks:
-            cuts.setdefault(r, []).append((order, boundary, site))
         for key, op in errors.items():
             place = self._slots.get(key)
             if place is None:
                 continue
-            r, order, slot = place
+            r, slot = place
             if op.batched:
-                cuts.setdefault(r, []).append((order, slot + 1, op))
+                cuts.setdefault(r, []).append((slot + 1, op))
             else:
                 writes.append((r, slot, op))
-        prefix = stack.prefixes(weights, writes=writes)
+        prefix = stack.prefixes(weights, writes)
         length = prefix.shape[1] - 1
         # Pieces as (run, start, end) prefix indices, in program order,
         # each run's followed by what runs after its pieces.
         pieces, between = [], {}
         for r in range(len(stack.lengths)):
             start = 0
-            for _order, boundary, entry in sorted(cuts.get(r, ()), key=lambda c: c[0]):
+            for boundary, op in sorted(cuts.get(r, ()), key=lambda c: c[0]):
                 if boundary > start:
                     pieces.append((r, start, boundary))
                     start = boundary
-                between.setdefault(len(pieces) - 1, []).append(entry)
+                between.setdefault(len(pieces) - 1, []).append(op)
             if start < stack.lengths[r]:
                 pieces.append((r, start, length))
         piece_run = np.array([p[0] for p in pieces], dtype=np.intp)
@@ -747,17 +659,18 @@ class TrainingPlan:
         )
 
 
-#: Training plans retained per circuit: the noiseless one plus one per
-#: (noise model, factor, layout).
-_TRAINING_PLANS = 8
+#: Plans retained per circuit: the noiseless one plus one training plan
+#: per (noise model, factor, layout).
+_PLANS = 8
 
 
-def training_plan_for(circuit, key=None, after=None) -> TrainingPlan:
-    """The circuit's :class:`TrainingPlan` under ``key``, built on first use.
+def fusion_plan_for(circuit, key=None, after=None) -> FusionPlan:
+    """The circuit's :class:`FusionPlan` under ``key``, built on first use.
 
-    ``key`` None is the noiseless plan; a noisy plan's ``after`` table is
-    a callable, run only when the plan is built.
+    ``key`` None is the noiseless plan, which serves training and
+    inference alike; a noisy plan's ``after`` table is a callable, run
+    only when the plan is built.
     """
-    return circuit_cache(circuit, "fusion.training", _TRAINING_PLANS).get_or_build(
-        key, lambda: TrainingPlan(circuit, after() if after is not None else None)
+    return circuit_cache(circuit, "fusion.plan", _PLANS).get_or_build(
+        key, lambda: FusionPlan(circuit, after() if after is not None else None)
     )

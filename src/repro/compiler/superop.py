@@ -26,10 +26,10 @@ the density.  This pass precompiles all of that away:
   one compiled operator stream.
 * **Segment fusion** through the compiler's one fusion pass
   (:mod:`repro.compiler.fusion`): :func:`~repro.compiler.fusion
-  .fusion_layout` cuts the site stream and :func:`fuse_superops` (its
-  :func:`~repro.compiler.fusion.fuse_runs` over superoperators) merges
-  each run whose combined support stays within two qubits -- a
-  ~200-gate transpiled QNN block collapses to a few dozen matrices.
+  .fusion_layout` cuts the site stream and :func:`fuse_superops` merges
+  each of its :func:`~repro.compiler.fusion.greedy_runs`, whose combined
+  support stays within two qubits -- a ~200-gate transpiled QNN block
+  collapses to a few dozen matrices.
   Inference cuts at input-dependent encoder sites; training cuts at
   every site with a weight or input parameter.
 * **Caching**: a plan is built once per (noise model, noise factor,
@@ -61,10 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
     from repro.noise.model import NoiseModel
 from repro.compiler.fusion import (
-    fuse_runs,
     fusion_layout,
     gather_embed,
     gather_index,
+    greedy_runs,
     input_free,
 )
 from repro.sim.density import kraus_superop, superop_is_diagonal, unitary_superop
@@ -125,21 +125,36 @@ def embed_superop(superop: np.ndarray, qubits, support) -> np.ndarray:
     Both are qubit tuples in the engine convention (first entry is the
     least significant bit of the operator index).  Handles the same-pair
     reversal and 1q-into-2q cases -- exactly the supports segment fusion
-    can produce -- for shared and per-sample (batched) matrices, each
-    as one precomputed gather (:func:`~repro.compiler.fusion
-    .gather_embed`).
+    can produce -- for a shared matrix, as one precomputed gather
+    (:func:`~repro.compiler.fusion.gather_embed`).  Fused runs never hold
+    an encoder site, so no per-sample matrix is ever embedded.
     """
     return gather_embed(_SUPEROP_GATHERS, superop, qubits, support)
 
 
 def fuse_superops(ops: "list[SuperOp]") -> "list[SuperOp]":
-    """:func:`~repro.compiler.fusion.fuse_runs` over superoperators.
+    """Greedy left-to-right fusion of adjacent superoperators.
 
-    Channel composition is plain matrix multiplication in superoperator
-    form, so noise channels fuse as freely as unitaries -- no
-    Kraus-product explosion.
+    Each run of :func:`~repro.compiler.fusion.greedy_runs` merges into
+    one :class:`SuperOp` on the run's support: the product of each op's
+    :func:`embed_superop`, the later op from the left.  A run of one
+    keeps its original op, and so does an op wider than two qubits,
+    which never merges.  Channel composition is plain matrix
+    multiplication in superoperator form, so noise channels fuse as
+    freely as unitaries -- no Kraus-product explosion.
     """
-    return fuse_runs(ops, embed_superop, SuperOp)
+    fused: "list[SuperOp]" = []
+    for run in greedy_runs([op.qubits for op in ops]):
+        if len(run) == 1:
+            fused.append(ops[run[0]])
+            continue
+        members = [ops[i] for i in run]
+        support = tuple(sorted(set().union(*(op.qubits for op in members))))
+        matrix = embed_superop(members[0].matrix, members[0].qubits, support)
+        for op in members[1:]:
+            matrix = embed_superop(op.matrix, op.qubits, support) @ matrix
+        fused.append(SuperOp(support, matrix, sum(op.n_merged for op in members)))
+    return fused
 
 
 def _site_channel(gate, sites) -> "np.ndarray | None":

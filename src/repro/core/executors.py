@@ -224,9 +224,12 @@ def _resolve_eval_executor(model, noise_model, **factory_kwargs):
 class NoiselessExecutor:
     """Exact statevector execution with adjoint gradients.
 
-    Training forwards run the block's fused training plan
-    (:class:`~repro.compiler.fusion.TrainingPlan`), whose constant slots
-    are filled once per block, not once per training step.
+    Training forwards and tape-free inference share the block's one
+    fusion plan (:func:`~repro.compiler.fusion.fusion_plan_for`), whose
+    constant slots are filled once per block, not once per step: a
+    training step materializes its runs per call
+    (:meth:`~repro.compiler.fusion.FusionPlan.sweep`), inference once per
+    weight vector (:meth:`~repro.compiler.fusion.FusionPlan.fused_ops`).
     """
 
     differentiable = True
@@ -254,10 +257,11 @@ class NoiselessExecutor:
         weights: np.ndarray,
         inputs: np.ndarray,
     ) -> np.ndarray:
-        """Tape-free forward through the gate-fusion pass.
+        """Tape-free forward on the block's fusion plan.
 
-        Inference keeps no tape, so the fused runs are cached per weight
-        vector and reused across calls -- see :mod:`repro.compiler.fusion`.
+        Inference keeps no tape, so the plan's fused runs are cached per
+        weight vector and reused across calls -- see
+        :mod:`repro.compiler.fusion`.
         """
         from repro.compiler.fusion import fusion_plan_for
         from repro.sim.statevector import run_ops, z_expectations

@@ -12,15 +12,16 @@ This module provides the equivalent from scratch:
   derivatives chain onto weights / inputs through the affine coefficients
   of each :class:`ParamExpr`.
 
-  Forwards run on the block's fused training plan
-  (:class:`repro.compiler.fusion.TrainingPlan`), so the sweep walks
-  fused gate runs of at most two qubits and the gates that stand alone
-  between them.  The ket and the bra ride stacked in one buffer, and
-  every step is un-applied through its kernel's inverse
-  (:class:`repro.sim.statevector.Kernel`), one call for the pair.  Before
-  a fused run is un-applied, the sweep records its reduced transition
-  operator ``N = sum over rows and the other qubits of |psi><bra|`` at
-  the run's output; after the sweep every fused rotation's gradient is
+  Forwards run on the block's one fusion plan
+  (:meth:`repro.compiler.fusion.FusionPlan.sweep`, the plan tape-free
+  inference reuses), so the sweep walks fused gate runs of at most two
+  qubits and the gates that stand alone between them.  The ket and the
+  bra ride stacked in one buffer, and every step is un-applied through
+  its kernel's inverse (:class:`repro.sim.statevector.Kernel`), one
+  call for the pair.  Before a fused run is un-applied, the sweep
+  records its reduced transition operator ``N = sum over rows and the
+  other qubits of |psi><bra|`` at the run's output; after the sweep
+  every fused rotation's gradient is
   ``Im tr(G Q N Q^dag)`` in closed form off the run's prefix products
   (:meth:`repro.compiler.fusion.FusedSweep.chain`), a few batched calls
   for the whole block.  A gate that stands alone keeps the per-op
@@ -59,7 +60,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.parameters import INPUT, WEIGHT
-from repro.compiler.fusion import training_plan_for
+from repro.compiler.fusion import fusion_plan_for
 from repro.sim.statevector import (
     BoundOp,
     apply_matrix,
@@ -138,7 +139,7 @@ def forward_with_tape(
     n_weights: "int | None" = None,
     n_inputs: "int | None" = None,
 ) -> "tuple[np.ndarray, QuantumTape]":
-    """Run a circuit on its fused training plan and keep the tape.
+    """Run a circuit's fused sweep (:func:`fusion_plan_for`) and keep the tape.
 
     Returns per-qubit Z expectations ``(batch, n_qubits)`` and the tape.
     """
@@ -149,7 +150,7 @@ def forward_with_tape(
         batch = 1
     if weights is not None:
         weights = np.array(weights, dtype=float)
-    plan = training_plan_for(circuit)
+    plan = fusion_plan_for(circuit)
     bound = bind_plan_for(circuit).bind(weights, inputs, batch, plan.standalone)
     sweep = plan.sweep(bound, weights)
     state = run_ops(sweep.ops, circuit.n_qubits, batch)

@@ -81,15 +81,16 @@ the block's stacked inverse-CDF table
 (:func:`repro.noise.sampler.pauli_cdf`), before any jump draw: the same
 numbers, in the same order, as one ``rng.choice`` per site.
 
-The sweep runs on the block's fused training plan
-(:class:`repro.compiler.fusion.TrainingPlan`), cut once per (model,
-factor, layout): each Pauli site that can fire takes an error slot right
-after its gate, each coherent rotation a constant slot, and each jump
-site marks a split.  At one realization the fired errors are shared by
-the batch and fill their slots, so a step applies as many kernels as a
-noiseless one; at more, an error that differs between realizations
-splits its run in two, read off the run's prefix products, with the
-per-row error between them, and so does every jump.  Gate insertion
+The sweep runs on the block's one fusion plan
+(:class:`repro.compiler.fusion.FusionPlan`, the class behind noiseless
+inference and the segment plan above), cut once per (model, factor,
+layout) by the same rule: each Pauli site that can fire takes an error
+slot right after its gate, each coherent rotation a constant slot, and
+each jump site ends its run.  At one realization the fired errors are
+shared by the batch and fill their slots, so a step applies as many
+kernels as a noiseless one; at more, an error that differs between
+realizations splits its run in two, read off the run's prefix
+products, with the per-row error between them.  Gate insertion
 (whose single-realization draw comes through
 :meth:`~repro.noise.sampler.ErrorGateSampler.sample`) and the
 quantum-jump (MCWF) trainer differ only in whether the sampler admits
@@ -118,7 +119,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compiler.passes import CompiledCircuit
-from repro.compiler.fusion import FusionPlan, constant_op, training_plan_for
+from repro.compiler.fusion import FusionPlan, constant_op, fusion_plan_for
 from repro.compiler.superop import _PLAN_CACHE_SIZE
 from repro.noise.model import CHANNEL_PAULI, CHANNEL_RELAXATION, NoiseModel
 from repro.noise.readout import measured_expectations
@@ -180,10 +181,12 @@ def _coherent_unitary(ey: float, ez: float) -> np.ndarray:
 class _SegmentPlan(FusionPlan):
     """Per-(circuit, noise model, factor) trajectory execution plan.
 
-    A :class:`~repro.compiler.fusion.FusionPlan` whose ``after`` lists
-    come from the block's :func:`~repro.noise.sampler.noise_sites`
-    table, so the gate stream is cut *at the stochastic error sites*
-    and everything constant within a (weights, inputs) binding fuses:
+    A :class:`~repro.compiler.fusion.FusionPlan` -- the plan noiseless
+    inference and training use, under the same cut rule -- whose
+    ``after`` lists come from the block's
+    :func:`~repro.noise.sampler.noise_sites` table, so the gate stream is
+    cut *at the stochastic error sites* and everything constant within a
+    (weights, inputs) binding fuses:
 
     * a gate's Pauli sites that can fire become one break ``("site",
       i)``: the sampled error lands between the gate and whatever
@@ -195,8 +198,8 @@ class _SegmentPlan(FusionPlan):
       the sweep off pre-drawn uniforms;
     * a coherent site becomes a :func:`~repro.compiler.fusion
       .constant_op` that joins the open run;
-    * input-dependent encoder gates stay unfused singletons, re-bound
-      per call.
+    * input-dependent encoder gates (and any gate the plan's rule keeps
+      out of runs) stay unfused singletons, encoders re-bound per call.
 
     :meth:`fused_ops` is then the sweep program -- plain ops plus break
     tuples -- with its fused runs cached per weight vector, so every
@@ -563,62 +566,13 @@ def _gate_level_ops(ops, table, errors: dict, jumps=None) -> list:
     return stacked
 
 
-def stacked_noisy_ops(
-    compiled: "CompiledCircuit",
-    sampler: ErrorGateSampler,
-    weights: "np.ndarray | None",
-    inputs: "np.ndarray | None",
-    batch: int,
-    n_realizations: int,
-    rng: "int | np.random.Generator | None" = None,
-) -> "tuple[list, int]":
-    """Bound op list for ``n_realizations`` error realizations x ``batch``.
-
-    The gate-level form of the training sweep
-    (:func:`stacked_noisy_forward_with_tape` runs its fused form): the
-    base circuit is bound once (through the bind cache), every Pauli
-    site's choice for all realizations comes from one
-    :meth:`~repro.noise.sampler.ErrorGateSampler.draw` (a single
-    ``rng.random((n_sites, n_realizations))`` call, the same stream a
-    per-site ``rng.choice`` loop consumes), and the sampled errors
-    become constant ops: one 2x2 shared by the batch at one realization,
-    batched ``(n_realizations * batch, 2, 2)`` otherwise.
-
-    Each gate is followed by its sites from the block's
-    :func:`~repro.noise.sampler.noise_sites` table, in channel order:
-    Pauli insertions, then quantum-jump sites, then coherent
-    miscalibration rotations.  Jump sites (exact relaxation channels,
-    none on Pauli-only models) depend on the running state, so they stay
-    in the list as the table's ``("relaxation", local_q, (kraus,
-    effects))`` sites.
-
-    Returns ``(ops, n_inserted)`` with ``n_inserted`` the total number of
-    non-identity Pauli insertions across all realizations.
-    """
-    rng = as_rng(rng)
-    if inputs is not None:
-        batch = np.asarray(inputs).shape[0]
-    circuit, physical_qubits = compiled.circuit, compiled.physical_qubits
-    ops = [
-        _tiled_op(op, n_realizations, batch)
-        for op in bind_circuit(circuit, weights, inputs, batch)
-    ]
-    table = noise_sites(
-        circuit, physical_qubits, sampler.noise_model, sampler.noise_factor
-    )
-    choices = sampler.draw(circuit, physical_qubits, rng, n_realizations)
-    qubits = [q for sites in table for kind, q, _p in sites if kind == CHANNEL_PAULI]
-    errors = _pauli_ops(qubits, choices, batch)
-    return _gate_level_ops(ops, table, errors), int(np.count_nonzero(choices))
-
-
 def _training_plan(compiled: "CompiledCircuit", sampler: ErrorGateSampler):
-    """The block's fused :class:`~repro.compiler.fusion.TrainingPlan` under
-    the sampler's noise-site table, built once per (model, factor, layout).
+    """The block's :class:`~repro.compiler.fusion.FusionPlan` under the
+    sampler's noise-site table, built once per (model, factor, layout).
 
     Every Pauli site that can fire is an error slot keyed by its table
     row (its Pauli choices' row), every coherent site a constant op and
-    every relaxation site a split mark, the site itself.
+    every relaxation site, the site itself, a break that ends its run.
     """
     circuit, physical_qubits = compiled.circuit, compiled.physical_qubits
     model, factor = sampler.noise_model, sampler.noise_factor
@@ -643,7 +597,7 @@ def _training_plan(compiled: "CompiledCircuit", sampler: ErrorGateSampler):
             steps.append(entries)
         return steps
 
-    return training_plan_for(circuit, (model, factor, physical_qubits), after)
+    return fusion_plan_for(circuit, (model, factor, physical_qubits), after)
 
 
 #: Store a training checkpoint at every Nth jump site.  The backward
@@ -753,13 +707,18 @@ def stacked_noisy_forward_with_tape(
     tape's state is the full ``(n_realizations * batch, 2**n)`` stack and
     is consumed by :func:`stacked_noisy_backward`.
 
-    The sweep runs on the block's fused
-    :class:`~repro.compiler.fusion.TrainingPlan`.  Every Pauli site's
-    choice comes from one :meth:`~repro.noise.sampler.ErrorGateSampler
-    .draw` on ``rng``, unless ``choices`` brings that draw (the
-    ``InsertionStats.choices`` of a sampled circuit).  At one
-    realization the fired errors are shared by the batch and fill their
-    slots in the fused runs; at more, each splits its run.
+    The sweep runs on the block's
+    :class:`~repro.compiler.fusion.FusionPlan` under the sampler's
+    noise-site table (:meth:`~repro.compiler.fusion.FusionPlan.sweep`);
+    only the gates that stand alone are bound per step, and the tape's
+    gate-level ``ops`` (one op per gate and per applied error) are built
+    only when read.  Every Pauli site's choice comes from one
+    :meth:`~repro.noise.sampler.ErrorGateSampler.draw` on ``rng`` (a
+    single ``rng.random((n_sites, n_realizations))`` call, the stream a
+    per-site ``rng.choice`` loop consumes), unless ``choices`` brings
+    that draw (the ``InsertionStats.choices`` of a sampled circuit).  At
+    one realization the fired errors are shared by the batch and fill
+    their slots in the fused runs; at more, each splits its run.
 
     ``pool`` (a thread :class:`~repro.runtime.supervisor.PoolLease`,
     held by :class:`~repro.core.executors.GateInsertionExecutor`) with
@@ -770,7 +729,7 @@ def stacked_noisy_forward_with_tape(
     serial sweep's -- the rng is consumed before any banding decision.
 
     Models with exact relaxation channels add quantum-jump sites, which
-    split their runs.  Their jump probabilities depend on the evolved
+    end their runs.  Their jump probabilities depend on the evolved
     state mid-sweep and their uniforms come off ``rng`` in stream order,
     so such a sweep is one serial pass (:func:`_run_jumps`) and ``pool``
     is not consulted.  The tape records the realized jump operators as

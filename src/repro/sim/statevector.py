@@ -33,16 +33,17 @@ The hot path rests on five pieces:
   sweeps and the adjoint sweep pass kernels, so a gate costs one or two
   numpy calls.
 * **Fused-run kernels** (:func:`fused_kernels`): the training sweep and
-  fused inference apply merged gate runs of at most two qubits
-  (:mod:`repro.compiler.fusion`), all of a plan's runs materialized
-  together once per step or weight vector.  Their kernels come in one
-  batch from the runs' zero-padded ``(runs, 4, 4)`` matrices: up to
+  fused inference apply merged gate runs of at most two qubits from one
+  plan (:class:`repro.compiler.fusion.FusionPlan`), all of its runs
+  materialized together, once per step by its ``sweep`` or once per
+  weight vector by its ``fused_ops``.  Their kernels come in one batch
+  from the runs' zero-padded ``(runs, 4, 4)`` matrices: up to
   :data:`_DENSE_MAX_QUBITS` qubits one gather builds every full-width
   dense matrix and one more every conjugate transpose (memoized index
   tables, :func:`_padded_gather`); wider, each run keeps the raw route.
-  A training run's kernel is never classified; the tape-free plan,
-  which reuses its runs per weight vector, gives a monomial run (rz, cx,
-  x products) its diagonal or permutation kernel.
+  A training step's kernel is never classified; ``fused_ops``, whose
+  runs are reused per weight vector, gives a monomial run (rz, cx, x
+  products) its diagonal or permutation kernel.
 * **Raw-matrix route** (:func:`_apply_plan`): a plain matrix goes through
   the original kernels, keyed per ``(n_qubits, qubits)`` signature by a
   memoized reshape factorization / permutation.  1-qubit gates and

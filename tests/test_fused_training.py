@@ -1,8 +1,8 @@
 """The fused training sweep: forward and adjoint on fused gate runs.
 
-Every statevector training forward runs on the block's
-:class:`~repro.compiler.fusion.TrainingPlan` and the one adjoint reads
-the fused rotations' gradients in closed form off the runs' prefix
+Every statevector training forward runs on the sweep of the block's one
+:class:`~repro.compiler.fusion.FusionPlan` and the one adjoint reads the
+fused rotations' gradients in closed form off the runs' prefix
 products.  Each case below differentiates the same tape twice -- once by
 the fused adjoint, once by the gate-by-gate reference oracle over the
 tape's gate-level ops -- and holds the two to 1e-10.

@@ -1,8 +1,8 @@
-"""Inference-only gate fusion vs the unfused sweep.
+"""Gate fusion vs the unfused sweep, and the one statevector plan.
 
 Fused runs are exact matrix products of the original gates, so the
 fused and unfused statevector sweeps must agree to the engine's 1e-10
-bar on every path (shared, per-sample/batched, mixed supports).
+bar on every path (shared, mixed and reversed supports).
 """
 
 from types import SimpleNamespace
@@ -18,16 +18,17 @@ from repro.compiler.fusion import (
     _FUSION_CACHE_SIZE,
     _embed,
     constant_op,
-    fuse_bound_ops,
     fusion_layout,
     fusion_plan_for,
     input_free,
 )
-from repro.compiler.superop import embed_superop
+from repro.compiler.superop import SuperOp, embed_superop, fuse_superops
 from repro.core.executors import NoiselessExecutor
+from repro.core.gradients import forward_with_tape
 from repro.noise import get_device
 from repro.qnn import paper_model
-from repro.sim.statevector import bind_circuit, run_ops
+from repro.sim.statevector import apply_matrix, bind_circuit, run_ops
+from repro.utils.cache import cache_stats
 
 EXACT = 1e-10
 
@@ -44,7 +45,7 @@ def test_fused_sweep_matches_unfused_on_compiled_block():
     compiled, weights, inputs = _compiled_block()
     c = compiled.circuit
     ops = bind_circuit(c, weights, inputs)
-    fused = fuse_bound_ops(ops)
+    fused = FusionPlan(c).fused_ops(weights, inputs)
     assert len(fused) < len(ops) / 3  # the whole point
     ref = run_ops(ops, c.n_qubits, inputs.shape[0])
     out = run_ops(fused, c.n_qubits, inputs.shape[0])
@@ -57,7 +58,7 @@ def test_fusion_merges_single_qubit_runs():
         c.add("rz", 0, theta)
         c.add("sx", 0)
     ops = bind_circuit(c)
-    fused = fuse_bound_ops(ops)
+    fused = FusionPlan(c).fused_ops()
     assert len(fused) == 1
     assert isinstance(fused[0], FusedOp)
     assert fused[0].n_merged == 6
@@ -74,7 +75,7 @@ def test_fusion_preserves_isolated_ops():
     c.add("cx", (1, 2))
     c.add("rz", 0, 0.4)
     ops = bind_circuit(c)
-    fused = fuse_bound_ops(ops)
+    fused = FusionPlan(c).fused_ops()
     # h/rz on qubit 0 cannot merge with the cx on (1, 2) under a 2-qubit
     # cap, so the cx run stays a singleton and is passed through as-is.
     assert ops[1] in fused
@@ -106,50 +107,32 @@ def test_fusion_handles_reversed_and_mixed_supports():
     c.add("cx", (0, 2))
     c.add("x", 2)
     ops = bind_circuit(c)
-    fused = fuse_bound_ops(ops)
+    fused = FusionPlan(c).fused_ops()
     assert len(fused) < len(ops)
     state = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
     ref = state.copy()
     for op in ops:
-        from repro.sim.statevector import apply_matrix
-
         ref = apply_matrix(ref, op.matrix, op.qubits, 3)
     out = state.copy()
     for op in fused:
-        from repro.sim.statevector import apply_matrix
-
         out = apply_matrix(out, op.matrix, op.qubits, 3)
     assert np.abs(ref - out).max() < EXACT
 
 
-def test_fusion_merges_batched_encoder_gates():
-    c = Circuit(2)
-    c.add("ry", 0, ParamExpr.input(0))
-    c.add("rz", 0, 0.3)
-    c.add("ry", 1, ParamExpr.input(1))
-    c.add("cx", (0, 1))
-    inputs = np.random.default_rng(1).normal(size=(5, 2))
-    ops = bind_circuit(c, None, inputs)
-    fused = fuse_bound_ops(ops)
-    assert len(fused) < len(ops)
-    assert any(op.batched for op in fused)
-    ref = run_ops(ops, 2, 5)
-    out = run_ops(fused, 2, 5)
-    assert np.abs(ref - out).max() < EXACT
-
-
 def test_fusion_passes_through_too_wide_ops():
-    wide = SimpleNamespace(qubits=(0, 1, 2), matrix=np.eye(8, dtype=complex),
+    wide = SimpleNamespace(qubits=(0, 1, 2), matrix=np.eye(64, dtype=complex),
                            batched=False)
-    narrow = bind_circuit(Circuit(3).add("h", 0))
-    fused = fuse_bound_ops([narrow[0], wide, narrow[0]])
+    narrow = SuperOp((0,), np.eye(4, dtype=complex))
+    fused = fuse_superops([narrow, wide, narrow])
     assert fused[1] is wide
 
 
 def test_fusion_layout_cuts_refused_gates_constants_and_breaks():
     """The one cut: a gate ``fusable`` refuses stands alone, a constant op
     joins the open run (after a refused gate it opens the next one), and
-    a break ends the run after its own gate."""
+    a break ends the run after its own gate.  An error slot joins the
+    open run as well, but after a refused gate it stands alone, and a
+    jump site after it ends the run."""
     c = Circuit(2)
     c.add("ry", 0, ParamExpr.input(0))
     c.add("rz", 0, 0.3)
@@ -161,6 +144,10 @@ def test_fusion_layout_cuts_refused_gates_constants_and_breaks():
     assert layout == [0, [const, 1, 2], site, [const, 3]]
     assert fusion_layout(c, input_free) == [0, [1, 2, 3]]
     assert fusion_layout(c, lambda gate: False) == [0, 1, 2, 3]
+    alone, joined, last = ("slot", 0, "a"), ("slot", 0, "b"), ("slot", 0, "c")
+    jump = ("relaxation", 0, None)
+    layout = fusion_layout(c, input_free, [[alone], [joined], [last, jump], []])
+    assert layout == [0, alone, [1, joined, 2, last], jump, [3]]
 
 
 def test_fusion_plan_caches_static_segments_per_weight_vector():
@@ -194,6 +181,20 @@ def test_fusion_plan_cache_evicts_oldest():
         op for op in plan.fused_ops(weights, inputs) if isinstance(op, FusedOp)
     ]
     assert refreshed[0] is not first[0]
+
+
+def test_training_and_inference_share_one_plan():
+    """A noiseless training forward and a tape-free predict on a fresh
+    block build one plan between them: the second call hits it."""
+    compiled, weights, inputs = _compiled_block(5)
+    before = cache_stats()
+    forward_with_tape(compiled.circuit, weights, inputs)
+    NoiselessExecutor().forward_inference(compiled, weights, inputs)
+    after = cache_stats()
+    plans = before.get("fusion.plan", {"hits": 0, "misses": 0})
+    assert after["fusion.plan"]["misses"] - plans["misses"] == 1
+    assert after["fusion.plan"]["hits"] - plans["hits"] == 1
+    assert "fusion.training" not in after
 
 
 def test_forward_inference_matches_forward():

@@ -21,7 +21,7 @@ from repro.noise.sampler import noise_sites
 from repro.noise.trajectory import (
     _PAULI_STACK,
     _SegmentPlan,
-    stacked_noisy_ops,
+    stacked_noisy_forward_with_tape,
     trajectory_probabilities,
     trajectory_probabilities_reference,
 )
@@ -269,19 +269,21 @@ def test_sample_draws_what_a_per_site_choice_loop_draws():
     assert total > 0
 
 
-def test_stacked_noisy_ops_draw_what_a_per_site_choice_loop_draws():
+def test_stacked_noisy_tape_draws_what_a_per_site_choice_loop_draws():
     """At R = 3 every Pauli site's realizations come from one stacked
-    draw: the same choices, insertion count and generator state as one
-    ``rng.choice(4, size=3, p=probs)`` per site, in table order."""
+    draw: the tape's gate-level ops carry the same choices, insertion
+    count and generator state as one ``rng.choice(4, size=3, p=probs)``
+    per site, in table order."""
     device, qnn, compiled = _santiago_block()
     model = device.noise_model
     table = noise_sites(compiled.circuit, compiled.physical_qubits, model, 5.0)
     weights = qnn.init_weights(0)
     inputs = np.random.default_rng(1).normal(0, 1, (2, 16))
     rng, expected_rng = np.random.default_rng(4), np.random.default_rng(4)
-    ops, n_inserted = stacked_noisy_ops(
-        compiled, ErrorGateSampler(model, 5.0), weights, inputs, 2, 3, rng
+    _exp, tape, n_inserted = stacked_noisy_forward_with_tape(
+        compiled, ErrorGateSampler(model, 5.0), weights, inputs, 3, rng
     )
+    ops = tape.ops
     expected = []
     for sites in table:  # the published model has Pauli sites only
         expected.append(None)
