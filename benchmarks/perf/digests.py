@@ -28,6 +28,8 @@ post-call generator state (``.../rng``) wherever the call draws:
   processes, with and without shots, on santiago 2Bx4L and melbourne
   2Bx1L (10 qubits);
 * ``realqc_wide/``: the benchmark workload's 40-row logits at seeds 1-3;
+* ``stabilizer/``: ``StabilizerEvalExecutor`` on a random 8-qubit
+  Clifford block, serial, 2 threads and 2 processes, two calls each;
 * ``sample/``: ``ErrorGateSampler.sample`` circuits and stats at T 0,
   0.25, 1 and 5, three calls on one generator;
 * ``stacked/``: ``stacked_noisy_forward_with_tape`` expectations, tape
@@ -227,6 +229,28 @@ def realqc_wide(out: Digests) -> None:
         out.add(f"realqc_wide/seed{seed}/logits", logits)
 
 
+def stabilizer(out: Digests) -> None:
+    from benchmarks.perf.stabilizer_smoke import (
+        _clifford_compiled,
+        _pauli_readout_model,
+    )
+    from repro.core.executors import StabilizerEvalExecutor
+
+    compiled = _clifford_compiled(8, 32, 15)
+    noise = _pauli_readout_model(8)
+    weights, inputs = np.zeros(0), np.zeros((1, 0))
+    for backend, workers in (("serial", 0), ("thread", 2), ("process", 2)):
+        executor = StabilizerEvalExecutor(
+            noise, n_trajectories=256, rng=16, n_workers=workers,
+            shard_backend="thread" if workers == 0 else backend,
+        )
+        with executor:
+            for call in range(2):
+                key = f"stabilizer/{backend}/call{call}"
+                out.add(key, executor.forward(compiled, weights, inputs)[0])
+                out.rng(key, executor.rng)
+
+
 def sample(out: Digests) -> None:
     from repro.noise.sampler import ErrorGateSampler
 
@@ -317,7 +341,10 @@ def train(out: Digests) -> None:
                 _steps(out, key, executor, compiled, w, inputs)
 
 
-SECTIONS = (noiseless, density, trajectory, realqc_wide, sample, stacked, train)
+SECTIONS = (
+    noiseless, density, trajectory, realqc_wide, stabilizer, sample, stacked,
+    train,
+)
 
 
 def compare(a_path: str, b_path: str) -> int:

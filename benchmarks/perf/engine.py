@@ -1,7 +1,7 @@
 """Fast-execution-engine benchmark harness.
 
 Times the hot paths of the simulator stack -- statevector forward,
-forward + adjoint backward, segment-fused trajectory inference, the
+forward + adjoint backward, fused trajectory inference, the
 superoperator-compiled exact noisy density backend (with and without
 the full relaxation + readout channel set), sharded trajectory
 execution, the batched noise-injected *training step* (vs the
@@ -727,18 +727,21 @@ def run_benchmarks(
     }
 
     # -- gate-fused inference ----------------------------------------------
-    from repro.core.executors import NoiselessExecutor
+    from repro.sim.statevector import z_expectations
 
     class _PlainExecutor:
-        """NoiselessExecutor without the fused-inference fast path."""
+        """The unfused per-gate sweep: every gate bound and applied alone."""
 
         differentiable = True
 
-        def __init__(self):
-            self._inner = NoiselessExecutor()
-
         def forward(self, compiled_block, w_local, inp):
-            return self._inner.forward(compiled_block, w_local, inp)
+            circuit = compiled_block.circuit
+            n = circuit.n_qubits
+            state = run_ops(
+                bind_circuit(circuit, w_local, inp, len(inp)), n, len(inp)
+            )
+            expectations = z_expectations(state, n)
+            return expectations[:, list(compiled_block.measure_qubits)], None
 
     infer_model = make_model()
     plain_executor = _PlainExecutor()

@@ -12,8 +12,8 @@ Every fused stream is built from the pieces here:
 * :func:`fusion_layout`, the one cut: which gates may merge (a
   ``fusable`` predicate) and what follows each gate (``after``): a
   constant op joins the open run, an error slot joins it as an identity
-  slot, anything else -- a stochastic error site, a quantum-jump site
-  -- ends it and passes through;
+  slot, anything else -- a quantum-jump site -- ends it and passes
+  through;
 * :func:`greedy_runs`, the one left-to-right grouping of a cut stretch
   into runs of at most :data:`RUN_QUBITS` qubits;
 * :func:`gather_embed`, which expands a matrix onto a run's support by
@@ -38,14 +38,13 @@ has two materializers over its one stack:
 * :meth:`FusionPlan.fused_ops`, tape-free: the runs are fused once per
   weight vector (a small :class:`~repro.utils.cache.Cache` keyed on the
   weight bytes) and the encoder gates, whose matrices change with every
-  batch, are bound per call.  Noiseless inference uses it, and so does
-  the trajectory engine's segment plan
-  (:class:`repro.noise.trajectory._SegmentPlan`), whose breaks are the
-  noise model's error sites;
-* :meth:`FusionPlan.sweep`, differentiable: every statevector training
-  forward and the one adjoint run on the runs it materializes per step.
-  A row-shared error fills its slot; a per-row error splits its run
-  into pieces read off the prefix products.  The adjoint records each
+  batch, are bound per call.  Noiseless inference uses it;
+* :meth:`FusionPlan.sweep`, per step: every statevector training
+  forward and the one adjoint run on the runs it materializes, and so
+  does every tile of a noisy trajectory chunk
+  (:func:`repro.noise.trajectory._segment_chunk`), on the same noisy
+  plan.  A row-shared error fills its slot; a per-row error splits its
+  run into pieces read off the prefix products.  The adjoint records each
   piece's reduced transition operator ``N`` at its output and un-applies
   it with one kernel call; afterwards every fused rotation's gradient is
   ``Im tr(G_k Q_k N Q_k^dag)`` with ``Q_k = P_k P_end^dag``
@@ -482,9 +481,8 @@ class FusionPlan:
     constant :class:`FusedOp` takes a slot of its own in the open run,
     an error slot ``("slot", qubit, key)`` an identity slot a step may
     fill (:attr:`slot_qubits` maps keys to qubits), and anything else --
-    a trajectory ``("site", i)`` break, a quantum-jump site -- ends the
-    run and passes through.  Entries act on their gate's qubits, so they
-    never widen a run.
+    a quantum-jump site -- ends the run and passes through.  Entries act
+    on their gate's qubits, so they never widen a run.
 
     Two materializers share the plan's :class:`RunStack`:
 
@@ -492,16 +490,14 @@ class FusionPlan:
       them, with the weight-only gates that stand alone bound alongside;
       encoder gates are bound per call, so a call with cached weights
       binds only those;
-    * :meth:`sweep` materializes one training step: row-shared error
-      ops fill their slots, while per-row ones split their run into
-      pieces ``P_b P_a^dag`` of the prefix products, the op between them.
+    * :meth:`sweep` materializes one training step or trajectory tile:
+      row-shared error ops fill their slots, while per-row ones split
+      their run into pieces ``P_b P_a^dag`` of the prefix products, the
+      op between them.
     """
 
     __slots__ = ("bind_plan", "standalone", "slot_qubits", "_layout", "_steps",
                  "_stack", "_slots", "_weight_gates", "_input_gates", "_cache")
-
-    #: Counter row of the per-weight-vector run cache.
-    _cache_name = "fusion.segments"
 
     def __init__(self, circuit, after=None):
         gates = circuit.gates
@@ -547,7 +543,7 @@ class FusionPlan:
         self._input_gates = [i for i in self.standalone if not input_free(gates[i])]
         self._weight_gates = [i for i in self.standalone if input_free(gates[i])]
         # weight bytes -> (one fused op per run, weight-only gate -> op).
-        self._cache = Cache(self._cache_name, _FUSION_CACHE_SIZE)
+        self._cache = Cache("fusion.segments", _FUSION_CACHE_SIZE)
 
     def _fuse(self, weights) -> "tuple[list[FusedOp], dict]":
         stack, gates = self._stack, self._weight_gates

@@ -57,6 +57,7 @@ from repro.noise.sampler import (
     InsertionStats,
     _check_noise_factor,
     noise_sites,
+    pauli_cdf,
 )
 from repro.noise.trajectory import (
     _check_counts,
@@ -598,6 +599,11 @@ class MCWFTrainExecutor(GateInsertionExecutor):
 class TrajectoryEvalExecutor(_Sharded):
     """'Real QC' surrogate: drifted noise + trajectories + shot sampling.
 
+    Every trajectory chunk sweeps the block's one noisy fusion plan --
+    the plan noise-injected training runs under the same (model, factor,
+    layout) -- so evaluating on the noise a model trained with builds no
+    plan of its own (:func:`repro.noise.trajectory.trajectory_probabilities`).
+
     ``n_workers > 0`` shards trajectory chunks across a
     ``shard_backend`` pool ("thread" or "process"); chunk layout and
     per-chunk RNG streams never depend on the worker count, so sharded
@@ -701,30 +707,30 @@ def _stabilizer_program(compiled, sampler, rz_tolerance: float) -> tuple:
     """Compile one block into a flat tableau program (pure data, picklable).
 
     Entries are ``("g", name, qubits)`` tableau gates or ``("p", qubit,
-    cum)`` Pauli-noise sites (``cum`` the cumulative boundaries of the
-    block's :func:`~repro.noise.sampler.noise_sites` table), in sweep
-    order: each gate's error sites that can fire follow the gate,
-    exactly as the statevector trajectory sweep schedules them.  The
-    executor admits neither coherent nor relaxation channels, so Pauli
-    sites are all the table holds.  Raises
+    cdf)`` Pauli-noise sites (``cdf`` the site's row of the block's
+    stacked inverse-CDF table, :func:`~repro.noise.sampler.pauli_cdf`),
+    in sweep order: each gate's error sites that can fire follow the
+    gate, in the order of the block's
+    :func:`~repro.noise.sampler.noise_sites` table.  The executor admits
+    neither coherent nor relaxation channels, so Pauli sites are all
+    the table holds.  Raises
     :class:`~repro.sim.stabilizer.NonCliffordCircuitError` when the
     circuit fails the Clifford screen.
     """
     from repro.sim.stabilizer import clifford_ops
 
     circuit = compiled.circuit
-    table = noise_sites(
-        circuit, compiled.physical_qubits,
-        sampler.noise_model, sampler.noise_factor,
-    )
+    args = (circuit, compiled.physical_qubits,
+            sampler.noise_model, sampler.noise_factor)
+    cdf = iter(pauli_cdf(*args))
     steps: "list[tuple]" = []
+    table = noise_sites(*args)
     for gate_ops, sites in zip(clifford_ops(circuit, rz_tolerance), table):
         steps.extend(("g", name, tuple(qubits)) for name, qubits in gate_ops)
-        steps.extend(
-            ("p", int(local_q), payload[2])
-            for _kind, local_q, payload in sites
-            if payload[0].total > 0
-        )
+        for _kind, local_q, payload in sites:
+            row = next(cdf)
+            if payload[0].total > 0:
+                steps.append(("p", int(local_q), row))
     return tuple(steps)
 
 
@@ -745,9 +751,9 @@ def _stabilizer_chunk(steps: tuple, n_qubits: int, n_traj: int, seed) -> np.ndar
         if step[0] == "g":
             state.apply(step[1], step[2])
         else:
-            _tag, qubit, cum = step
+            _tag, qubit, cdf = step
             u = rng.random(n_traj)
-            choices = (u[:, None] >= cum[None, :]).sum(axis=1)
+            choices = (u[:, None] >= cdf[None, :]).sum(axis=1)
             state.apply_pauli_choices(qubit, choices)
     return state.z_expectations().sum(axis=0)
 

@@ -72,9 +72,8 @@ def cached_fold(circuit: Circuit, scale: float) -> Circuit:
 
     Repeated ZNE sweeps over the same circuit then reuse the *same*
     folded circuit objects -- which is what lets the plans cached for
-    them (statevector bind plans, trajectory segment plans, density
-    superoperator plans) survive across calls instead of being rebuilt
-    per sweep.  The folds live in the circuit's
+    them (statevector bind and fusion plans, density superoperator
+    plans) survive across calls instead of being rebuilt per sweep.  The folds live in the circuit's
     :func:`~repro.utils.cache.circuit_cache`, so they are dropped with
     its other derived values when its gate list changes.
     """
@@ -187,8 +186,8 @@ def zne_expectations(
     for scale in scales:
         # Folded circuits are memoized per scale: repeated ZNE sweeps
         # hand the runner identical circuit objects, so the noisy
-        # backends' per-circuit plans (segment fusion, superoperators)
-        # are reused across every fold of every call.
+        # backends' per-circuit plans (noisy fusion plans,
+        # superoperators) are reused across every fold of every call.
         folded = cached_fold(circuit, scale)
         realized.append(achieved_scale(circuit, folded))
         results.append(np.asarray(run(folded), dtype=float))

@@ -84,9 +84,10 @@ def noise_sites(
 
     * ``"pauli"`` on each operand the scaled model lists an error for,
       zero-probability entries included (:meth:`ErrorGateSampler.sample`
-      draws for them); payload ``(error, probs, cum)``, the
-      :class:`~repro.noise.model.PauliError`, its (None, X, Y, Z)
-      vector and its cumulative (None, X, Y) boundaries;
+      draws for them); payload ``(error, probs)``, the
+      :class:`~repro.noise.model.PauliError` and its (None, X, Y, Z)
+      vector, whose boundaries every sampler reads off
+      :func:`pauli_cdf`;
     * ``"relaxation"`` after non-virtual gates, on each operand with an
       exact thermal-relaxation channel; payload ``(kraus, effects)``,
       the ``(m, 2, 2)`` Kraus stack and its ``K^dag K`` effects;
@@ -111,9 +112,8 @@ def noise_sites(
             for local_q, (_phys_q, error) in zip(
                 gate.qubits, scaled.gate_errors(gate.name, phys)
             ):
-                probs = error.probabilities()
                 sites.append(
-                    (CHANNEL_PAULI, local_q, (error, probs, np.cumsum(probs)[:3]))
+                    (CHANNEL_PAULI, local_q, (error, error.probabilities()))
                 )
             if gate.name not in VIRTUAL_GATES:
                 for local_q, phys_q in zip(gate.qubits, phys):

@@ -15,41 +15,41 @@ as trajectories increase (verified in tests).
 Fused-trajectory design
 -----------------------
 The naive implementation binds and sweeps one circuit per trajectory --
-``n_trajectories`` full Python passes.  The fused engine instead:
+``n_trajectories`` full Python passes.  The fused engine instead runs
+every trajectory on the block's one noisy fusion plan, the plan the
+training sweep below runs (:func:`_training_plan`):
 
-* binds the *base* circuit once (through the statevector bind cache) and
-  stacks all trajectories into a single ``(trajectories * batch, 2**n)``
-  statevector, so each base gate is one vectorized apply;
-* reads what follows each gate from the block's one noise-site table
-  (:func:`repro.noise.sampler.noise_sites`): Pauli sites that can fire
-  become stochastic insertion points, relaxation sites quantum-jump
-  points (``unravel="jump"``) and coherent sites constant rotations;
-* **pre-merges the constant segments between error sites**: gates where
-  the noise model can never insert an event (zero Pauli total -- e.g.
-  the virtual ``rz`` runs dominating a transpiled block), together with
-  the constant coherent rotations, fuse into single matrices via the
-  gate-fusion pass (:class:`repro.compiler.fusion.FusionPlan` with the
-  error sites pinned unfused, as breaks of its ``after`` lists),
-  computed once per weight vector and reused across every trajectory
-  chunk, realization and ZNE fold;
-* draws every error site's Pauli choice for all trajectories in a
-  *single* uniform draw per chunk (vectorized inverse-CDF over the
-  table's cumulative (None, X, Y) boundaries, replacing one
-  ``rng.choice`` call per site) and applies each sampled error as one
-  2x2 per trajectory broadcast over its batch rows -- a site is skipped
-  wherever every trajectory of a tile drew identity (the common case at
-  hardware error rates);
+* the plan reads what follows each gate from the block's one noise-site
+  table (:func:`repro.noise.sampler.noise_sites`): each Pauli site that
+  can fire takes an error slot right after its gate, each coherent
+  rotation a constant slot, and each relaxation site a quantum-jump
+  point (``unravel="jump"``) that ends its run.  Everything else that
+  is constant for a weight vector -- the virtual ``rz`` runs dominating
+  a transpiled block, constant gates, weight-only rotations -- fuses
+  into runs of at most two qubits;
+* a chunk draws its random numbers as a training step of as many
+  realizations draws them: every Pauli site's choice for all of its
+  trajectories in one
+  :meth:`~repro.noise.sampler.ErrorGateSampler.draw` over the block's
+  stacked inverse-CDF table, then one uniform per row and jump site as
+  one ``(jumps, rows)`` block;
 * splits trajectories into **chunks, which fix the RNG layout**: each
   chunk draws all its random numbers up front from its own
   ``SeedSequence.spawn``-derived stream
   (:func:`repro.runtime.supervisor.chunk_seeds`), and the chunk is also
   the unit of sharding and supervision;
 * sweeps each chunk in **tiles, which bound the cache footprint**: a
-  tile is a run of whole trajectories small enough that its two
-  ping-pong work buffers (no per-gate allocation) stay in L2
+  tile is a run of whole trajectories, stacked into one ``(trajectories
+  * batch, 2**n)`` statevector small enough to stay in L2
   (:data:`_TILE_ENTRIES`), so a wide chunk -- 16 trajectories x 40 rows
   x 1024 amplitudes is 10.5 MB -- no longer streams through memory at
-  every gate.  A chunk within the budget is one tile;
+  every gate.  Each tile builds its program from its slice of the draw
+  as a training forward does
+  (:meth:`~repro.compiler.fusion.FusionPlan.sweep`): on a tile of one
+  trajectory the fired errors fill their slots, so it applies as many
+  kernels as a noiseless sweep; on a wider tile an error that differs
+  between trajectories splits its run.  A chunk within the budget is
+  one tile;
 * hands the chunks to the runtime's one chunk-execution path
   (:func:`repro.runtime.supervisor.run_chunks`), which optionally
   **shards them across a leased worker pool**
@@ -59,11 +59,12 @@ The naive implementation binds and sweeps one circuit per trajectory --
   streams never depend on the worker count, sharded and supervised
   output is bit-identical to serial execution for a fixed seed.
 
-The segment plan and the pickled process payload live in the circuit's
-:func:`~repro.utils.cache.circuit_cache` next to the site table they are
-built from, keyed by (noise model, factor, layout); process workers
-keep rebuilt plans in :data:`_WORKER_PLAN_CACHE`, keyed by the payload
-digest.  Both unravelings share one plan: a model without exact
+The plan (``fusion.plan``) and the pickled process payload live in the
+circuit's :func:`~repro.utils.cache.circuit_cache` next to the site
+table they are built from, keyed by (noise model, factor, layout);
+process workers keep the unpickled blocks in
+:data:`_WORKER_PLAN_CACHE`, keyed by the payload digest, so each builds
+its plan once.  Both unravelings share one plan: a model without exact
 channels has no relaxation sites, and the Pauli unraveling refuses a
 model that has them.
 
@@ -78,23 +79,20 @@ Pauli insertions, quantum-jump sites (exact relaxation channels,
 realized from the running state) and coherent rotations.  Every Pauli
 site's choice for every realization comes from one draw per step over
 the block's stacked inverse-CDF table
-(:func:`repro.noise.sampler.pauli_cdf`), before any jump draw: the same
-numbers, in the same order, as one ``rng.choice`` per site.
+(:func:`repro.noise.sampler.pauli_cdf`) -- the same numbers, in the
+same order, as one ``rng.choice`` per site -- and the jump sites'
+uniforms follow as one ``(jumps, rows)`` block.
 
-The sweep runs on the block's one fusion plan
+The sweep runs on the same plan as the trajectory chunks above
 (:class:`repro.compiler.fusion.FusionPlan`, the class behind noiseless
-inference and the segment plan above), cut once per (model, factor,
-layout) by the same rule: each Pauli site that can fire takes an error
-slot right after its gate, each coherent rotation a constant slot, and
-each jump site ends its run.  At one realization the fired errors are
-shared by the batch and fill their slots, so a step applies as many
-kernels as a noiseless one; at more, an error that differs between
-realizations splits its run in two, read off the run's prefix
-products, with the per-row error between them.  Gate insertion
-(whose single-realization draw comes through
-:meth:`~repro.noise.sampler.ErrorGateSampler.sample`) and the
-quantum-jump (MCWF) trainer differ only in whether the sampler admits
-exact channels; both tapes go through the one adjoint sweep,
+inference too).  At one realization the fired errors are shared by the
+batch and fill their slots, so a step applies as many kernels as a
+noiseless one; at more, an error that differs between realizations
+splits its run in two, read off the run's prefix products, with the
+per-row error between them.  Gate insertion (whose single-realization
+draw comes through :meth:`~repro.noise.sampler.ErrorGateSampler.sample`)
+and the quantum-jump (MCWF) trainer differ only in whether the sampler
+admits exact channels; both tapes go through the one adjoint sweep,
 :func:`repro.core.gradients.adjoint_backward`.
 
 Shot sampling uses one batched ``Generator.multinomial`` call over 2-D
@@ -133,9 +131,9 @@ from repro.runtime.supervisor import (
 )
 from repro.sim.gates import gate_matrix
 from repro.sim.statevector import (
-    apply_grouped_1q,
     apply_matrix,
     bind_circuit,
+    run_ops,
     z_signs,
     zero_state,
 )
@@ -178,95 +176,6 @@ def _coherent_unitary(ey: float, ez: float) -> np.ndarray:
     return gate_matrix("rz", (ez,)) @ gate_matrix("ry", (ey,))
 
 
-class _SegmentPlan(FusionPlan):
-    """Per-(circuit, noise model, factor) trajectory execution plan.
-
-    A :class:`~repro.compiler.fusion.FusionPlan` -- the plan noiseless
-    inference and training use, under the same cut rule -- whose
-    ``after`` lists come from the block's
-    :func:`~repro.noise.sampler.noise_sites` table, so the gate stream is
-    cut *at the stochastic error sites* and everything constant within a
-    (weights, inputs) binding fuses:
-
-    * a gate's Pauli sites that can fire become one break ``("site",
-      i)``: the sampled error lands between the gate and whatever
-      follows, so the gate itself stays in the run before the break;
-      sites that can never fire (zero total) draw nothing and break
-      nothing;
-    * a relaxation site becomes the break ``("jump", site)``: jump
-      sampling depends on the state, and each operator is chosen during
-      the sweep off pre-drawn uniforms;
-    * a coherent site becomes a :func:`~repro.compiler.fusion
-      .constant_op` that joins the open run;
-    * input-dependent encoder gates (and any gate the plan's rule keeps
-      out of runs) stay unfused singletons, encoders re-bound per call.
-
-    :meth:`fused_ops` is then the sweep program -- plain ops plus break
-    tuples -- with its fused runs cached per weight vector, so every
-    chunk, realization and ZNE fold of an evaluation sweep reuses the
-    merged matrices.  The plan also stacks the Pauli sites' cumulative
-    boundaries into the table driving the one-draw vectorized Pauli
-    sampling (:meth:`sample`).
-    """
-
-    __slots__ = ("site_cum", "site_rows", "n_jumps")
-
-    _cache_name = "trajectory.segments"
-
-    def __init__(
-        self,
-        compiled: "CompiledCircuit",
-        noise_model: NoiseModel,
-        noise_factor: float,
-    ):
-        table = noise_sites(
-            compiled.circuit, compiled.physical_qubits, noise_model, noise_factor
-        )
-        cums: "list[np.ndarray]" = []
-        site_rows: "dict[int, list[tuple[int, int]]]" = {}
-        after: "list[list]" = []
-        n_jumps = 0
-        for i, sites in enumerate(table):
-            steps: list = []
-            for site in sites:
-                kind, local_q, payload = site
-                if kind == CHANNEL_PAULI:
-                    if payload[0].total <= 0:
-                        continue
-                    if i not in site_rows:
-                        steps.append(("site", i))
-                        site_rows[i] = []
-                    site_rows[i].append((len(cums), local_q))
-                    cums.append(payload[2])
-                elif kind == CHANNEL_RELAXATION:
-                    steps.append(("jump", site))
-                    n_jumps += 1
-                else:
-                    steps.append(
-                        constant_op((local_q,), _coherent_unitary(*payload))
-                    )
-            after.append(steps)
-        super().__init__(compiled.circuit, after)
-        self.site_cum = np.stack(cums) if cums else np.zeros((0, 3))
-        self.site_rows = site_rows
-        self.n_jumps = n_jumps
-
-    def sample(
-        self, rng: np.random.Generator, n_traj: int
-    ) -> "np.ndarray | None":
-        """Pauli choices for all sites x trajectories in one draw.
-
-        Returns ``(n_sites, n_traj)`` ints indexing (I, X, Y, Z) via the
-        inverse CDF of each site's distribution, or None when the model
-        has no stochastic sites at all.
-        """
-        n_sites = self.site_cum.shape[0]
-        if n_sites == 0:
-            return None
-        u = rng.random((n_sites, n_traj))
-        return (u[:, :, None] >= self.site_cum[:, None, :]).sum(axis=2)
-
-
 def _sample_jump_matrices(
     state: np.ndarray,
     kraus: np.ndarray,
@@ -301,110 +210,96 @@ def _sample_jump_matrices(
     return kraus[choice] * scale[:, None, None]
 
 
-def _segment_chunk(
-    plan: _SegmentPlan,
-    stream: "list[tuple]",
-    n_qubits: int,
+@dataclass(frozen=True)
+class _ChunkSweep:
+    """What every trajectory chunk of one call shares.
+
+    ``plan`` is the block's one noisy
+    :class:`~repro.compiler.fusion.FusionPlan`, the plan training sweeps
+    (:func:`_training_plan`); ``ops`` are its gates that stand alone,
+    bound for ``batch`` rows; ``n_jumps`` counts its jump sites.
+    """
+
+    compiled: "CompiledCircuit"
+    sampler: ErrorGateSampler
+    plan: FusionPlan
+    ops: list
+    weights: "np.ndarray | None"
+    batch: int
+    n_jumps: int
+
+
+def _chunk_sweep(
+    compiled: "CompiledCircuit",
+    sampler: ErrorGateSampler,
+    weights: "np.ndarray | None",
+    inputs: "np.ndarray | None",
     batch: int,
-    n_traj: int,
-    seed: np.random.SeedSequence,
+) -> _ChunkSweep:
+    """Bind one call's trajectory sweep on the block's one noisy plan."""
+    plan = _training_plan(compiled, sampler)
+    ops = plan.bind_plan.bind(weights, inputs, batch, plan.standalone)
+    table = noise_sites(
+        compiled.circuit, compiled.physical_qubits,
+        sampler.noise_model, sampler.noise_factor,
+    )
+    n_jumps = sum(
+        site[0] == CHANNEL_RELAXATION for sites in table for site in sites
+    )
+    return _ChunkSweep(compiled, sampler, plan, ops, weights, batch, n_jumps)
+
+
+def _segment_chunk(
+    sweep: _ChunkSweep, n_traj: int, seed: np.random.SeedSequence
 ) -> np.ndarray:
     """Sum of joint probabilities over ``n_traj`` stacked trajectories.
 
-    Executes the plan's fused stream: ops apply merged run matrices (or
-    per-call encoder gates); at each ``("site", i)`` break the chunk's
-    pre-drawn Pauli choices become per-trajectory error coefficients,
-    applied operand-by-operand in :meth:`ErrorGateSampler.sample`'s
-    insertion order.
-
     The chunk builds its generator from ``seed`` (so a supervised retry
     replays the failed attempt's stream exactly) and draws all its
-    random numbers first -- the Pauli choices,
-    then one uniform per row for every ``("jump", site)`` step as a
-    single ``(jump steps, rows)`` block, the same numbers
-    per-step draws would yield -- and then sweeps the stream one *tile*
-    of whole trajectories at a time, sized by :data:`_TILE_ENTRIES` so
-    both ping-pong buffers stay in L2.  A site is skipped in a tile
-    where all of the tile's trajectories drew identity, and each tile
-    adds its ``|psi|^2`` to the chunk total in trajectory order.  A
-    chunk within the budget is a single tile.
-
-    The hot inner work never materializes per-row ``(rows, 2, 2)``
-    matrix stacks: sampled Pauli errors broadcast one 2x2 per trajectory
-    over its ``batch`` stacked rows, and 1-qubit batched encoder gates
-    broadcast one 2x2 per sample across the stacked trajectories
-    (:func:`repro.sim.statevector.apply_grouped_1q`) -- each step is a
-    handful of ufunc passes over the tile (GIL-released C loops), so
-    the thread backend's workers overlap instead of serializing on
-    Python row bookkeeping.
+    random numbers first, as a training step of ``n_traj`` realizations
+    draws them: every Pauli site's choice in one
+    :meth:`~repro.noise.sampler.ErrorGateSampler.draw`, then one uniform
+    per row for every jump site as a single ``(jumps, rows)`` block.  It
+    then sweeps one *tile* of whole trajectories at a time, sized by
+    :data:`_TILE_ENTRIES` so the state stays in L2, each tile on the
+    program a training forward builds from the tile's slice of the draw
+    (:meth:`~repro.compiler.fusion.FusionPlan.sweep`): on a tile of one
+    trajectory the fired errors fill their slots, on a wider one each
+    splits its run.  Each tile adds its ``|psi|^2`` to the chunk total in
+    trajectory order; a chunk within the budget is a single tile.
     """
+    circuit = sweep.compiled.circuit
+    batch, n_qubits = sweep.batch, circuit.n_qubits
     dim = 1 << n_qubits
     tile = max(1, min(n_traj, _TILE_ENTRIES // (batch * dim)))
     rng = np.random.default_rng(seed)
-    choices = plan.sample(rng, n_traj)
-    n_jumps = plan.n_jumps
-    uniforms = rng.random((n_jumps, n_traj * batch)) if n_jumps else None
-    buffers = np.empty((2, tile * batch, dim), dtype=complex)
+    choices = sweep.sampler.draw(
+        circuit, sweep.compiled.physical_qubits, rng, n_traj
+    )
+    uniforms = rng.random((sweep.n_jumps, n_traj * batch))
     total = np.zeros((batch, dim))
     for lo in range(0, n_traj, tile):
-        hi = min(lo + tile, n_traj)
-        rows = (hi - lo) * batch
-        stacked, scratch = buffers[0, :rows], buffers[1, :rows]
-        stacked.fill(0.0)
-        stacked[:, 0] = 1.0
-        jump = 0
-        for step in stream:
-            if not isinstance(step, tuple):
-                matrix = step.matrix
-                if step.batched and hi - lo > 1:
-                    if len(step.qubits) == 1:
-                        # Per-sample encoder matrices repeat across
-                        # stacked trajectories: broadcast, never tile.
-                        apply_grouped_1q(
-                            stacked, matrix, step.qubits[0], n_qubits,
-                            out=scratch, layout="cycle",
-                        )
-                        stacked, scratch = scratch, stacked
-                        continue
-                    matrix = np.tile(matrix, (hi - lo, 1, 1))
-                apply_matrix(stacked, matrix, step.qubits, n_qubits, out=scratch)
-                stacked, scratch = scratch, stacked
-                continue
-            kind, payload = step
-            if kind == "jump":
-                # MCWF: state-dependent jump sampling from the exact
-                # Kraus set, renormalized per row, off the chunk's own
-                # pre-drawn uniforms, so chunk results stay independent
-                # of how chunks are distributed (sharded == serial).
-                _kind, local_q, (kraus, effects) = payload
-                mats = _sample_jump_matrices(
-                    stacked, kraus, effects, local_q,
-                    uniforms[jump, lo * batch:hi * batch],
-                )
-                jump += 1
-                apply_matrix(stacked, mats, (local_q,), n_qubits, out=scratch)
-                stacked, scratch = scratch, stacked
-                continue
-            for row, local_q in plan.site_rows[payload]:
-                drawn = choices[row, lo:hi]
-                if drawn.any():
-                    # One 2x2 per trajectory, broadcast over its rows.
-                    apply_grouped_1q(
-                        stacked, _PAULI_STACK[drawn], local_q, n_qubits,
-                        out=scratch, layout="block",
-                    )
-                    stacked, scratch = scratch, stacked
-        probs = np.abs(stacked) ** 2
-        total += probs.reshape(hi - lo, batch, dim).sum(axis=0)
+        width = min(tile, n_traj - lo)
+        ops = [_tiled_op(op, width, batch) for op in sweep.ops]
+        errors = _pauli_ops(
+            sweep.plan.slot_qubits, choices[:, lo:lo + width], batch
+        )
+        program = sweep.plan.sweep(ops, sweep.weights, errors).ops
+        if sweep.n_jumps:
+            block = uniforms[:, lo * batch:(lo + width) * batch]
+            state = _run_jumps(program, n_qubits, block)[0]
+        else:
+            state = run_ops(program, n_qubits, width * batch)
+        probs = np.abs(state) ** 2
+        total += probs.reshape(width, batch, dim).sum(axis=0)
     return total
 
 
-#: Worker-side (process-global) cache of rebuilt segment plans, keyed by
+#: Worker-side (process-global) cache of the unpickled blocks, keyed by
 #: the task payload's plan digest.  A persistent process pool unpickles
-#: the circuit + noise model and compiles the segment plan *once per
-#: worker* instead of once per task; the plan's internal weight-keyed
-#: fusion cache then makes repeat calls with the same weight vector
-#: (training sweeps, serve flushes) hit fully warm plans.
+#: the circuit + noise model and builds the block's plan *once per
+#: worker* instead of once per task: the plan lives in the kept
+#: circuit's own cache.
 _WORKER_PLAN_CACHE = Cache("trajectory.worker_plan", 8)
 
 
@@ -419,7 +314,7 @@ class _ShardPayload:
     key: it covers the circuit gates, the noise model and the factor,
     so any change to what the plan is compiled from changes the key.
     Weights and inputs ride alongside, outside the digested blob: they
-    vary per call and feed the plan's own weight-keyed caches.
+    vary per call.
     """
 
     plan_blob: bytes
@@ -472,26 +367,23 @@ def _process_chunk_worker(
     cold plan is built once per task, not once per chunk; on a
     persistent pool the digest-keyed :data:`_WORKER_PLAN_CACHE` carries
     the plan across tasks and calls, and a hit skips unpickling the
-    blob entirely.  Plan construction and segment fusion are
-    deterministic, and each chunk still consumes only its own spawned
-    stream, so the results are bit-identical to the same chunks
-    computed serially in the parent, from a cold cache or a warm one
-    (verified by the sharding equivalence and plan-cache tests).
+    blob entirely.  Plan construction is deterministic, and each chunk
+    still consumes only its own spawned stream, so the results are
+    bit-identical to the same chunks computed serially in the parent,
+    from a cold cache or a warm one (verified by the sharding
+    equivalence and plan-cache tests).
     """
 
-    def build() -> "tuple[_SegmentPlan, int]":
+    def build() -> "tuple[CompiledCircuit, ErrorGateSampler]":
         compiled, noise_model, noise_factor = pickle.loads(payload.plan_blob)
-        return (
-            _SegmentPlan(compiled, noise_model, noise_factor),
-            compiled.circuit.n_qubits,
-        )
+        # The parent admitted the model for its unraveling.
+        return compiled, ErrorGateSampler(noise_model, noise_factor, True)
 
-    plan, n_qubits = _WORKER_PLAN_CACHE.get_or_build(payload.plan_digest, build)
-    stream = plan.fused_ops(payload.weights, payload.inputs, payload.batch)
-    return [
-        _segment_chunk(plan, stream, n_qubits, payload.batch, n_traj, seed)
-        for n_traj, seed in group
-    ]
+    compiled, sampler = _WORKER_PLAN_CACHE.get_or_build(payload.plan_digest, build)
+    sweep = _chunk_sweep(
+        compiled, sampler, payload.weights, payload.inputs, payload.batch
+    )
+    return [_segment_chunk(sweep, n_traj, seed) for n_traj, seed in group]
 
 
 def _tiled_op(op, n_traj: int, batch: int):
@@ -609,17 +501,18 @@ def _training_plan(compiled: "CompiledCircuit", sampler: ErrorGateSampler):
 _JUMP_CHECKPOINT_STRIDE = 8
 
 
-def _run_jumps(ops: list, n_qubits: int, rows: int, rng: np.random.Generator):
+def _run_jumps(ops: list, n_qubits: int, uniforms: np.ndarray):
     """One serial sweep that realizes every jump site from the running state.
 
-    Each site draws one uniform per row (in stream order) and becomes its
-    sampled, renormalized ``(rows, 2, 2)`` jump operator, written back
-    into ``ops`` as a constant op.  Returns ``(state, checkpoints,
+    ``uniforms`` holds one row of per-row uniforms for each jump site, in
+    program order: ``(jumps, rows)``.  Each site becomes its sampled,
+    renormalized ``(rows, 2, 2)`` jump operator, written back into
+    ``ops`` as a constant op.  Returns ``(state, checkpoints,
     jump_ops)``: the pre-site state is kept at every
     :data:`_JUMP_CHECKPOINT_STRIDE`-th jump, for the adjoint sweep to
     restore the ket at the non-unitary jumps.
     """
-    state = zero_state(n_qubits, rows)
+    state = zero_state(n_qubits, uniforms.shape[1])
     scratch = np.empty_like(state)
     checkpoints: "dict[int, np.ndarray]" = {}
     jump_ops: "set[int]" = set()
@@ -628,10 +521,10 @@ def _run_jumps(ops: list, n_qubits: int, rows: int, rng: np.random.Generator):
             _kind, local_q, (kraus, effects) = op
             if len(jump_ops) % _JUMP_CHECKPOINT_STRIDE == 0:
                 checkpoints[k] = state.copy()
-            jump_ops.add(k)
             mats = _sample_jump_matrices(
-                state, kraus, effects, local_q, rng.random(rows)
+                state, kraus, effects, local_q, uniforms[len(jump_ops)]
             )
+            jump_ops.add(k)
             op = ops[k] = _error_op(local_q, mats)
         apply_matrix(state, op.kernel(n_qubits), op.qubits, n_qubits, out=scratch)
         state, scratch = scratch, state
@@ -730,15 +623,16 @@ def stacked_noisy_forward_with_tape(
 
     Models with exact relaxation channels add quantum-jump sites, which
     end their runs.  Their jump probabilities depend on the evolved
-    state mid-sweep and their uniforms come off ``rng`` in stream order,
-    so such a sweep is one serial pass (:func:`_run_jumps`) and ``pool``
-    is not consulted.  The tape records the realized jump operators as
+    state mid-sweep, and their uniforms come off ``rng`` as one ``(jumps,
+    rows)`` block right after the Pauli draw (the draw a trajectory
+    chunk makes), so such a sweep is one serial pass (:func:`_run_jumps`)
+    and ``pool`` is not consulted.  The tape records the realized jump operators as
     constant ops, together with the jump indices and checkpoints the
     adjoint needs: gradients are exact for the realized trajectory's
     frozen linear map, jump choices and renormalization included.
     """
     from repro.core.gradients import QuantumTape
-    from repro.sim.statevector import bind_plan_for, run_ops
+    from repro.sim.statevector import bind_plan_for
 
     rng = as_rng(rng)
     if inputs is not None:
@@ -761,8 +655,10 @@ def stacked_noisy_forward_with_tape(
     )
     program = sweep.ops
     checkpoints, jump_ops = {}, frozenset()
-    if any(isinstance(op, tuple) for op in program):
-        state, checkpoints, jump_ops = _run_jumps(program, n_qubits, rows, rng)
+    n_jumps = sum(isinstance(op, tuple) for op in program)
+    if n_jumps:
+        uniforms = rng.random((n_jumps, rows))
+        state, checkpoints, jump_ops = _run_jumps(program, n_qubits, uniforms)
     elif pool is not None and pool.n_workers > 0 and n_realizations > 1:
         state = run_ops_banded(program, n_qubits, rows, batch, pool)
     else:
@@ -843,9 +739,9 @@ def trajectory_probabilities(
 ) -> np.ndarray:
     """Average joint basis probabilities over sampled error trajectories.
 
-    All trajectories run as segment-fused ``(trajectories * batch, 2**n)``
-    statevector sweeps, chunked to bound memory; see the module
-    docstring.  Each chunk draws from its own ``SeedSequence.spawn``
+    All trajectories run as ``(trajectories * batch, 2**n)`` statevector
+    sweeps of the block's one noisy fusion plan, the plan noise-injected
+    training runs, chunked to bound memory; see the module docstring.  Each chunk draws from its own ``SeedSequence.spawn``
     child stream, so results do not depend on how chunks are executed:
 
     * ``n_workers > 0`` dispatches chunks to a ``shard_backend`` pool
@@ -868,8 +764,8 @@ def trajectory_probabilities(
     ``pool`` is the :class:`~repro.runtime.supervisor.PoolLease` the
     chunks run on, re-keyed to this call's ``(shard_backend,
     n_workers)``; without one, sharded calls share the process-wide
-    lease for those settings.  Threads share the built plan and op
-    stream; process workers rebuild the plan once per worker
+    lease for those settings.  Threads share the plan and the bound
+    ops; process workers rebuild the plan once per worker
     (:data:`_WORKER_PLAN_CACHE`).
 
     ``supervisor`` wraps chunk execution in a
@@ -886,20 +782,15 @@ def trajectory_probabilities(
         )
     _check_counts(n_trajectories)
     # Only the jump unraveling admits a model with exact channels.
-    ErrorGateSampler(noise_model, noise_factor, allow_exact=unravel == "jump")
+    sampler = ErrorGateSampler(
+        noise_model, noise_factor, allow_exact=unravel == "jump"
+    )
     rng = as_rng(rng)
     if inputs is not None:
         batch = np.asarray(inputs).shape[0]
-    n_qubits = compiled.circuit.n_qubits
-    dim = 2**n_qubits
-    plan = circuit_cache(
-        compiled.circuit, "trajectory.plan", _PLAN_CACHE_SIZE
-    ).get_or_build(
-        (noise_model, noise_factor, compiled.physical_qubits),
-        lambda: _SegmentPlan(compiled, noise_model, noise_factor),
-    )
-    stream = plan.fused_ops(weights, inputs, batch)
-    max_traj = max(1, _MAX_STACKED_ENTRIES // (batch * max(dim, plan.n_jumps)))
+    dim = 2**compiled.circuit.n_qubits
+    sweep = _chunk_sweep(compiled, sampler, weights, inputs, batch)
+    max_traj = max(1, _MAX_STACKED_ENTRIES // (batch * max(dim, sweep.n_jumps)))
     size = min(max_traj, int(shard_size or _DEFAULT_SHARD_SIZE))
     chunks = chunk_seeds(n_trajectories, size, rng)
     if pool is None:
@@ -927,7 +818,7 @@ def trajectory_probabilities(
                    for r in group]
     else:
         tasks = [
-            ChunkTask(i, _segment_chunk, (plan, stream, n_qubits, batch, n, seed))
+            ChunkTask(i, _segment_chunk, (sweep, n, seed))
             for i, (n, seed) in enumerate(chunks)
         ]
         results = run_chunks(tasks, supervisor, pool)

@@ -23,21 +23,24 @@ The hot path rests on five pieces:
   *signed permutation* (x, y, cx, swap...) becomes one source index per
   amplitude plus optional phases, a ``take`` and at most one multiply;
   any other shared gate becomes its full-width ``(2**n, 2**n)`` matrix,
-  one GEMM, up to :data:`_DENSE_MAX_QUBITS` qubits, and keeps the raw
-  route above that.  Each kernel also builds its conjugate transpose once
-  (the inverse the adjoint sweep un-applies with).  Constant gates'
+  one GEMM per block of rows small enough that OpenBLAS never threads
+  it (:data:`_GEMM_BLOCK`), up to :data:`_DENSE_MAX_QUBITS` qubits, and
+  keeps the raw route above that.  Each kernel also builds its
+  conjugate transpose once (the inverse the adjoint sweep un-applies
+  with).  Constant gates'
   kernels live in one process-wide memo (``sim.kernels``), keyed on the
   matrix bytes, so the freshly sampled noisy circuit of each
   gate-insertion step reuses them.  :func:`apply_matrix` accepts a
   kernel in place of a matrix; :func:`run_ops`, the banded and MCWF
   sweeps and the adjoint sweep pass kernels, so a gate costs one or two
   numpy calls.
-* **Fused-run kernels** (:func:`fused_kernels`): the training sweep and
-  fused inference apply merged gate runs of at most two qubits from one
-  plan (:class:`repro.compiler.fusion.FusionPlan`), all of its runs
-  materialized together, once per step by its ``sweep`` or once per
-  weight vector by its ``fused_ops``.  Their kernels come in one batch
-  from the runs' zero-padded ``(runs, 4, 4)`` matrices: up to
+* **Fused-run kernels** (:func:`fused_kernels`): the training sweep,
+  trajectory tiles and fused inference apply merged gate runs of at
+  most two qubits from one plan
+  (:class:`repro.compiler.fusion.FusionPlan`), all of its runs
+  materialized together, once per step or tile by its ``sweep`` or
+  once per weight vector by its ``fused_ops``.  Their kernels come in
+  one batch from the runs' zero-padded ``(runs, 4, 4)`` matrices: up to
   :data:`_DENSE_MAX_QUBITS` qubits one gather builds every full-width
   dense matrix and one more every conjugate transpose (memoized index
   tables, :func:`_padded_gather`); wider, each run keeps the raw route.
@@ -51,9 +54,11 @@ The hot path rests on five pieces:
   the state -- they reshape (a view) so the target axes sit between
   untouched blocks and apply slice kernels in place.  Dense 2q matrices
   and 3+-qubit gates use the cached transpose route (move target axes
-  last, one small matmul -- per row on wide states -- move back).  The
-  trajectory chunk sweep, Pauli strings and ``circuit_unitary`` use this
-  route, as do kernels wider than :data:`_KERNEL_MAX_QUBITS`.
+  last, one small matmul -- per row on wide states -- move back).  Pauli
+  strings, ``circuit_unitary`` and the reference sweeps use this route,
+  as do per-row kernels that are not diagonal, fused runs wider than
+  :data:`_DENSE_MAX_QUBITS` and kernels wider than
+  :data:`_KERNEL_MAX_QUBITS`.
 * **Work buffers**: :func:`apply_matrix` accepts ``out=`` (distinct from
   the input; overlap raises); callers such as :func:`run_ops` and the
   adjoint backward sweep ping-pong between two preallocated ``(batch,
@@ -487,6 +492,14 @@ _KERNEL_MAX_QUBITS = 10
 #: at 7 it broke even and at 8 it lost.
 _DENSE_MAX_QUBITS = 5
 
+#: A dense kernel's GEMM runs in row blocks of at most this many
+#: ``rows x 2**n x 2**n`` multiply-adds, below the size at which OpenBLAS
+#: threads a GEMM.  On a 2-vCPU host a complex ``(256, 16) @ (16, 16)``
+#: GEMM took 15 us alone but 0.7-8 ms a call on average when two
+#: processes ran it at once (at 128 and 224 rows: 12-24 us), so
+#: unblocked dense kernels stalled the chunks of a process pool.
+_GEMM_BLOCK = 1 << 15
+
 #: Process-wide memo of constant gates' kernels and of the rotation
 #: generators' kernels.  Keys carry the qubit signature and width;
 #: constant gates key on their matrix bytes, so a freshly sampled noisy
@@ -647,7 +660,12 @@ class _DenseKernel(Kernel):
         self.columns = frozen(columns)
 
     def apply(self, state, out):
-        return np.matmul(state, self.columns, out=out)
+        step = max(1, _GEMM_BLOCK // self.columns.size)
+        if state.shape[0] <= step:
+            return np.matmul(state, self.columns, out=out)
+        for lo in range(0, state.shape[0], step):
+            np.matmul(state[lo:lo + step], self.columns, out=out[lo:lo + step])
+        return out
 
     def _build_adjoint(self):
         return _DenseKernel(

@@ -1,11 +1,10 @@
 """The one cache type: named, bounded, counted.
 
 Everything this library memoizes is a pure value of its key -- bind,
-fusion, superoperator, trajectory and stabilizer plans, their
-per-weight-vector segments, constant gates' kernels, folded and
-transpiled circuits -- so a
-cache changes how fast an answer arrives, never what it is, and every
-cache can be bounded.  Three pieces:
+fusion, superoperator and stabilizer plans, their per-weight-vector
+segments, constant gates' kernels, folded and transpiled circuits --
+so a cache changes how fast an answer arrives, never what it is, and
+every cache can be bounded.  Three pieces:
 
 * :class:`Cache` -- an LRU of at most ``maxsize`` entries whose hits,
   misses and evictions are counted per *name*: every instance sharing a
@@ -91,9 +90,9 @@ class Cache:
 def circuit_cache(circuit, name: str, maxsize: int) -> Cache:
     """The circuit's ``name`` cache, created with ``maxsize`` on first use.
 
-    Everything derived from a circuit -- its bind and fusion plans, its
-    noise-model-keyed superoperator, trajectory and stabilizer plans,
-    its folded copies -- lives in one store per circuit.  The store is
+    Everything derived from a circuit -- its bind and fusion plans
+    (noisy ones keyed by noise model), its superoperator and stabilizer
+    plans, its folded copies -- lives in one store per circuit.  The store is
     dropped whole when the circuit's gate list is a different list
     object or has a different length than when the store was made, so
     no derived value outlives the gates it was built from.

@@ -252,8 +252,7 @@ def test_cache_stats_count_a_training_and_predict_job():
     touched = {name for name, row in job.items() if row["hits"] + row["misses"]}
     assert touched >= {
         "bind.plan", "bind.weights", "fusion.plan", "fusion.segments",
-        "superop.plan", "superop.segments", "trajectory.plan",
-        "trajectory.segments",
+        "superop.plan", "superop.segments",
     }
     # Every gate-insertion step binds a freshly sampled circuit.
     assert job["bind.plan"]["misses"] > 0

@@ -182,6 +182,17 @@ def test_kernel_classes_follow_gate_structure():
     )
 
 
+def test_dense_kernel_applies_in_row_blocks():
+    """Past one GEMM block of rows, a dense kernel applies block by block
+    and still equals the one full-width product."""
+    kernel = gate_kernel(gate_matrix("u3", (0.3, 0.5, 0.7)), (1,), 4)
+    assert kernel.kind == "dense"
+    rows = 3 * (sv._GEMM_BLOCK // kernel.columns.size) + 5
+    state = _random_state(np.random.default_rng(4), rows, 4)
+    out = apply_matrix(state, kernel, (1,), 4)
+    assert np.abs(out - state @ kernel.columns).max() < 1e-13
+
+
 def test_shared_constants_are_read_only():
     arrays = [gate_matrix(name) for name, g in GATES.items() if not g.num_params]
     arrays += [

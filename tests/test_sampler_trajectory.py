@@ -20,7 +20,9 @@ from repro.noise import (
 from repro.noise.sampler import noise_sites
 from repro.noise.trajectory import (
     _PAULI_STACK,
-    _SegmentPlan,
+    _chunk_sweep,
+    _segment_chunk,
+    _training_plan,
     stacked_noisy_forward_with_tape,
     trajectory_probabilities,
     trajectory_probabilities_reference,
@@ -184,9 +186,8 @@ def test_noise_sites_follow_channel_order_per_gate_kind():
         [("pauli", 0), ("pauli", 1), ("relaxation", 0), ("relaxation", 1),
          ("coherent", 0), ("coherent", 1)],
     ]
-    (_k, _q, (error, probs, cum)), (_k, _q, (kraus, effects)) = table[1]
+    (_k, _q, (error, probs)), (_k, _q, (kraus, effects)) = table[1]
     assert np.array_equal(probs, error.probabilities())
-    assert np.array_equal(cum, np.cumsum(probs)[:3])
     assert np.allclose(effects.sum(axis=0), np.eye(2))
     assert np.array_equal(effects, np.einsum("mij,mik->mjk", kraus.conj(), kraus))
     assert table[2][2][2] == model.coherent_for(1)
@@ -203,12 +204,12 @@ def test_zero_factor_sampler_keeps_and_draws_every_pauli_site():
         for kind, _q, payload in sites
         if kind == "pauli"
     ]
-    assert pauli and all(error.total == 0 for error, _p, _c in pauli)
+    assert pauli and all(error.total == 0 for error, _p in pauli)
     rng = np.random.default_rng(5)
     noisy, stats = ErrorGateSampler(device.noise_model, 0.0).sample(*args, rng)
     assert stats.n_inserted == 0 and noisy.gates == compiled.circuit.gates
     expected = np.random.default_rng(5)
-    for _error, probs, _cum in pauli:
+    for _error, probs in pauli:
         expected.choice(4, p=probs)
     assert rng.bit_generator.state == expected.bit_generator.state
 
@@ -323,19 +324,19 @@ def test_single_realization_steps_without_insertions_reuse_the_block_plan():
     assert after["hits"] - before["hits"] >= 10
 
 
-# -- the trajectory engine's cut of the fused stream -------------------------
+# -- trajectory chunks sweep the block's one noisy plan -----------------------
 
 
-def test_segment_plan_at_zero_noise_is_the_noiseless_fusion_plan():
-    """With no error site that can fire, the trajectory plan cuts and
+def test_noisy_plan_at_zero_noise_is_the_noiseless_fusion_plan():
+    """With no error site that can fire, the block's noisy plan cuts and
     fuses the block exactly like the noiseless fusion plan."""
     device = get_device("santiago")
     qnn = paper_model(4, 1, 2, 16, 4)
     compiled = transpile(qnn.blocks[0], device, 2)
     noiseless = FusionPlan(compiled.circuit)
-    quiet = _SegmentPlan(compiled, device.noise_model, 0.0)
-    assert quiet._layout == noiseless._layout
-    assert quiet.site_cum.shape[0] == 0 and quiet.n_jumps == 0
+    quiet = _training_plan(compiled, ErrorGateSampler(device.noise_model, 0.0))
+    assert quiet is not noiseless
+    assert quiet._layout == noiseless._layout and quiet.slot_qubits == {}
     weights = qnn.init_weights(0)
     inputs = np.random.default_rng(0).normal(0, 1, (3, 16))
     ops = quiet.fused_ops(weights, inputs)
@@ -343,7 +344,80 @@ def test_segment_plan_at_zero_noise_is_the_noiseless_fusion_plan():
     assert len(ops) == len(expected)
     for op, ref in zip(ops, expected):
         assert op.qubits == ref.qubits and np.array_equal(op.matrix, ref.matrix)
-    assert _SegmentPlan(compiled, device.noise_model, 1.0)._layout != quiet._layout
+    noisy = _training_plan(compiled, ErrorGateSampler(device.noise_model, 1.0))
+    assert noisy._layout != quiet._layout
+
+
+def test_trajectory_chunks_reuse_the_training_plan():
+    """After one gate-insertion step, a trajectory call on the same
+    (model, T, layout) finds the block's plan in ``fusion.plan`` and
+    builds no plan of its own."""
+    device, qnn, compiled = _santiago_block()
+    weights = qnn.init_weights(0)
+    inputs = np.random.default_rng(1).normal(0, 1, (2, 16))
+    GateInsertionExecutor(device.noise_model, 1.0, rng=0).forward(
+        compiled, weights, inputs
+    )
+    before = cache_stats()
+    trajectory_probabilities(
+        compiled, device.noise_model, weights, inputs, 2, 20, rng=3
+    )
+    after = cache_stats()
+    assert after["fusion.plan"]["misses"] == before["fusion.plan"]["misses"]
+    assert after["fusion.plan"]["hits"] > before["fusion.plan"]["hits"]
+    zero = {"hits": 0, "misses": 0, "evictions": 0}
+    for name, row in after.items():
+        if name.startswith("trajectory."):
+            assert row == before.get(name, zero), name
+
+
+def _chunk_matches_training_sweep(compiled, sampler, weights, inputs, n_traj):
+    batch = inputs.shape[0]
+    seed = np.random.SeedSequence(21)
+    sweep = _chunk_sweep(compiled, sampler, weights, inputs, batch)
+    chunk = _segment_chunk(sweep, n_traj, seed)
+    _exp, tape, _n = stacked_noisy_forward_with_tape(
+        compiled, sampler, weights, inputs, n_traj, np.random.default_rng(seed)
+    )
+    probs = np.abs(tape.state) ** 2
+    expected = probs.reshape(n_traj, batch, -1).sum(axis=0)
+    assert np.abs(chunk - expected).max() < 1e-12
+    return chunk
+
+
+@pytest.mark.parametrize("tiles", [1, 3])
+def test_segment_chunk_is_a_training_sweep_summed(tiles, monkeypatch):
+    """A chunk draws what a training step of ``n_traj`` realizations
+    draws from the same seed, and sums the same states, on one tile or
+    on several."""
+    import repro.noise.trajectory as traj_mod
+
+    device, qnn, compiled = _santiago_block()
+    inputs = np.random.default_rng(2).normal(0, 1, (3, 16))
+    n_traj = 5
+    if tiles > 1:
+        monkeypatch.setattr(traj_mod, "_TILE_ENTRIES", 2 * 3 * 16)
+    sampler = ErrorGateSampler(device.hardware_model, 2.0)
+    _chunk_matches_training_sweep(
+        compiled, sampler, qnn.init_weights(0), inputs, n_traj
+    )
+
+
+def test_jump_chunk_is_an_mcwf_sweep_summed(monkeypatch):
+    """Jump mode: the chunk's ``(jumps, rows)`` uniform block is the one
+    an MCWF training step draws right after its Pauli draw."""
+    import repro.noise.trajectory as traj_mod
+
+    device, qnn, compiled = _santiago_block()
+    model = device.hardware_model.with_relaxation(
+        {q: (50.0, 60.0) for q in range(device.n_qubits)}, (0.035, 0.30)
+    )
+    sampler = ErrorGateSampler(model, 1.0, allow_exact=True)
+    inputs = np.random.default_rng(3).normal(0, 1, (2, 16))
+    monkeypatch.setattr(traj_mod, "_TILE_ENTRIES", 2 * 2 * 16)
+    _chunk_matches_training_sweep(
+        compiled, sampler, qnn.init_weights(0), inputs, 4
+    )
 
 
 def test_pauli_unravel_channel_order_matches_reference_exactly():

@@ -234,9 +234,9 @@ def test_jump_uniform_block_counts_in_chunk_budget(block, monkeypatch):
     sizes = []
     segment_chunk = traj_mod._segment_chunk
 
-    def spy(plan, stream, n_q, batch, n_traj, rng):
-        sizes.append((plan.n_jumps, n_traj))
-        return segment_chunk(plan, stream, n_q, batch, n_traj, rng)
+    def spy(sweep, n_traj, seed):
+        sizes.append((sweep.n_jumps, n_traj))
+        return segment_chunk(sweep, n_traj, seed)
 
     monkeypatch.setattr(traj_mod, "_segment_chunk", spy)
     trajectory_probabilities(
