@@ -309,12 +309,12 @@ def run_benchmarks(
         ).max()
     )
 
-    # -- full-noise density inference (relaxation + readout superops) ------
+    # -- full-noise density inference (relaxation + readout) ---------------
     # The complete realistic model: Pauli channels + coherent errors +
-    # exact T1/T2 relaxation after every driven gate + readout compiled
-    # as a terminal measurement superop.  The reference walks the same
-    # channel Kraus-by-Kraus (relaxation adds 2 more operators per
-    # operand site) and mixes readout in probability space.
+    # exact T1/T2 relaxation after every driven gate + readout.  The
+    # reference walks the same channel Kraus-by-Kraus (relaxation adds 2
+    # more operators per operand site); both legs mix readout in
+    # probability space, in the shared measurement tail.
     relax_model = hardware.with_relaxation(
         {q: (50.0 + 10.0 * q, 60.0 + 8.0 * q) for q in range(device.n_qubits)},
         (0.035, 0.30),

@@ -98,7 +98,7 @@ from repro.serve import (
 from repro import serve
 from repro.viz import draw_circuit
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Circuit",

@@ -21,11 +21,10 @@ compilation passes:
   ``(4**k, 4**k)`` superoperator per site, then fuses runs of sites
   through the same pass into segment operators -- channel composition is
   plain matrix multiplication in superoperator form, so noise fuses as
-  freely as unitaries.  Readout confusion compiles into the same stream
-  as a terminal measurement (POVM) superop.  ``run_noisy_density``
-  executes the compiled stream in one transpose + GEMM pass per
-  operator (:func:`repro.sim.density.apply_superop_to_density`), ~10x+
-  over the retained per-Kraus reference; the same per-site
+  freely as unitaries.  ``run_noisy_density`` executes the compiled
+  stream in one transpose + GEMM pass per operator
+  (:func:`repro.sim.density.apply_superop_to_density`), ~10x+ over the
+  retained per-Kraus reference; the same per-site
   superoperators drive the exact-channel training backend's
   adjoint-on-superops sweep (:mod:`repro.core.density_training`).  The
   cross-backend harness (``tests/test_cross_backend.py``) holds every

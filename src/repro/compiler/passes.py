@@ -69,7 +69,7 @@ class CompiledCircuit:
 
     @property
     def bind_plan(self):
-        """The circuit's bind cache (constant gates bound exactly once).
+        """The circuit's bind plan (constant gates bound exactly once).
 
         Delegates to :func:`~repro.sim.statevector.bind_plan_for`, which
         keeps the plan in the circuit's :func:`~repro.utils.cache

@@ -17,13 +17,10 @@ the density.  This pass precompiles all of that away:
   :func:`~repro.sim.density.unitary_superop` index convention.  Channel
   factors depend only on the noise model, so each distinct one is built
   once per plan; gate factors follow the bind-plan classification
-  (constant / weight-only / input-dependent).
-* **Readout as a terminal measurement superop**: each qubit's confusion
-  matrix compiles into the POVM-style channel of
-  :func:`repro.noise.readout.readout_povm_kraus`, fused pairwise and
-  appended to the stream, so the full realistic noise model -- gates,
-  Pauli + relaxation channels, coherent errors *and* readout -- runs as
-  one compiled operator stream.
+  (constant / weight-only / input-dependent).  Readout confusion is not
+  part of the stream: the engine ends in the probability-space
+  measurement tail the trajectory engine shares
+  (:func:`repro.noise.readout.measured_expectations`).
 * **Segment fusion** through the compiler's one fusion pass
   (:mod:`repro.compiler.fusion`): :func:`~repro.compiler.fusion
   .fusion_layout` cuts the site stream and :func:`fuse_superops` merges
@@ -37,12 +34,13 @@ the density.  This pass precompiles all of that away:
   .circuit_cache`, so it is rebuilt whenever the circuit's gates change.
   The plan builds each distinct site channel (keyed by the gate's
   support and its sites' payloads) and each constant gate's site
-  superoperator once, so a new weight vector rebuilds only the sites of
-  gates with parameters before fusing.  Fused inference runs (constant
-  or weight-only gates) are retained per weight vector in a small
-  :class:`~repro.utils.cache.Cache`, fused training runs (constant
-  gates) once per plan, and only input-dependent encoder sites are
-  rebuilt per call, as batched superoperators.
+  superoperator once.  Fused inference runs (constant or weight-only
+  gates) are retained per weight vector in a small
+  :class:`~repro.utils.cache.Cache`, so only a new weight vector binds
+  their weight-only gates; fused training runs (constant gates) are
+  built once per plan.  A call binds only the gates it rebuilds: the
+  input-dependent encoder sites in inference (batched
+  superoperators), every site with a parameter in training.
 
 The compiled stream applies through
 :func:`repro.sim.density.apply_superop_to_density` (one transpose + one
@@ -208,42 +206,24 @@ def _site_superop(op, channel: "np.ndarray | None") -> SuperOp:
     return SuperOp(op.qubits, matrix)
 
 
-def _readout_superops(compiled: "CompiledCircuit", noise_model) -> "list[SuperOp]":
-    """Per-qubit readout confusion as a fused terminal superop stage.
-
-    Each qubit's confusion matrix becomes the measure-and-reprepare POVM
-    channel (:func:`repro.noise.readout.readout_povm_kraus`); identity
-    matrices compile to nothing and adjacent qubits fuse pairwise.  The
-    stage is terminal, so erasing coherences is harmless and the
-    diagonal action matches the probability-space reference exactly.
-    """
-    from repro.noise.readout import readout_povm_kraus
-
-    ops: "list[SuperOp]" = []
-    for local_q in range(compiled.circuit.n_qubits):
-        matrix = noise_model.readout_for(compiled.physical_qubits[local_q])
-        if np.allclose(matrix, _EYE2.real, atol=0.0):
-            continue
-        ops.append(SuperOp((local_q,), kraus_superop(readout_povm_kraus(matrix))))
-    return fuse_superops(ops)
-
-
 class SuperopPlan:
     """Compiled per-site superoperators for one (circuit, noise model).
 
     Construction precomputes every gate site's noise channel (each
     distinct one built once, keyed by the gate's support and its sites'
-    payloads), every constant gate's site superoperator, the two
-    :func:`~repro.compiler.fusion.fusion_layout` cuts and the terminal
-    readout stage.  :meth:`superops` (inference) cuts at input-dependent
-    encoder sites, fusing the runs between them once per weight vector;
-    :meth:`training_stream` cuts at every site with a weight or input
-    parameter, fusing the constant runs between them once per plan.
+    payloads), every constant gate's site superoperator and the two
+    :func:`~repro.compiler.fusion.fusion_layout` cuts.  :meth:`superops`
+    (inference) cuts at input-dependent encoder sites, fusing the runs
+    between them once per weight vector; :meth:`training_stream` cuts at
+    every site with a weight or input parameter, fusing the constant
+    runs between them once per plan.  Each binds only the gates it
+    rebuilds.
     """
 
     __slots__ = (
-        "bind_plan", "_channels", "_constant_sites", "_layout", "_cache",
-        "_readout", "_train_layout", "_train_segments", "_train_site_cache",
+        "bind_plan", "_channels", "_constant_sites", "_layout", "_input_gates",
+        "_weight_gates", "_cache", "_train_layout", "_train_gates",
+        "_train_segments",
     )
 
     def __init__(
@@ -284,15 +264,17 @@ class SuperopPlan:
             for i, op in self.bind_plan.constant_ops().items()
         }
         self._layout = fusion_layout(circuit, input_free)
+        self._input_gates = [i for i in self._layout if isinstance(i, int)]
+        self._weight_gates = [
+            i for run in self._layout if isinstance(run, list)
+            for i in run if i not in self._constant_sites
+        ]
         self._cache = Cache("superop.segments", _SUPEROP_CACHE_SIZE)
-        # Readout is unscaled by the noise factor (paper convention), so
-        # the stage is built from the original model.
-        self._readout = _readout_superops(compiled, noise_model)
         self._train_layout = fusion_layout(
             circuit, lambda gate: all(expr.is_constant for expr in gate.params)
         )
+        self._train_gates = [i for i in self._train_layout if isinstance(i, int)]
         self._train_segments = Cache("superop.train_segments", 1)
-        self._train_site_cache = Cache("superop.train_sites", _SUPEROP_CACHE_SIZE)
 
     def channel(self, index: int) -> "np.ndarray | None":
         """Gate site ``index``'s constant noise superoperator (or None).
@@ -314,10 +296,18 @@ class SuperopPlan:
             superop = _site_superop(op, self._channels[index])
         return superop
 
-    def _fused_runs(self, layout: list, ops: list) -> "list[list[SuperOp]]":
-        """Each run of ``layout`` as fused site superoperators."""
+    def _bind(self, gates: "list[int]", weights, inputs=None, batch=None) -> dict:
+        """Gate index -> bound op for the gates at indices ``gates``."""
+        return dict(zip(gates, self.bind_plan.bind(weights, inputs, batch, gates)))
+
+    def _fused_runs(self, layout: list, ops: dict) -> "list[list[SuperOp]]":
+        """Each run of ``layout`` as fused site superoperators.
+
+        ``ops`` holds the runs' bound gates with parameters; constant
+        sites come from the plan.
+        """
         return [
-            fuse_superops([self.site_superop(ops[i], i) for i in run])
+            fuse_superops([self.site_superop(ops.get(i), i) for i in run])
             for run in layout
             if isinstance(run, list)
         ]
@@ -338,32 +328,21 @@ class SuperopPlan:
         pre-site densities and separate the channel factor).  Constant
         segments depend on neither weights nor inputs and are fused
         exactly once per plan -- every minibatch, epoch and weight
-        vector reuses them; weight-only differentiable sites are cached
-        per weight vector, and only input-dependent encoder sites
-        rebuild per call.
+        vector reuses them; each call binds the differentiable sites
+        and builds their superoperators, since every training step
+        brings new weights.
         """
-        ops = self.bind_plan.bind(weights, inputs, batch)
-        layout = self._train_layout
+        ops = self._bind(self._train_gates, weights, inputs, batch)
         segments = iter(self._train_segments.get_or_build(
-            None, lambda: self._fused_runs(layout, ops)
+            None, lambda: self._fused_runs(self._train_layout, {})
         ))
-        static = self._train_site_cache.get_or_build(
-            weights_key(weights),
-            lambda: {
-                i: self.site_superop(ops[i], i)
-                for i in layout
-                if isinstance(i, int) and input_free(ops[i].gate)
-            },
-        )
         out: "list[tuple]" = []
-        for entry in layout:
+        for entry in self._train_layout:
             if isinstance(entry, list):
                 out.extend(("segment", op) for op in next(segments))
             else:
-                superop = static.get(entry)
-                if superop is None:
-                    superop = self.site_superop(ops[entry], entry)
-                out.append(("site", ops[entry], superop, entry))
+                op = ops[entry]
+                out.append(("site", op, self.site_superop(op, entry), entry))
         return out
 
     def superops(
@@ -371,26 +350,26 @@ class SuperopPlan:
         weights: "np.ndarray | None" = None,
         inputs: "np.ndarray | None" = None,
         batch: "int | None" = None,
-        include_readout: bool = False,
     ) -> "list[SuperOp]":
         """The compiled channel stream for one noisy-inference call.
 
-        ``include_readout`` appends the terminal readout-confusion
-        superops, making the stream the *complete* noise model -- the
-        caller must then skip the probability-space readout application.
+        Binds the input-dependent encoder gates on every call, and the
+        weight-only gates of the fused runs only when their weight
+        vector misses the cache.  Readout is not part of the stream.
         """
-        ops = self.bind_plan.bind(weights, inputs, batch)
         segments = iter(self._cache.get_or_build(
-            weights_key(weights), lambda: self._fused_runs(self._layout, ops)
+            weights_key(weights),
+            lambda: self._fused_runs(
+                self._layout, self._bind(self._weight_gates, weights)
+            ),
         ))
+        ops = self._bind(self._input_gates, weights, inputs, batch)
         out: "list[SuperOp]" = []
         for entry in self._layout:
             if isinstance(entry, list):
                 out.extend(next(segments))
             else:
                 out.append(self.site_superop(ops[entry], entry))
-        if include_readout:
-            out.extend(self._readout)
         return out
 
 

@@ -131,8 +131,7 @@ def density_forward_with_tape(
     sites: "list[_Site]" = []
     # Constant-parameter runs arrive pre-fused into segment superops
     # (built once per plan, reused across every minibatch and weight
-    # vector); weight-only differentiable sites are cached per weight
-    # vector, and only input-dependent encoder sites rebuild per step.
+    # vector); differentiable sites are bound and built every step.
     for entry in plan.training_stream(weights, inputs, batch):
         if entry[0] == "segment":
             superop = entry[1]

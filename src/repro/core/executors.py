@@ -522,10 +522,11 @@ class DensityTrainExecutor:
 class DensityEvalExecutor:
     """Exact noisy-channel inference via density matrices (no gradients).
 
-    ``engine`` selects the density backend: ``"superop"`` (default) runs
-    the compiled superoperator stream of :mod:`repro.compiler.superop`;
-    ``"reference"`` the retained per-Kraus baseline.  The two agree to
-    < 1e-10 (enforced by the equivalence suite and the perf harness).
+    Runs the compiled superoperator stream of
+    :mod:`repro.compiler.superop` (:func:`repro.noise.density_backend
+    .run_noisy_density`), which binds only the gates it rebuilds, and
+    ends in the measurement tail the trajectory engine shares: readout
+    confusion on the joint probabilities, then optional shot sampling.
     """
 
     differentiable = False
@@ -536,19 +537,13 @@ class DensityEvalExecutor:
         noise_factor: float = 1.0,
         shots: "int | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        engine: str = "superop",
     ):
-        if engine not in ("superop", "reference"):
-            raise ValueError(
-                f"engine must be 'superop' or 'reference', got {engine!r}"
-            )
         _check_noise_factor(noise_factor)
         _check_counts(shots=shots)
         self.noise_model = noise_model
         self.noise_factor = noise_factor
         self.shots = shots
         self.rng = as_rng(rng)
-        self.engine = engine
 
     def forward(
         self,
@@ -564,7 +559,6 @@ class DensityEvalExecutor:
             noise_factor=self.noise_factor,
             shots=self.shots,
             rng=self.rng,
-            engine=self.engine,
         )
         return expectations, None
 

@@ -16,7 +16,6 @@ from repro.noise.readout import (
     apply_readout_to_expectations,
     apply_readout_to_joint_probabilities,
     noisy_probability_pair,
-    readout_povm_kraus,
 )
 from repro.noise.twirling import (
     twirl_to_pauli_probs,
@@ -58,7 +57,6 @@ __all__ = [
     "apply_readout_to_expectations",
     "apply_readout_to_joint_probabilities",
     "noisy_probability_pair",
-    "readout_povm_kraus",
     "twirl_to_pauli_probs",
     "twirl_to_pauli_error",
     "pauli_error_from_gate_fidelity",

@@ -8,21 +8,17 @@ on its operand qubits; readout confusion mixes the final joint
 probabilities.  Exact (no sampling), but cost grows as 4**n_qubits, so
 it is reserved for the <= ~8-qubit compact circuits.
 
-Two engines share the measurement tail
-(:func:`repro.noise.readout.measured_expectations`, which the trajectory
-engine ends in too):
-
-* the default ``"superop"`` engine runs the stream compiled by
-  :mod:`repro.compiler.superop` -- each gate site's unitary, Pauli and
-  relaxation channel(s) and coherent miscalibration collapse into one
-  cached superoperator, adjacent sites fuse into segment operators,
-  readout confusion rides along as a terminal measurement superop, and
-  every fused operator applies in a single transpose + GEMM pass
-  (:func:`repro.sim.density.apply_superop_to_density`);
-* :func:`run_noisy_density_reference` retains the original per-Kraus
-  loop (two passes per Kraus operator, eight per Pauli channel site,
-  readout mixed in probability space) as the numerical baseline -- the
-  equivalence suite and the perf harness hold the two to < 1e-10.
+:func:`run_noisy_density` runs the stream compiled by
+:mod:`repro.compiler.superop`: each gate site's unitary, Pauli and
+relaxation channel(s) and coherent miscalibration collapse into one
+cached superoperator, adjacent sites fuse into segment operators, and
+every fused operator applies in a single transpose + GEMM pass
+(:func:`repro.sim.density.apply_superop_to_density`).
+:func:`run_noisy_density_reference` retains the original per-Kraus loop
+(two passes per Kraus operator, eight per Pauli channel site) as the
+numerical baseline -- the equivalence suite and the perf harness hold
+the two to < 1e-10.  Both end in the measurement tail the trajectory
+engine ends in too (:func:`repro.noise.readout.measured_expectations`).
 """
 
 from __future__ import annotations
@@ -69,25 +65,14 @@ def run_noisy_density(
     noise_factor: float = 1.0,
     shots: "int | None" = None,
     rng: "int | np.random.Generator | None" = None,
-    engine: str = "superop",
 ) -> np.ndarray:
     """Exact noisy per-qubit <Z> in logical order (optionally shot-sampled).
 
-    ``engine="superop"`` (default) executes the compiled superoperator
-    stream; ``engine="reference"`` dispatches to the retained per-Kraus
-    baseline :func:`run_noisy_density_reference`.  ``shots`` below 1 is
-    refused before any sweep, as the trajectory engine refuses it.
+    Executes the compiled superoperator stream, then the shared
+    measurement tail.  ``shots`` below 1 is refused before any sweep, as
+    the trajectory engine refuses it.
     """
     _check_counts(shots=shots)
-    if engine == "reference":
-        return run_noisy_density_reference(
-            compiled, noise_model, weights, inputs, batch,
-            noise_factor, shots, rng,
-        )
-    if engine != "superop":
-        raise ValueError(
-            f"engine must be 'superop' or 'reference', got {engine!r}"
-        )
     from repro.compiler.superop import superop_plan_for
 
     n = _check_width(compiled)
@@ -95,15 +80,12 @@ def run_noisy_density(
         batch = np.asarray(inputs).shape[0]
     plan = superop_plan_for(compiled, noise_model, noise_factor)
     rho = zero_density(n, batch)
-    for op in plan.superops(weights, inputs, batch, include_readout=True):
+    for op in plan.superops(weights, inputs, batch):
         rho = apply_superop_to_density(
             rho, op.matrix, op.qubits, n, diagonal=op.diagonal
         )
     probs = density_probabilities(rho)
-    # Readout already ran as the stream's terminal measurement superop.
-    return measured_expectations(
-        probs, compiled, noise_model, shots, rng, apply_readout=False
-    )
+    return measured_expectations(probs, compiled, noise_model, shots, rng)
 
 
 def run_noisy_density_reference(

@@ -167,6 +167,8 @@ class NoiseModel:
             raise ValueError(f"readout shape {readout.shape} != ({n_qubits}, 2, 2)")
         if not np.allclose(readout.sum(axis=2), 1.0, atol=1e-9):
             raise ValueError("readout matrix rows must sum to 1")
+        if np.any(readout < -1e-12):
+            raise ValueError("readout matrix entries must be non-negative")
         self.readout = readout
         #: Systematic control miscalibration: ``coherent[q] = (ey, ez)``
         #: applies RY(ey) then RZ(ez) after every driven gate on qubit q.

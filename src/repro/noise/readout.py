@@ -101,25 +101,22 @@ def measured_expectations(
     noise_model: "NoiseModel",
     shots: "int | None",
     rng: "int | np.random.Generator | None",
-    apply_readout: bool = True,
 ) -> np.ndarray:
     """Readout confusion + (optional) shot sampling, in logical order.
 
-    The measurement tail of the density and trajectory engines: joint
-    ``probs`` over the compact circuit's basis states become per-qubit
-    <Z> of the measured qubits.  ``apply_readout=False`` skips the
-    probability-space confusion for callers whose operator stream
-    already compiled readout in as a terminal superop (the superop
-    density engine).  ``shots`` draws one batched multinomial off the
-    caller's stream (:func:`~repro.utils.rng.as_rng`), so seeded callers
-    get reproducible counts.
+    The one measurement tail of the density and trajectory engines:
+    joint ``probs`` over the compact circuit's basis states are mixed by
+    each physical qubit's confusion matrix
+    (:func:`apply_readout_to_joint_probabilities`) and become per-qubit
+    <Z> of the measured qubits.  ``shots`` draws one batched multinomial
+    off the caller's stream (:func:`~repro.utils.rng.as_rng`), so seeded
+    callers get reproducible counts.
     """
     n = compiled.circuit.n_qubits
-    if apply_readout:
-        readout = np.stack(
-            [noise_model.readout_for(p) for p in compiled.physical_qubits]
-        )
-        probs = apply_readout_to_joint_probabilities(probs, readout)
+    readout = np.stack(
+        [noise_model.readout_for(p) for p in compiled.physical_qubits]
+    )
+    probs = apply_readout_to_joint_probabilities(probs, readout)
     if shots is None:
         expectations = probs @ z_signs(n).T
     else:
@@ -129,33 +126,6 @@ def measured_expectations(
         counts = batched_multinomial(rng, shots, probs)
         expectations = (counts / shots) @ z_signs(n).T
     return expectations[:, list(compiled.measure_qubits)]
-
-
-def readout_povm_kraus(matrix: np.ndarray) -> "list[np.ndarray]":
-    """Kraus operators of the measure-and-reprepare confusion channel.
-
-    The CPTP map ``rho -> sum_{t,m} M[t,m] |m><t| rho |t><m|`` has Kraus
-    operators ``K_{t,m} = sqrt(M[t,m]) |m><t|`` (completeness follows
-    from the confusion rows summing to 1).  Its diagonal action is
-    exactly the classical readout mixing ``P'(m) = sum_t P(t) M[t,m]``
-    while coherences are erased -- irrelevant for a *terminal* stage, so
-    the compiled density engine can fold readout error into the
-    superoperator stream as a measurement (POVM) superop and stay
-    equivalent to the probability-space reference
-    (:func:`apply_readout_to_joint_probabilities`).
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"readout matrix must be 2x2, got {m.shape}")
-    if np.any(m < -1e-12) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError(f"invalid confusion matrix {m!r}")
-    kraus = []
-    for true in (0, 1):
-        for measured in (0, 1):
-            op = np.zeros((2, 2), dtype=complex)
-            op[measured, true] = np.sqrt(max(m[true, measured], 0.0))
-            kraus.append(op)
-    return kraus
 
 
 def noisy_probability_pair(p0: float, matrix: np.ndarray) -> "tuple[float, float]":

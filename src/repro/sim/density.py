@@ -22,9 +22,9 @@ where the per-Kraus route pays two passes per operator (eight for the
 superoperators (dephasing-type channels, rz/cz sites) that skips the
 GEMM entirely.  The kernels are channel-agnostic: the compiled engine
 feeds them Pauli channels, exact thermal-relaxation (amplitude/phase
-damping) Kraus sets, coherent rotations and terminal readout-confusion
-(POVM) superops alike, and the adjoint-on-superops training backend
-reuses them with transposed matrices for its backward sweep.  The per-operator route is retained as
+damping) Kraus sets and coherent rotations alike, and the
+adjoint-on-superops training backend reuses them with transposed
+matrices for its backward sweep.  The per-operator route is retained as
 ``apply_kraus_to_density`` / ``apply_unitary_to_density`` and doubles as
 the numerical reference for the compiled engine
 (:mod:`repro.compiler.superop`).

@@ -63,17 +63,15 @@ The hot path rests on five pieces:
   the input; overlap raises); callers such as :func:`run_ops` and the
   adjoint backward sweep ping-pong between two preallocated ``(batch,
   2**n)`` buffers instead of allocating two fresh arrays per gate.
-* **Bind cache** (:class:`BindPlan`): a circuit is classified once into
+* **Bind plan** (:class:`BindPlan`): a circuit is classified once into
   constant / weight-dependent / input-dependent gates.  Constant gates --
   the vast majority after transpilation and error-gate insertion -- get
   their :class:`BoundOp` (matrix included) built exactly once and reused
   across every training step; constant matrices are additionally shared
-  process-wide, read-only, through :func:`constant_gate_matrix`.
-  Weight-only gates are memoized per weight vector (a small
-  :class:`~repro.utils.cache.Cache`), so optimizer sub-steps that
-  revisit a weight vector skip rebinding.  The plan itself lives in the
-  circuit's :func:`~repro.utils.cache.circuit_cache`.  Only the
-  remaining parameterized gates are re-evaluated per call, and
+  process-wide, read-only, through :func:`constant_gate_matrix`.  The
+  plan itself lives in the circuit's :func:`~repro.utils.cache
+  .circuit_cache`.  Parameterized gates are re-evaluated on every call
+  -- the fused plans ask only for the ones they rebuild -- and
   per-sample values stay broadcast *views*, never materialized copies.
 
 The original straightforward implementations are kept as
@@ -982,13 +980,6 @@ def constant_gate_matrix(name: str, values: "tuple[float, ...]") -> np.ndarray:
     return frozen(gate_def(name).matrix(values))
 
 
-#: Bound weight-only op lists retained per circuit, keyed on the weight
-#: vector's bytes.  Optimizer sub-steps that revisit a weight vector --
-#: SPSA's +-c evaluations, parameter-shift's unshifted baseline, repeated
-#: inference over a trained model -- then skip rebinding entirely.
-_WEIGHT_CACHE_SIZE = 8
-
-
 def weights_key(weights: "np.ndarray | None") -> bytes:
     """Cache key for a weight vector: its float64 bytes (b"" for None)."""
     if weights is None:
@@ -1001,21 +992,17 @@ class BindPlan:
 
     Constant gates (no free parameters) are bound exactly once at plan
     construction; each :meth:`bind` call only re-evaluates gates that
-    actually depend on weights or inputs.  Weight-only gates (no input
-    terms) are additionally memoized per weight vector (a small LRU keyed
-    on the weight bytes), so re-binding with unchanged weights is free.
-    Input-dependent values keep whatever shape :meth:`ParamExpr.evaluate`
-    returns -- ``(batch,)`` views for input terms, plain scalars
-    otherwise -- instead of being broadcast into materialized per-sample
-    arrays.
+    actually depend on weights or inputs.  Input-dependent values keep
+    whatever shape :meth:`ParamExpr.evaluate` returns -- ``(batch,)``
+    views for input terms, plain scalars otherwise -- instead of being
+    broadcast into materialized per-sample arrays.
     """
 
-    __slots__ = ("_entries", "n_constant", "n_weight_only", "_weight_cache")
+    __slots__ = ("_entries", "n_constant")
 
     def __init__(self, circuit: Circuit):
         entries = []
         n_constant = 0
-        n_weight_only = 0
         for gate in circuit.gates:
             if all(expr.is_constant for expr in gate.params):
                 values = tuple(expr.const for expr in gate.params)
@@ -1027,14 +1014,8 @@ class BindPlan:
                     expr.depends_on_input for expr in gate.params
                 )
                 entries.append((gate, input_dep))
-                if not input_dep:
-                    n_weight_only += 1
         self._entries = entries
         self.n_constant = n_constant
-        self.n_weight_only = n_weight_only
-        # weight bytes -> list of BoundOps for the weight-only entries,
-        # in entry order.
-        self._weight_cache = Cache("bind.weights", _WEIGHT_CACHE_SIZE)
 
     def constant_ops(self) -> "dict[int, BoundOp]":
         """Gate index -> bound op of every constant gate (bound at construction)."""
@@ -1042,21 +1023,6 @@ class BindPlan:
             i: entry for i, entry in enumerate(self._entries)
             if type(entry) is BoundOp
         }
-
-    def _weight_only_ops(self, weights: "np.ndarray | None") -> "list[BoundOp]":
-        """Bound ops for the weight-only entries (cached per weight vector)."""
-
-        def build() -> "list[BoundOp]":
-            ops = []
-            for entry in self._entries:
-                if type(entry) is BoundOp or entry[1]:
-                    continue
-                gate = entry[0]
-                values = tuple(expr.evaluate(weights, None) for expr in gate.params)
-                ops.append(BoundOp(gate, gate.definition.matrix(values), values))
-            return ops
-
-        return self._weight_cache.get_or_build(weights_key(weights), build)
 
     @staticmethod
     def _bound(entry, weights, inputs) -> BoundOp:
@@ -1076,32 +1042,20 @@ class BindPlan:
     ) -> "list[BoundOp]":
         """Bound ops of every gate, or of the gates at indices ``gates``.
 
-        A subset binds its weight-only gates afresh instead of through
-        the per-weight-vector cache: the fused training sweep binds only
-        the gates it does not fuse, with new weights every step.
+        Constant gates come from the plan; every other gate is bound
+        afresh, so the fused plans ask only for the gates they rebuild.
         """
         if inputs is not None:
             inputs = np.asarray(inputs, dtype=float)
             if batch is not None and inputs.shape[0] != batch:
                 raise ValueError("batch does not match inputs")
             batch = inputs.shape[0]
-        if gates is not None:
-            entries = [self._entries[i] for i in gates]
-            return [
-                entry if type(entry) is BoundOp
-                else self._bound(entry, weights, inputs)
-                for entry in entries
-            ]
-        weight_ops = iter(self._weight_only_ops(weights) if self.n_weight_only else ())
-        ops: "list[BoundOp]" = []
-        for entry in self._entries:
-            if type(entry) is BoundOp:
-                ops.append(entry)
-            elif entry[1]:
-                ops.append(self._bound(entry, weights, inputs))
-            else:
-                ops.append(next(weight_ops))
-        return ops
+        entries = self._entries if gates is None else [self._entries[i] for i in gates]
+        return [
+            entry if type(entry) is BoundOp
+            else self._bound(entry, weights, inputs)
+            for entry in entries
+        ]
 
 
 def bind_plan_for(circuit: Circuit) -> BindPlan:
@@ -1122,8 +1076,10 @@ def bind_circuit(
     ``inputs`` is ``(batch, n_features)``.  Gates whose angles depend on
     inputs get per-sample ``(batch, d, d)`` matrices; all others get a
     shared matrix.  Constant gates are served from the circuit's cached
-    :class:`BindPlan`, so repeated binds (one per training step) only pay
-    for the parameterized gates.
+    :class:`BindPlan`, so repeated binds only pay for the parameterized
+    gates, which are bound afresh on every call.  The engines' fused
+    plans call :meth:`BindPlan.bind` with ``gates`` instead, binding only
+    the gates they rebuild.
     """
     return bind_plan_for(circuit).bind(weights, inputs, batch)
 

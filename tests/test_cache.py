@@ -251,7 +251,7 @@ def test_cache_stats_count_a_training_and_predict_job():
     job = _delta(before, cache_stats())
     touched = {name for name, row in job.items() if row["hits"] + row["misses"]}
     assert touched >= {
-        "bind.plan", "bind.weights", "fusion.plan", "fusion.segments",
+        "bind.plan", "fusion.plan", "fusion.segments",
         "superop.plan", "superop.segments",
     }
     # Every gate-insertion step binds a freshly sampled circuit.
@@ -263,3 +263,38 @@ def test_cache_stats_count_a_training_and_predict_job():
     for name in ("superop.plan", "superop.segments"):
         assert repeat[name]["misses"] == 0
         assert repeat[name]["hits"] > 0
+
+
+def test_density_job_caches_only_plans_and_segments():
+    """A density-training epoch and two fixed-weight density predicts
+    reuse the superoperator plans and fused segments, and no cache keyed
+    on a weight vector holds bound gates or training sites: every step
+    brings new weights."""
+    from dataclasses import replace
+
+    from repro.core.executors import DensityTrainExecutor
+
+    task = load_task("mnist-4", n_train=16, n_valid=8, n_test=8, seed=1)
+    device = get_device("santiago")
+    relaxing = device.hardware_model.with_relaxation(
+        {q: (50.0 + 10 * q, 60.0 + 8 * q) for q in range(device.n_qubits)},
+        (0.035, 0.30),
+    )
+    model = QuantumNATModel(
+        paper_model(4, 1, 1, 16, 4), replace(device, noise_model=relaxing),
+        QuantumNATConfig.full(0.5, 5), rng=1,
+    )
+    assert isinstance(model._train_executor, DensityTrainExecutor)
+    before = cache_stats()
+    weights = train(
+        model, task.train_x, task.train_y, task.valid_x, task.valid_y,
+        TrainConfig(epochs=1, batch_size=8, seed=1),
+    ).weights
+    for _ in range(2):
+        model.predict(weights, task.test_x, DensityEvalExecutor(relaxing))
+    job = _delta(before, cache_stats())
+    assert job["superop.train_segments"]["hits"] > 0
+    assert job["superop.segments"]["hits"] > 0
+    assert {name for name in job if name.startswith(("bind.", "superop."))} == {
+        "bind.plan", "superop.plan", "superop.segments", "superop.train_segments",
+    }

@@ -267,16 +267,6 @@ def test_density_engine_batched_inputs_and_weight_cache():
     assert np.abs(other - ref).max() < EXACT
 
 
-def test_density_engine_rejects_unknown_engine():
-    device, compiled, weights, inputs = _compiled_block()
-    with pytest.raises(ValueError):
-        run_noisy_density(
-            compiled, device.noise_model, weights, inputs, engine="bogus"
-        )
-    with pytest.raises(ValueError):
-        DensityEvalExecutor(device.noise_model, engine="bogus")
-
-
 def test_density_shots_path_threads_rng():
     """Seeded shots runs are reproducible; int seeds are accepted."""
     device, compiled, weights, inputs = _compiled_block(5)
@@ -308,10 +298,12 @@ def test_density_shots_path_threads_rng():
 
 def test_density_executor_engines_agree():
     device, compiled, weights, inputs = _compiled_block(6)
-    fast = DensityEvalExecutor(device.noise_model)
-    ref = DensityEvalExecutor(device.noise_model, engine="reference")
-    e_fast, _ = fast.forward(compiled, weights, inputs)
-    e_ref, _ = ref.forward(compiled, weights, inputs)
+    e_fast, _ = DensityEvalExecutor(device.noise_model).forward(
+        compiled, weights, inputs
+    )
+    e_ref = run_noisy_density_reference(
+        compiled, device.noise_model, weights, inputs
+    )
     assert np.abs(e_fast - e_ref).max() < EXACT
 
 
@@ -342,8 +334,43 @@ def test_superop_plan_segment_count_is_compact():
     assert sum(op.n_merged for op in ops) == len(compiled.circuit.gates)
 
 
+def test_density_predict_binds_only_the_gates_it_rebuilds(monkeypatch):
+    """A new weight vector binds the fused runs' weight-only gates once;
+    every call binds the encoder gates, and a cached weight vector binds
+    nothing else."""
+    from repro.compiler.fusion import input_free
+    from repro.sim.statevector import BindPlan
+    from repro.utils.cache import cache_stats
+
+    device, compiled, weights, inputs = _compiled_block(23, batch=3)
+    gates = compiled.circuit.gates
+    constants = compiled.bind_plan.constant_ops()
+    encoders = [i for i, gate in enumerate(gates) if not input_free(gate)]
+    weight_only = [
+        i for i, gate in enumerate(gates)
+        if input_free(gate) and i not in constants
+    ]
+    calls = []
+    bind = BindPlan.bind
+
+    def spy(self, weights=None, inputs=None, batch=None, gates=None):
+        calls.append(gates)
+        return bind(self, weights, inputs, batch, gates)
+
+    monkeypatch.setattr(BindPlan, "bind", spy)
+    executor = DensityEvalExecutor(device.noise_model)
+    first, _ = executor.forward(compiled, weights, inputs)
+    assert sorted(calls) == sorted([weight_only, encoders])
+    calls.clear()
+    hits = cache_stats()["superop.segments"]["hits"]
+    again, _ = executor.forward(compiled, weights, inputs)
+    assert cache_stats()["superop.segments"]["hits"] == hits + 1
+    assert calls == [encoders]
+    assert np.array_equal(first, again)
+
+
 # ---------------------------------------------------------------------------
-# relaxation + readout superops and the exact-channel training backend
+# relaxation superops and the exact-channel training backend
 # ---------------------------------------------------------------------------
 
 
@@ -379,15 +406,9 @@ def test_density_engine_relaxation_scaled_noise_factor():
 
 
 def test_compiled_readout_stage_matches_probability_mixing():
-    """The terminal measurement superop stage equals the reference tail."""
+    """Readout mixes the compiled stream's joint probabilities in the
+    shared tail; shot counts drawn after it stay reproducible."""
     device, compiled, weights, inputs = _compiled_block(22, batch=3)
-    plan = superop_plan_for(compiled, device.noise_model)
-    without = plan.superops(weights, inputs, inputs.shape[0])
-    with_readout = plan.superops(
-        weights, inputs, inputs.shape[0], include_readout=True
-    )
-    assert len(with_readout) > len(without)
-    # Shots path stays reproducible with the compiled readout stage.
     a = run_noisy_density(
         compiled, device.noise_model, weights, inputs, shots=256, rng=3
     )
@@ -395,17 +416,6 @@ def test_compiled_readout_stage_matches_probability_mixing():
         compiled, device.noise_model, weights, inputs, shots=256, rng=3
     )
     assert np.array_equal(a, b)
-
-
-def test_readout_povm_kraus_is_cptp_and_validates():
-    from repro.noise import readout_povm_kraus
-    from repro.sim.kraus import is_cptp
-
-    assert is_cptp(readout_povm_kraus(readout_matrix(0.016, 0.022)))
-    with pytest.raises(ValueError, match="2x2"):
-        readout_povm_kraus(np.eye(3))
-    with pytest.raises(ValueError, match="confusion"):
-        readout_povm_kraus(np.array([[0.7, 0.7], [0.1, 0.9]]))
 
 
 def test_density_training_gradients_match_finite_differences():

@@ -190,17 +190,13 @@ def test_fused_forward_applies_one_kernel_per_run(monkeypatch):
     assert 0 < len(calls) <= 80
 
 
-@pytest.mark.parametrize("engine", ["superop", "reference"])
+@pytest.mark.parametrize(
+    "run", [run_noisy_density, run_noisy_density_reference],
+    ids=["superop", "reference"],
+)
 @pytest.mark.parametrize("shots", [0, -3])
-def test_density_refuses_shot_counts_without_an_estimate(engine, shots):
+def test_density_refuses_shot_counts_without_an_estimate(run, shots):
     device, qnn, compiled = _santiago_block()
     weights, inputs = _inputs(qnn, batch=2)
     with pytest.raises(ValueError, match="shots must be >= 1"):
-        run_noisy_density(
-            compiled, device.noise_model, weights, inputs,
-            shots=shots, engine=engine,
-        )
-    with pytest.raises(ValueError, match="shots must be >= 1"):
-        run_noisy_density_reference(
-            compiled, device.noise_model, weights, inputs, shots=shots
-        )
+        run(compiled, device.noise_model, weights, inputs, shots=shots)

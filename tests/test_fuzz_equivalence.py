@@ -174,37 +174,9 @@ def test_density_engines_agree_on_random_full_noise(seed):
     device = get_device("belem")
     compiled = transpile(circuit, device, optimization_level=1)
     model = _random_noise_model(seed, device.n_qubits)
-    fast = run_noisy_density(compiled, model, engine="superop")
+    fast = run_noisy_density(compiled, model)
     ref = run_noisy_density_reference(compiled, model)
     assert np.abs(fast - ref).max() < 1e-9
-
-
-@given(seeds)
-@settings(max_examples=15, deadline=None)
-def test_readout_povm_matches_probability_mixing(seed):
-    """The terminal measurement superop equals classical confusion mixing."""
-    from repro.noise import readout_matrix, readout_povm_kraus
-    from repro.noise.readout import apply_readout_to_joint_probabilities
-    from repro.sim.density import (
-        apply_superop_to_density,
-        density_probabilities,
-        kraus_superop,
-    )
-
-    rng = np.random.default_rng(seed)
-    n = 3
-    dim = 2**n
-    probs = rng.dirichlet(np.ones(dim), size=2)
-    rho = np.zeros((2, dim, dim), dtype=complex)
-    rho[:, np.arange(dim), np.arange(dim)] = probs
-    readout = np.stack(
-        [readout_matrix(*rng.uniform(0, 0.3, 2)) for _ in range(n)]
-    )
-    mixed = apply_readout_to_joint_probabilities(probs, readout)
-    for q in range(n):
-        superop = kraus_superop(readout_povm_kraus(readout[q]))
-        rho = apply_superop_to_density(rho, superop, (q,), n)
-    assert np.abs(density_probabilities(rho) - mixed).max() < 1e-12
 
 
 @given(seeds)

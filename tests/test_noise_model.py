@@ -6,6 +6,7 @@ import pytest
 from repro.noise import (
     NoiseModel,
     PauliError,
+    get_device,
     noisy_probability_pair,
     pauli_error_from_gate_fidelity,
     readout_affine,
@@ -111,6 +112,27 @@ def test_noise_model_lookup_and_virtual_gates():
     cx_errors = model.gate_errors("cx", (1, 0))  # order-insensitive lookup
     assert len(cx_errors) == 2
     assert cx_errors[0][0] == 1 and cx_errors[1][0] == 0
+
+
+def test_noise_model_refuses_invalid_readout_matrices():
+    """Every engine reads readout off the model, so the model refuses a
+    confusion matrix that is not row-stochastic when it is built."""
+    base = get_device("santiago").noise_model
+    n = base.n_qubits
+
+    def build(matrix):
+        return NoiseModel(
+            n, base.one_qubit, base.two_qubit, np.stack([matrix] * n)
+        )
+
+    with pytest.raises(ValueError, match="non-negative"):
+        build(np.array([[1.05, -0.05], [0.02, 0.98]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        build(np.array([[0.7, 0.7], [0.1, 0.9]]))
+    with pytest.raises(ValueError, match="shape"):
+        NoiseModel(n, base.one_qubit, base.two_qubit, np.stack([np.eye(3)] * n))
+    # Rounding below the tolerance is accepted.
+    build(np.array([[1.0 + 1e-13, -1e-13], [0.02, 0.98]]))
 
 
 def test_noise_model_scaled():

@@ -829,7 +829,7 @@ def test_typed_errors_are_runtime_faults_and_exported_at_top_level():
     import repro
     from repro.runtime.errors import RuntimeFault
 
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
     for err in (repro.Overloaded, repro.CircuitOpen, repro.ServerClosed):
         assert issubclass(err, RuntimeFault)
         assert err.__name__ in repro.__all__
